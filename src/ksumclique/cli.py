@@ -728,7 +728,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         Path(cfg.report).write_bytes(payload)
     _emit(payload, args.out)
     if report["failures"]:
-        bundle_path = Path(cfg.report or "experiment").with_suffix(".repro.json")
+        stem = cfg.report or (args.out if args.out not in (None, "-") else "experiment")
+        bundle_path = Path(stem).with_suffix(".repro.json")
         _write_repro_bundle(cfg, report["failures"][0], bundle_path)
         print(f"equivalence failure; repro bundle at {bundle_path}", file=sys.stderr)
         return 3

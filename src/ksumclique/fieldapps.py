@@ -23,7 +23,6 @@ from .instances import (
     ValidationError,
     VectorSumInstance,
     _as_int,
-    _as_small_int,
     instance_digest,
     verify_witness,
 )
@@ -71,7 +70,7 @@ def parse_targetsum_dict(obj: dict[str, Any]) -> TargetSumInstance:
     return TargetSumInstance(
         q=_as_int(obj["q"], "q"),
         elements=tuple(_as_int(x, "element") for x in obj["elements"]),
-        k=_as_small_int(obj["k"], "k"),
+        k=_as_int(obj["k"], "k"),
         target=_as_int(obj["target"], "target"),
     )
 
@@ -122,9 +121,9 @@ class LinDepInstance:
 def parse_lindep_dict(obj: dict[str, Any]) -> LinDepInstance:
     return LinDepInstance(
         q=_as_int(obj["q"], "q"),
-        n=_as_small_int(obj["n"], "n"),
+        n=_as_int(obj["n"], "n"),
         vectors=tuple(tuple(_as_int(c, "entry") for c in v) for v in obj["vectors"]),
-        k=_as_small_int(obj["k"], "k"),
+        k=_as_int(obj["k"], "k"),
         target=tuple(_as_int(c, "target entry") for c in obj["target"]),
     )
 

@@ -54,9 +54,19 @@ def _as_int(value: Any, what: str) -> int:
     raise ValidationError(f"{what} must be an integer or decimal string, got {type(value).__name__}")
 
 
-def _as_small_int(value: Any, what: str) -> int:
-    out = _as_int(value, what)
-    return out
+def _as_list(value: Any, what: str) -> list[Any]:
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
+def _as_edges(value: Any) -> list[tuple[int, int]]:
+    edges = []
+    for e in _as_list(value, "edges"):
+        if type(e) is not list or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
+            raise ValidationError(f"an edge must be a list of two integers, got {e!r}")
+        edges.append((e[0], e[1]))
+    return edges
 
 
 def normalize_edges(n: int, edges: Iterable[Sequence[int]]) -> tuple[tuple[int, int], ...]:
@@ -200,13 +210,6 @@ class CliqueInstance:
     def m(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "type": "graph",
@@ -281,13 +284,6 @@ class WeightedGraph:
         if self.edge_weights is None:
             raise ValidationError("graph is not edge-weighted")
         return {(u, v): w for u, v, w in self.edge_weights}
-
-    def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -418,8 +414,8 @@ def instance_digest(inst: Instance) -> str:
 def _parse_ksum(obj: dict[str, Any]) -> KSumInstance:
     lo, hi = obj["range"]
     return KSumInstance(
-        k=_as_small_int(obj["k"], "k"),
-        numbers=tuple(_as_int(x, "number") for x in obj["numbers"]),
+        k=_as_int(obj["k"], "k"),
+        numbers=tuple(_as_int(x, "number") for x in _as_list(obj["numbers"], "numbers")),
         target=_as_int(obj["target"], "target"),
         bounds=(_as_int(lo, "range low"), _as_int(hi, "range high")),
     )
@@ -428,8 +424,8 @@ def _parse_ksum(obj: dict[str, Any]) -> KSumInstance:
 def _parse_vectorsum(obj: dict[str, Any]) -> VectorSumInstance:
     lo, hi = obj["entry_range"]
     return VectorSumInstance(
-        k=_as_small_int(obj["k"], "k"),
-        dim=_as_small_int(obj["dim"], "dim"),
+        k=_as_int(obj["k"], "k"),
+        dim=_as_int(obj["dim"], "dim"),
         vectors=tuple(tuple(_as_int(c, "entry") for c in v) for v in obj["vectors"]),
         target=tuple(_as_int(c, "target entry") for c in obj["target"]),
         entry_bounds=(_as_int(lo, "entry range low"), _as_int(hi, "entry range high")),
@@ -437,9 +433,9 @@ def _parse_vectorsum(obj: dict[str, Any]) -> VectorSumInstance:
 
 
 def _parse_graph(obj: dict[str, Any]) -> CliqueInstance | WeightedGraph:
-    n = _as_small_int(obj["n"], "n")
-    k = _as_small_int(obj["k"], "k")
-    edges = [(int(e[0]), int(e[1])) for e in obj["edges"]]
+    n = _as_int(obj["n"], "n")
+    k = _as_int(obj["k"], "k")
+    edges = _as_edges(obj["edges"])
     node_w = obj.get("node_weights")
     edge_w = obj.get("edge_weights")
     if node_w is None and edge_w is None:
@@ -448,12 +444,12 @@ def _parse_graph(obj: dict[str, Any]) -> CliqueInstance | WeightedGraph:
             n=n,
             edges=tuple(edges),
             k=k,
-            partition=tuple(int(s) for s in part) if part is not None else None,
+            partition=tuple(_as_int(s, "slot") for s in _as_list(part, "partition")) if part is not None else None,
         )
     if obj.get("partition") is not None:
         raise ValidationError("weighted graphs do not carry a partition")
     if node_w is not None:
-        weights = tuple(_as_int(x, "node weight") for x in node_w)
+        weights = tuple(_as_int(x, "node weight") for x in _as_list(node_w, "node_weights"))
         ew = None
     else:
         weights = None

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Any, Callable, Iterable
+from itertools import chain, combinations
+from typing import Any, Callable, Iterable, Iterator
 
 from .instances import (
     CliqueInstance,
@@ -159,68 +160,69 @@ def solve_vectorsum_bruteforce(inst: VectorSumInstance, budget: int = DEFAULT_BU
     )
 
 
-def _clique_backtrack(
-    n: int,
-    adj: list[set[int]],
-    k: int,
-    accept: Callable[[tuple[int, ...]], bool],
-    counter: list[int],
-) -> tuple[int, ...] | None:
-    """First k-clique in lexicographic order whose vertex set passes `accept`."""
+def _kcliques(n: int, edges: tuple[tuple[int, int], ...], k: int, counter: list[int]) -> Iterator[tuple[int, ...]]:
+    """Every k-clique (sorted vertex tuple) in lexicographic order, given
+    normalized edges (sorted, u < v).
 
-    def extend(partial: list[int], candidates: list[int]) -> tuple[int, ...] | None:
-        if len(partial) == k:
-            counter[0] += 1
-            chosen = tuple(partial)
-            return chosen if accept(chosen) else None
+    Each top-level vertex v < n - k + 1 descends into its forward list, the
+    sorted neighbours above v (Chiba-Nishizeki forward adjacency); deeper
+    levels keep the candidates in the chosen vertex's forward set. counter[0]
+    counts the nodes of a plain backtrack over all vertices: one per prefix
+    vertex, one per clique. Top-level vertices with too few higher neighbours
+    are counted in bulk, never visited.
+    """
+    forward: dict[int, list[int]] = {}
+    for u, v in edges:
+        forward.setdefault(u, []).append(v)
+    fsets = {u: set(ws) for u, ws in forward.items()}
+
+    def extend(partial: tuple[int, ...], cand: list[int]) -> Iterator[tuple[int, ...]]:
         need = k - len(partial)
-        for idx, v in enumerate(candidates):
-            if len(candidates) - idx < need:
-                return None
+        if need == 1:
+            for w in cand:
+                counter[0] += 2
+                yield partial + (w,)
+            return
+        for idx in range(len(cand) - need + 1):
             counter[0] += 1
-            partial.append(v)
-            nxt = [w for w in candidates[idx + 1 :] if w in adj[v]]
-            found = extend(partial, nxt)
-            partial.pop()
-            if found is not None:
-                return found
-        return None
+            fv = fsets.get(cand[idx], ())
+            yield from extend(partial + (cand[idx],), [w for w in cand[idx + 1 :] if w in fv])
 
-    return extend([], list(range(n)))
+    if k == 1:
+        yield from extend((), list(range(n)))
+        return
+    top = n - k + 1
+    counted = 0
+    for v, fwd in forward.items():
+        if v >= top:
+            break
+        if len(fwd) >= k - 1:
+            counter[0] += v + 1 - counted
+            counted = v + 1
+            yield from extend((v,), fwd)
+    counter[0] += top - counted
 
 
-def _guard_clique_search(n: int, k: int, adj: list[set[int]], budget: int) -> None:
+def _guard_clique_search(n: int, k: int, edges: tuple[tuple[int, int], ...], budget: int) -> None:
     """Reject searches whose cheapest work bound exceeds the budget: C(n,k)
     for dense graphs, n * (maxdeg)^(k-1) for sparse ones."""
-    if k > n or k == 0:
-        return
-    maxdeg = max((len(a) for a in adj), default=0)
+    maxdeg = max(Counter(chain.from_iterable(edges)).values(), default=0)
     sparse = n * max(1, maxdeg) ** (k - 1)
     if min(math.comb(n, k), sparse) > budget:
         raise ResourceBudgetError(f"k-clique search on n={n}, k={k} exceeds the work budget {budget}")
 
 
-def iter_kcliques(inst: CliqueInstance | WeightedGraph, budget: int = DEFAULT_BUDGET) -> Iterable[tuple[int, ...]]:
-    """Every k-clique (as a sorted vertex tuple) in lexicographic order."""
+def iter_kcliques(inst: CliqueInstance | WeightedGraph, budget: int = DEFAULT_BUDGET) -> Iterator[tuple[int, ...]]:
+    """Every k-clique (as a sorted vertex tuple) in lexicographic order.
+
+    The search walks forward adjacency, so it costs O(n + m) plus the work
+    inside forward neighbourhoods.
+    """
     n, k = inst.n, inst.k
     if k > n:
         return
-    adj = inst.adjacency()
-    _guard_clique_search(n, k, adj, budget)
-
-    def extend(partial: list[int], candidates: list[int]) -> Iterable[tuple[int, ...]]:
-        if len(partial) == k:
-            yield tuple(partial)
-            return
-        need = k - len(partial)
-        for idx, v in enumerate(candidates):
-            if len(candidates) - idx < need:
-                return
-            partial.append(v)
-            yield from extend(partial, [w for w in candidates[idx + 1 :] if w in adj[v]])
-            partial.pop()
-
-    yield from extend([], list(range(n)))
+    _guard_clique_search(n, k, inst.edges, budget)
+    yield from _kcliques(n, inst.edges, k, [0])
 
 
 def solve_kclique_bruteforce(
@@ -230,16 +232,20 @@ def solve_kclique_bruteforce(
 ) -> SolverReport:
     """Exact k-clique search honoring a node- or edge-weight target when present.
 
-    Backtracking over sorted vertex ids returns the lexicographically smallest
-    witness; the guard bounds the work by min(C(n,k), n * maxdeg^(k-1)).
+    Returns the lexicographically smallest clique that meets the target. The
+    forward-adjacency search costs O(n + m) plus the work inside forward
+    neighbourhoods, while ``nodes_expanded`` counts the nodes of a plain
+    backtrack over all vertices in sorted order, so neither the witness nor
+    the counter depends on the search's shortcuts. The guard bounds the work
+    by min(C(n,k), n * maxdeg^(k-1)).
     """
     start = time.perf_counter()
     n, k = inst.n, inst.k
     witness = None
     counter = [0]
     if k <= n:
-        adj = inst.adjacency()
-        _guard_clique_search(n, k, adj, budget)
+        _guard_clique_search(n, k, inst.edges, budget)
+        accept: Callable[[tuple[int, ...]], bool] | None = None
         if isinstance(inst, WeightedGraph):
             goal = inst.target if target is None else target
             if inst.node_weights is not None:
@@ -258,14 +264,10 @@ def solve_kclique_bruteforce(
                             total += wmap[(chosen[a], chosen[b])]
                     return total == goal
 
-        else:
-            if target is not None:
-                raise ParameterError("unweighted instances take no weight target")
-
-            def accept(chosen: tuple[int, ...]) -> bool:
-                return True
-
-        witness = _clique_backtrack(n, adj, k, accept, counter)
+        elif target is not None:
+            raise ParameterError("unweighted instances take no weight target")
+        cliques = _kcliques(n, inst.edges, k, counter)
+        witness = next(cliques if accept is None else filter(accept, cliques), None)
     return SolverReport(
         solvable=witness is not None,
         witness=witness,
@@ -355,8 +357,8 @@ def detect_triangle(
         stats["delta"] = d
         stats["low_pairs"] = low_pairs
         stats["core_size"] = len(core)
-        assert low_pairs <= m * d
-        assert d * len(core) <= 2 * m
+        if low_pairs > m * d or d * len(core) > 2 * m:
+            raise ValidationError(f"degree split broke its bounds: {low_pairs} pairs, core {len(core)}, m={m}, delta={d}")
         if witness is None and core:
             index = {v: i for i, v in enumerate(core)}
             core_masks = [0] * len(core)
@@ -435,11 +437,11 @@ def _nw_pipeline(
         for alpha in fwd.present_alpha_tuples(ew_graph, k):
             stats["alphas"] += 1
             g_alpha = fwd.build_alpha_instance(ew_graph, k, alpha)
-            assert g_alpha.m <= k * k * ew_graph.m
+            if g_alpha.m > k * k * ew_graph.m:
+                raise ValidationError(f"alpha instance has {g_alpha.m} edges, above k^2 * {ew_graph.m}")
             stats["instances_generated"] += 1
             report = solve_unweighted(g_alpha)
-            if report.solvable:
-                assert report.witness is not None
+            if report.witness is not None:
                 lifted = tuple(sorted(v % n for v in report.witness))
                 if sum(weights[v] for v in lifted) != t:  # pragma: no cover - soundness guard
                     raise ValidationError("pipeline produced a non-verifying witness")

@@ -164,9 +164,34 @@ def test_experiment_failure_emits_repro_bundle(tmp_path, monkeypatch, capsys):
     assert rc2 == 3
     replay = json.loads((tmp_path / "o2.json").read_text())
     assert replay["trials"] == 1 and replay["passes"] == 0
+    # the bundle carries no report, so the replay's bundle goes next to --out
+    assert (tmp_path / "o2.repro.json").exists()
+    assert not (Path.cwd() / "experiment.repro.json").exists()
 
 
 # --- subcommand plumbing ---
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        {"type": "graph", "k": 2, "n": 3, "edges": [[0]]},
+        {"type": "graph", "k": 2, "n": 3, "edges": [["a", 1]]},
+        {"type": "graph", "k": 2, "n": 3, "edges": [[0, 1.5]]},
+        {"type": "graph", "k": 2, "n": 3, "edges": "01"},
+        {"type": "graph", "k": 2, "n": 2, "edges": [[0, 1]], "node_weights": "12", "target": "3"},
+        {"type": "graph", "k": 2, "n": 2, "edges": [[0, 1]], "partition": "12"},
+        {"type": "ksum", "k": 2, "numbers": "12", "target": "3", "range": ["0", "9"]},
+    ],
+    ids=["one-endpoint", "string-endpoint", "float-endpoint", "edges-string",
+         "node-weights-string", "partition-string", "numbers-string"],
+)
+def test_cli_malformed_instance_is_usage_error(tmp_path, capsys, instance):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(instance))
+    assert main(["solve", "--in", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
 
 def run_cli(tmp_path, *argv):
     return main(list(argv))

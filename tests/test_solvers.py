@@ -32,6 +32,7 @@ from util import (
     make_ksum,
     make_nw_graph,
     make_vectorsum,
+    oracle_ew_kclique,
     oracle_kclique,
     oracle_ksum,
     oracle_nw_kclique,
@@ -128,11 +129,70 @@ def test_clique_brute_edge_weighted_target():
     assert not solve_kclique_bruteforce(g1).solvable
 
 
+def test_clique_brute_nodes_expanded_frozen():
+    # search-tree sizes of the plain backtrack over all vertices; the forward
+    # adjacency search must count the same nodes
+    petersen = cycle_edges(5) + tuple((i, i + 5) for i in range(5)) + tuple((5 + i, 5 + (i + 2) % 5) for i in range(5))
+    mod3 = tuple((i, j) for i, j in combinations(range(12), 2) if (i * j + i + j) % 3 != 1)
+    ew_weights = [(u * 7 + v) % 5 - 2 for u, v in mod3]
+    rng = random.Random(2024)
+    rand16 = tuple(e for e in complete_edges(16) if rng.random() < 0.45)
+    cases = [
+        (CliqueInstance(n=4, edges=complete_edges(4), k=3), (0, 1, 2), 4),
+        (CliqueInstance(n=5, edges=cycle_edges(5), k=3), None, 4),
+        (CliqueInstance(n=10, edges=petersen, k=2), (0, 1), 3),
+        (CliqueInstance(n=10, edges=petersen, k=3), None, 15),
+        (CliqueInstance(n=400, edges=tuple((i, i + 1) for i in range(399)), k=3), None, 398),
+        (CliqueInstance(n=12, edges=mod3, k=1), (0,), 2),
+        (CliqueInstance(n=12, edges=mod3, k=7), (0, 2, 3, 5, 6, 8, 9), 8),
+        (CliqueInstance(n=30, edges=((20, 25), (20, 27), (25, 27), (3, 9)), k=3), (20, 25, 27), 24),
+        (CliqueInstance(n=16, edges=rand16, k=5), (2, 3, 7, 10, 11), 21),
+        (CliqueInstance(n=16, edges=rand16, k=6), None, 39),
+        (make_nw_graph(5, complete_edges(5), 3, [3, 1, 4, 1, 5], target=12), (0, 2, 4), 13),
+        (make_ew_graph(12, mod3, 3, ew_weights, target=5), (2, 5, 9), 130),
+        (make_ew_graph(12, mod3, 3, ew_weights, target=99), None, 265),
+    ]
+    for g, witness, nodes in cases:
+        rep = solve_kclique_bruteforce(g)
+        assert (rep.witness, rep.stats["nodes_expanded"]) == (witness, nodes)
+
+
+def _cliques_by_combinations(n, edges, k):
+    edge_set = set(edges)
+    return [c for c in combinations(range(n), k) if all(p in edge_set for p in combinations(c, 2))]
+
+
+def test_kclique_search_matches_combinations_random():
+    rng = random.Random(44)
+    for _ in range(400):
+        n = rng.randint(0, 11)
+        k = rng.randint(1, 5)
+        prob = rng.random()
+        edges = tuple(e for e in complete_edges(n) if rng.random() < prob)
+        kind = rng.choice(["plain", "node", "edge"])
+        if kind == "plain":
+            g = CliqueInstance(n=n, edges=edges, k=k)
+            want = oracle_kclique(n, edges, k)
+        elif kind == "node":
+            weights = [rng.randint(-4, 4) for _ in range(n)]
+            t = rng.randint(-6, 6)
+            g = make_nw_graph(n, edges, k, weights, target=t)
+            want = oracle_nw_kclique(n, edges, k, weights, t)
+        else:
+            weights = [rng.randint(-3, 3) for _ in edges]
+            t = rng.randint(-4, 4)
+            g = make_ew_graph(n, edges, k, weights, target=t)
+            want = oracle_ew_kclique(n, edges, k, weights, t)
+        assert solve_kclique_bruteforce(g).witness == want
+        assert list(iter_kcliques(g)) == _cliques_by_combinations(n, edges, k)
+
+
 def test_iter_kcliques_enumerates_all():
     g = CliqueInstance(n=5, edges=complete_edges(5), k=3)
     assert sum(1 for _ in iter_kcliques(g)) == comb(5, 3)
     got = set(iter_kcliques(g))
     assert got == set(combinations(range(5), 3))
+    assert list(iter_kcliques(CliqueInstance(n=2, edges=((0, 1),), k=3))) == []
 
 
 def test_clique_budget_guard():
@@ -148,6 +208,14 @@ def test_sparse_graph_beats_naive_combination_count():
     g = CliqueInstance(n=n, edges=tuple(edges), k=3)
     rep = solve_kclique_bruteforce(g, budget=200_000)
     assert not rep.solvable
+    # a long sparse graph whose only triangle sits at the end
+    n = 6000
+    edges = tuple((i, i + 1) for i in range(n - 1)) + ((n - 3, n - 1),)
+    g = CliqueInstance(n=n, edges=edges, k=3)
+    rep = solve_kclique_bruteforce(g, budget=200_000)
+    assert rep.witness == (n - 3, n - 2, n - 1)
+    assert rep.stats["nodes_expanded"] == (n - 2) + 1 + 2  # top level, vertex n - 2, vertex n - 1 and the clique
+    assert list(iter_kcliques(g, budget=200_000)) == [(n - 3, n - 2, n - 1)]
 
 
 def test_detect_triangle_frozen_cases():
