@@ -23,6 +23,8 @@ from .instances import (
     ValidationError,
     VectorSumInstance,
     _as_int,
+    _as_int_list,
+    _as_list,
     instance_digest,
     verify_witness,
 )
@@ -69,7 +71,7 @@ class TargetSumInstance:
 def parse_targetsum_dict(obj: dict[str, Any]) -> TargetSumInstance:
     return TargetSumInstance(
         q=_as_int(obj["q"], "q"),
-        elements=tuple(_as_int(x, "element") for x in obj["elements"]),
+        elements=_as_int_list(obj["elements"], "elements", "element"),
         k=_as_int(obj["k"], "k"),
         target=_as_int(obj["target"], "target"),
     )
@@ -122,9 +124,9 @@ def parse_lindep_dict(obj: dict[str, Any]) -> LinDepInstance:
     return LinDepInstance(
         q=_as_int(obj["q"], "q"),
         n=_as_int(obj["n"], "n"),
-        vectors=tuple(tuple(_as_int(c, "entry") for c in v) for v in obj["vectors"]),
+        vectors=tuple(_as_int_list(v, "vector", "entry") for v in _as_list(obj["vectors"], "vectors")),
         k=_as_int(obj["k"], "k"),
-        target=tuple(_as_int(c, "target entry") for c in obj["target"]),
+        target=_as_int_list(obj["target"], "target", "target entry"),
     )
 
 

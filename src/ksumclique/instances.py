@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Iterable, Sequence
 
 
@@ -60,18 +61,42 @@ def _as_list(value: Any, what: str) -> list[Any]:
     return value
 
 
+def _as_pair(value: Any, what: str) -> tuple[int, int]:
+    pair = _as_list(value, what)
+    if len(pair) != 2:
+        raise ValidationError(f"{what} must be a list of two values, got {len(pair)}")
+    return _as_int(pair[0], f"{what} low"), _as_int(pair[1], f"{what} high")
+
+
+def _as_int_list(value: Any, what: str, item: str) -> tuple[int, ...]:
+    return tuple(_as_int(x, item) for x in _as_list(value, what))
+
+
+def _as_endpoints(e: Any, size: int, shape: str) -> tuple[int, int]:
+    if type(e) is not list or len(e) != size or type(e[0]) is not int or type(e[1]) is not int:
+        raise ValidationError(f"{shape}, got {e!r}")
+    return e[0], e[1]
+
+
 def _as_edges(value: Any) -> list[tuple[int, int]]:
-    edges = []
-    for e in _as_list(value, "edges"):
-        if type(e) is not list or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
-            raise ValidationError(f"an edge must be a list of two integers, got {e!r}")
-        edges.append((e[0], e[1]))
-    return edges
+    return [_as_endpoints(e, 2, "an edge must be a list of two integers") for e in _as_list(value, "edges")]
+
+
+def _as_weighted_edges(value: Any) -> list[tuple[int, int, int]]:
+    shape = "an edge weight must be a list of two integers and a weight"
+    return [(*_as_endpoints(e, 3, shape), _as_int(e[2], "edge weight")) for e in _as_list(value, "edge_weights")]
 
 
 def normalize_edges(n: int, edges: Iterable[Sequence[int]]) -> tuple[tuple[int, int], ...]:
-    """Sort endpoints and the edge list; reject loops, duplicates and bad ids."""
-    seen: set[tuple[int, int]] = set()
+    """Sort endpoints and the edge list; reject loops, duplicates and bad ids.
+
+    Each edge is checked in input order, so the first offending edge names
+    the error. While the edges arrive strictly increasing with u < v they are
+    distinct and already sorted, so no set is built; the first edge out of
+    order switches to a set and a final sort.
+    """
+    out: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] | None = None
     for raw in edges:
         u, v = int(raw[0]), int(raw[1])
         if not (0 <= u < n and 0 <= v < n):
@@ -79,10 +104,15 @@ def normalize_edges(n: int, edges: Iterable[Sequence[int]]) -> tuple[tuple[int, 
         if u == v:
             raise ValidationError(f"self-loop at vertex {u}")
         e = (u, v) if u < v else (v, u)
+        if seen is None:
+            if not out or out[-1] < e:
+                out.append(e)
+                continue
+            seen = set(out)
         if e in seen:
             raise ValidationError(f"duplicate edge {e}")
         seen.add(e)
-    return tuple(sorted(seen))
+    return tuple(out) if seen is None else tuple(sorted(seen))
 
 
 @dataclass(frozen=True)
@@ -195,13 +225,13 @@ class CliqueInstance:
             raise ValidationError(f"arity k must be >= 1, got {self.k}")
         object.__setattr__(self, "edges", normalize_edges(self.n, self.edges))
         if self.partition is not None:
-            part = tuple(int(s) for s in self.partition)
+            part = tuple(map(int, self.partition))
             object.__setattr__(self, "partition", part)
             if len(part) != self.n:
                 raise ValidationError("partition length differs from n")
-            for s in part:
-                if not 1 <= s <= self.k:
-                    raise ValidationError(f"slot {s} outside [1,{self.k}]")
+            if part and not 1 <= min(part) <= max(part) <= self.k:
+                bad = next(s for s in part if not 1 <= s <= self.k)
+                raise ValidationError(f"slot {bad} outside [1,{self.k}]")
             for u, v in self.edges:
                 if part[u] == part[v]:
                     raise ValidationError(f"edge ({u},{v}) joins two slot-{part[u]} vertices")
@@ -284,6 +314,20 @@ class WeightedGraph:
         if self.edge_weights is None:
             raise ValidationError("graph is not edge-weighted")
         return {(u, v): w for u, v, w in self.edge_weights}
+
+    @cached_property
+    def edges_by_weight(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """Each edge weight, ascending, mapped to its edges in sorted order.
+
+        Computed once per graph and kept outside the dataclass fields, so
+        equality, hashing and serialization ignore it.
+        """
+        if self.edge_weights is None:
+            raise ValidationError("graph is not edge-weighted")
+        buckets: dict[int, list[tuple[int, int]]] = {}
+        for u, v, w in self.edge_weights:
+            buckets.setdefault(w, []).append((u, v))
+        return {w: tuple(buckets[w]) for w in sorted(buckets)}
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -412,23 +456,21 @@ def instance_digest(inst: Instance) -> str:
 
 
 def _parse_ksum(obj: dict[str, Any]) -> KSumInstance:
-    lo, hi = obj["range"]
     return KSumInstance(
         k=_as_int(obj["k"], "k"),
-        numbers=tuple(_as_int(x, "number") for x in _as_list(obj["numbers"], "numbers")),
+        numbers=_as_int_list(obj["numbers"], "numbers", "number"),
         target=_as_int(obj["target"], "target"),
-        bounds=(_as_int(lo, "range low"), _as_int(hi, "range high")),
+        bounds=_as_pair(obj["range"], "range"),
     )
 
 
 def _parse_vectorsum(obj: dict[str, Any]) -> VectorSumInstance:
-    lo, hi = obj["entry_range"]
     return VectorSumInstance(
         k=_as_int(obj["k"], "k"),
         dim=_as_int(obj["dim"], "dim"),
-        vectors=tuple(tuple(_as_int(c, "entry") for c in v) for v in obj["vectors"]),
-        target=tuple(_as_int(c, "target entry") for c in obj["target"]),
-        entry_bounds=(_as_int(lo, "entry range low"), _as_int(hi, "entry range high")),
+        vectors=tuple(_as_int_list(v, "vector", "entry") for v in _as_list(obj["vectors"], "vectors")),
+        target=_as_int_list(obj["target"], "target", "target entry"),
+        entry_bounds=_as_pair(obj["entry_range"], "entry range"),
     )
 
 
@@ -444,16 +486,16 @@ def _parse_graph(obj: dict[str, Any]) -> CliqueInstance | WeightedGraph:
             n=n,
             edges=tuple(edges),
             k=k,
-            partition=tuple(_as_int(s, "slot") for s in _as_list(part, "partition")) if part is not None else None,
+            partition=_as_int_list(part, "partition", "slot") if part is not None else None,
         )
     if obj.get("partition") is not None:
         raise ValidationError("weighted graphs do not carry a partition")
     if node_w is not None:
-        weights = tuple(_as_int(x, "node weight") for x in _as_list(node_w, "node_weights"))
+        weights = _as_int_list(node_w, "node_weights", "node weight")
         ew = None
     else:
         weights = None
-        ew = tuple((int(u), int(v), _as_int(w, "edge weight")) for u, v, w in edge_w)
+        ew = tuple(_as_weighted_edges(edge_w))
     bound_raw = obj.get("weight_bound")
     if bound_raw is not None:
         bound = _as_int(bound_raw, "weight_bound")

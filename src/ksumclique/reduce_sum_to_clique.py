@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Any, Iterable, Iterator
 
 from .instances import (
@@ -300,11 +300,20 @@ def present_alpha_tuples(g: WeightedGraph, k: int, budget: int = ALPHA_BUDGET) -
     """Zero-sum alpha tuples drawn only from weights the graph actually has.
 
     An alpha using an absent weight yields a slot pair with no edges and hence
-    no k-clique, so pruning those preserves the OR over outputs.
+    no k-clique, so pruning those preserves the OR over outputs. Heads run in
+    the lexicographic order of product(support, repeat=C(k,2)-1), and each
+    coordinate is drawn only from the bisect window of support values that
+    leave the rest of the head plus the forced last coordinate a sum in
+    [min, max] of the support; heads outside that window cannot complete, so
+    the output sequence is the same as filtering every head. The budget still
+    bounds support^(C(k,2)-1).
     """
     if g.edge_weights is None:
         raise ParameterError("edge-weighted graph required")
-    support = sorted({w for _, _, w in g.edge_weights})
+    if k < 2:
+        raise ParameterError("alpha enumeration needs k >= 2")
+    buckets = g.edges_by_weight
+    support = list(buckets)
     if not support:
         return
     free = math.comb(k, 2) - 1
@@ -312,28 +321,42 @@ def present_alpha_tuples(g: WeightedGraph, k: int, budget: int = ALPHA_BUDGET) -
         raise ResourceBudgetError(
             f"alpha enumeration would need {len(support) ** free} tuples (budget {budget})"
         )
-    present = set(support)
-    for head in product(support, repeat=free):
-        last = -sum(head)
-        if last in present:
-            yield head + (last,)
+    lo, hi = support[0], support[-1]
+
+    def extend(head: tuple[int, ...], total: int, left: int) -> Iterator[tuple[int, ...]]:
+        # `left` coordinates remain, the forced last one included
+        if left == 1:
+            if -total in buckets:
+                yield head + (-total,)
+            return
+        start = bisect.bisect_left(support, -total - (left - 1) * hi)
+        stop = bisect.bisect_right(support, -total - (left - 1) * lo)
+        for x in support[start:stop]:
+            yield from extend(head + (x,), total + x, left - 1)
+
+    yield from extend((), 0, free + 1)
 
 
 def build_alpha_instance(g: WeightedGraph, k: int, alpha: tuple[int, ...]) -> CliqueInstance:
     """The k-partite graph for one alpha: slot-major vertex ids i*n+v for slot
     i+1, and an edge from (u, slot i) to (v, slot j) for each source edge
-    u < v whose weight matches alpha at pair (i, j)."""
+    u < v whose weight matches alpha at pair (i, j).
+
+    Each slot pair reads only the bucket of source edges whose weight is its
+    alpha entry (``WeightedGraph.edges_by_weight``, built once per graph), so
+    one call costs O(k*n + edges out), not O(m * C(k,2)).
+    """
     pairs = slot_pairs(k)
     if len(alpha) != len(pairs):
         raise ValidationError(f"alpha needs {len(pairs)} entries, got {len(alpha)}")
-    wmap = g.edge_weight_map()
+    buckets = g.edges_by_weight
     n = g.n
-    edges = []
-    for (u, v), w in wmap.items():
-        for idx, (i, j) in enumerate(pairs):
-            if alpha[idx] == w:
-                edges.append(((i - 1) * n + u, (j - 1) * n + v))
-    partition = tuple(i for i in range(1, k + 1) for _ in range(n))
+    edges: list[tuple[int, int]] = []
+    for (i, j), w in zip(pairs, alpha):
+        du, dv = (i - 1) * n, (j - 1) * n
+        edges.extend((du + u, dv + v) for u, v in buckets.get(w, ()))
+    edges.sort()  # sorted input lets normalize_edges skip its set and sort
+    partition = tuple(chain.from_iterable((i,) * n for i in range(1, k + 1)))
     return CliqueInstance(n=k * n, edges=tuple(edges), k=k, partition=partition)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Any, Iterable
 
-from .instances import ValidationError
+from .instances import ValidationError, _as_int, _as_int_list
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,11 @@ class SumFreeSet:
 
 def parse_sumfree_dict(obj: dict[str, Any]) -> SumFreeSet:
     p = obj["params"]
-    params = SumFreeParams(k=int(p["k"]), m=int(p["m"]), b=int(p["b"]), base=int(p["base"]), r=int(p["r"]))
-    return SumFreeSet(k=int(obj["k"]), elements=tuple(int(x) for x in obj["elements"]), params=params)
+    if not isinstance(p, dict):
+        raise ValidationError(f"params must be a JSON object, got {type(p).__name__}")
+    params = SumFreeParams(**{key: _as_int(p[key], f"params {key}") for key in ("k", "m", "b", "base", "r")})
+    elements = _as_int_list(obj["elements"], "elements", "element")
+    return SumFreeSet(k=_as_int(obj["k"], "k"), elements=elements, params=params)
 
 
 def digits_of(x: int, base: int, m: int) -> tuple[int, ...]:

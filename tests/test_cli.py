@@ -181,9 +181,25 @@ def test_experiment_failure_emits_repro_bundle(tmp_path, monkeypatch, capsys):
         {"type": "graph", "k": 2, "n": 2, "edges": [[0, 1]], "node_weights": "12", "target": "3"},
         {"type": "graph", "k": 2, "n": 2, "edges": [[0, 1]], "partition": "12"},
         {"type": "ksum", "k": 2, "numbers": "12", "target": "3", "range": ["0", "9"]},
+        {"type": "graph", "k": 2, "n": 2, "edges": [[0, 1]], "edge_weights": [[0]], "target": "0"},
+        {"type": "graph", "k": 2, "n": 2, "edges": [[0, 1]], "edge_weights": [["0", 1, "0"]], "target": "0"},
+        {"type": "ksum", "k": 2, "numbers": ["1", "2"], "target": "3", "range": "09"},
+        {"type": "ksum", "k": 2, "numbers": ["1", "2"], "target": "3", "range": ["0", "9", "9"]},
+        {"type": "vectorsum", "k": 1, "dim": 1, "vectors": "1", "target": ["1"], "entry_range": ["0", "9"]},
+        {"type": "vectorsum", "k": 1, "dim": 1, "vectors": ["1"], "target": ["1"], "entry_range": ["0", "9"]},
+        {"type": "vectorsum", "k": 1, "dim": 1, "vectors": [["1"]], "target": "1", "entry_range": ["0", "9"]},
+        {"type": "vectorsum", "k": 1, "dim": 1, "vectors": [["1"]], "target": ["1"], "entry_range": "09"},
+        {"type": "targetsum", "q": "5", "k": 2, "elements": "12", "target": "3"},
+        {"type": "lindep", "q": "5", "n": 1, "k": 1, "vectors": "1", "target": ["1"]},
+        {"type": "lindep", "q": "5", "n": 1, "k": 1, "vectors": [["1"]], "target": "1"},
+        {"type": "sumfree", "k": 3, "elements": ["1"], "params": "3"},
     ],
     ids=["one-endpoint", "string-endpoint", "float-endpoint", "edges-string",
-         "node-weights-string", "partition-string", "numbers-string"],
+         "node-weights-string", "partition-string", "numbers-string",
+         "edge-weight-short", "edge-weight-string-endpoint", "range-string", "range-three",
+         "vectors-string", "vector-string", "vector-target-string", "entry-range-string",
+         "targetsum-elements-string", "lindep-vectors-string", "lindep-target-string",
+         "sumfree-params-string"],
 )
 def test_cli_malformed_instance_is_usage_error(tmp_path, capsys, instance):
     path = tmp_path / "bad.json"

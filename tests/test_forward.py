@@ -2,13 +2,16 @@
 zero-sum edge-weight guesses, merging, and the small-number pipeline."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 
 import pytest
 
 from ksumclique import (
+    CliqueInstance,
     KSumInstance,
     ParameterError,
+    ResourceBudgetError,
     ValidationError,
     solve_kclique_bruteforce,
     solve_ksum_bruteforce,
@@ -327,6 +330,68 @@ def test_g_alpha_is_slot_partite():
     for u, v in inst.edges:
         assert inst.partition[u] != inst.partition[v]
     assert len(inst.edges) <= g.m * 3
+
+
+def _random_ew_graph(rng, lo, hi):
+    n = rng.randint(0, 7)
+    edges = [e for e in complete_edges(n) if rng.random() < rng.random()]
+    return make_ew_graph(n, edges, 3, [rng.randint(lo, hi) for _ in edges], target=0)
+
+
+def test_present_alpha_tuples_matches_product_filter_random():
+    """The windowed enumeration yields exactly the filtered product, in order."""
+    rng = random.Random(23)
+    seen = {"empty": 0, "single": 0, "budget": 0}
+    for trial in range(300):
+        lo = rng.randint(-6, 2)
+        g = _random_ew_graph(rng, lo, lo + rng.choice([0, 1, 4, 9]))
+        k = 2 + trial % 3
+        budget = rng.choice([30, 200_000])
+        support = sorted({w for _, _, w in g.edge_weights})
+        free = comb(k, 2) - 1
+        seen["empty"] += not support
+        seen["single"] += len(support) == 1
+        if support and len(support) ** free > budget:
+            seen["budget"] += 1
+            with pytest.raises(ResourceBudgetError):
+                list(fwd.present_alpha_tuples(g, k, budget=budget))
+            continue
+        expected = [h + (-sum(h),) for h in product(support, repeat=free) if -sum(h) in support]
+        assert list(fwd.present_alpha_tuples(g, k, budget=budget)) == expected
+    assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("k", [1, 0, -1])
+def test_present_alpha_tuples_rejects_small_arity(k):
+    g = make_ew_graph(3, [(0, 1), (1, 2)], 2, [1, -1])
+    with pytest.raises(ParameterError):
+        list(fwd.present_alpha_tuples(g, k))
+
+
+def _rescan_alpha_instance(g, k, alpha):
+    """Reference builder: every source edge against every slot pair."""
+    n = g.n
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    edges = [
+        (i * n + u, j * n + v)
+        for u, v, w in g.edge_weights
+        for (i, j), a in zip(pairs, alpha)
+        if a == w
+    ]
+    partition = tuple(1 + v // n for v in range(k * n))
+    return CliqueInstance(n=k * n, edges=tuple(edges), k=k, partition=partition)
+
+
+def test_build_alpha_instance_matches_full_rescan_random():
+    rng = random.Random(29)
+    for trial in range(300):
+        g = _random_ew_graph(rng, -3, 3)
+        k = 2 + trial % 3
+        for _ in range(4):
+            alpha = tuple(rng.randint(-4, 4) for _ in range(comb(k, 2)))
+            assert fwd.build_alpha_instance(g, k, alpha) == _rescan_alpha_instance(g, k, alpha)
+    with pytest.raises(ValidationError):
+        fwd.build_alpha_instance(g, 3, (0, 0))
 
 
 def test_present_mode_matches_full_mode_or():

@@ -23,6 +23,7 @@ from ksumclique import (
     serialize_instance,
     verify_witness,
 )
+from ksumclique.instances import normalize_edges
 
 from util import make_ew_graph, make_ksum, make_nw_graph, oracle_ksum
 
@@ -64,6 +65,36 @@ def test_clique_rejects_loops_and_range():
         CliqueInstance(n=3, edges=((1, 1),), k=2)
     with pytest.raises(ValidationError):
         CliqueInstance(n=3, edges=((0, 3),), k=2)
+
+
+def test_normalize_edges_checks_in_input_order():
+    assert normalize_edges(4, ((0, 1), (0, 3), (2, 3))) == ((0, 1), (0, 3), (2, 3))
+    assert normalize_edges(4, [[3, 2], [1, 0]]) == ((0, 1), (2, 3))
+    cases = [
+        ([(0, 1), (0, 1)], "duplicate edge (0, 1)"),
+        ([(0, 2), (1, 2), (2, 0)], "duplicate edge (0, 2)"),
+        ([(0, 1), (0, 1), (0, 9)], "duplicate edge (0, 1)"),
+        ([(0, 1), (0, 9), (0, 1)], "edge (0,9) out of range for n=4"),
+        ([(1, 2), (0, 1), (3, 3)], "self-loop at vertex 3"),
+        ([(2, 3), (1, 0), (3, 2)], "duplicate edge (2, 3)"),
+    ]
+    for edges, message in cases:
+        with pytest.raises(ValidationError) as exc:
+            normalize_edges(4, edges)
+        assert str(exc.value) == message
+
+
+def test_edges_by_weight_leaves_identity_unchanged():
+    g = make_ew_graph(4, [(2, 3), (0, 1), (1, 2), (0, 3)], 3, [5, -1, 5, 0])
+    twin = make_ew_graph(4, [(2, 3), (0, 1), (1, 2), (0, 3)], 3, [5, -1, 5, 0])
+    before = (serialize_instance(g), instance_digest(g), hash(g))
+    assert g.edges_by_weight == {-1: ((0, 1),), 0: ((0, 3),), 5: ((1, 2), (2, 3))}
+    assert list(g.edges_by_weight) == [-1, 0, 5]
+    assert g == twin
+    assert (serialize_instance(g), instance_digest(g), hash(g)) == before
+    assert parse_instance(serialize_instance(g)) == g
+    with pytest.raises(ValidationError):
+        make_nw_graph(2, [(0, 1)], 2, [1, 2], target=3).edges_by_weight
 
 
 def test_weighted_graph_requires_exactly_one_weight_kind():
@@ -164,6 +195,19 @@ def test_parse_error_carries_position():
         assert exc.line == 1 and exc.column is not None
     else:
         pytest.fail("expected ParseError")
+
+
+@pytest.mark.parametrize(
+    "elements, r",
+    [("1", "1"), (["1"], 1.5), (["1.0"], "1")],
+    ids=["elements-string", "norm-float", "element-float-string"],
+)
+def test_parse_sumfree_takes_only_integer_lists(elements, r):
+    params = {"k": 3, "m": 1, "b": 2, "base": 3, "r": r}
+    good = {"type": "sumfree", "k": 3, "elements": ["1"], "params": dict(params, r=1)}
+    assert parse_instance(json.dumps(good)).elements == (1,)
+    with pytest.raises(ValidationError):
+        parse_instance(json.dumps({"type": "sumfree", "k": 3, "elements": elements, "params": params}))
 
 
 def test_parse_unknown_type():

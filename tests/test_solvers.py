@@ -226,6 +226,66 @@ def test_detect_triangle_frozen_cases():
         assert not detect_triangle(c5, backend=backend).solvable
 
 
+def _sparse_partite(seed):
+    """Three slots of n vertices, few cross-slot edges, a hub on some seeds
+    and a planted triangle on odd ones; most vertices are isolated."""
+    rng = random.Random(seed)
+    n = rng.randint(8, 30)
+    edges = set()
+    for _ in range(rng.randint(n // 2, 2 * n)):
+        i, j = sorted(rng.sample(range(3), 2))
+        edges.add((i * n + rng.randrange(n), j * n + rng.randrange(n)))
+    hub = rng.randrange(n)
+    for v in rng.sample(range(n, 3 * n), seed % 4 * 4):
+        edges.add((hub, v))
+    if seed % 2:
+        a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        edges |= {(a, n + b), (a, 2 * n + c), (n + b, 2 * n + c)}
+    partition = tuple(s for s in (1, 2, 3) for _ in range(n))
+    return CliqueInstance(n=3 * n, edges=tuple(edges), k=3, partition=partition)
+
+
+# (seed, n, m, then witness and stats of naive-mm, degree-split and
+# degree-split with delta=2), recorded from the scan over every vertex
+SPARSE_PARTITE_TRIANGLES = [
+    (0, 60, 34, (None, {"pairs_checked": 34}), (None, {"delta": 6, "low_pairs": 34, "core_size": 0}),
+     (None, {"delta": 2, "low_pairs": 0, "core_size": 17, "core_pairs_checked": 13})),
+    (1, 36, 28, ((8, 20, 27), {"pairs_checked": 14}), ((8, 20, 27), {"delta": 6, "low_pairs": 4, "core_size": 1}),
+     ((8, 20, 27), {"delta": 2, "low_pairs": 0, "core_size": 19, "core_pairs_checked": 9})),
+    (2, 27, 13, ((5, 17, 22), {"pairs_checked": 7}), ((5, 17, 22), {"delta": 4, "low_pairs": 2, "core_size": 1}),
+     ((5, 17, 22), {"delta": 2, "low_pairs": 0, "core_size": 4, "core_pairs_checked": 2})),
+    (3, 45, 39, ((6, 26, 39), {"pairs_checked": 20}), ((6, 26, 39), {"delta": 7, "low_pairs": 5, "core_size": 1}),
+     ((6, 26, 39), {"delta": 2, "low_pairs": 0, "core_size": 20, "core_pairs_checked": 12})),
+    (4, 45, 16, (None, {"pairs_checked": 16}), (None, {"delta": 4, "low_pairs": 7, "core_size": 0}),
+     (None, {"delta": 2, "low_pairs": 0, "core_size": 5, "core_pairs_checked": 2})),
+    (5, 81, 35, ((22, 44, 56), {"pairs_checked": 23}), ((22, 44, 56), {"delta": 6, "low_pairs": 7, "core_size": 1}),
+     ((22, 44, 56), {"delta": 2, "low_pairs": 0, "core_size": 16, "core_pairs_checked": 9})),
+    (6, 78, 24, (None, {"pairs_checked": 24}),
+     (None, {"delta": 5, "low_pairs": 5, "core_size": 1, "core_pairs_checked": 0}),
+     (None, {"delta": 2, "low_pairs": 0, "core_size": 6, "core_pairs_checked": 5})),
+    (7, 54, 27, ((3, 34, 49), {"pairs_checked": 5}), ((3, 34, 49), {"delta": 6, "low_pairs": 3, "core_size": 1}),
+     ((3, 34, 49), {"delta": 2, "low_pairs": 0, "core_size": 13, "core_pairs_checked": 3})),
+    (8, 45, 18, (None, {"pairs_checked": 18}), (None, {"delta": 5, "low_pairs": 13, "core_size": 0}),
+     (None, {"delta": 2, "low_pairs": 0, "core_size": 9, "core_pairs_checked": 5})),
+    (9, 66, 41, ((17, 33, 48), {"pairs_checked": 27}), ((17, 33, 48), {"delta": 7, "low_pairs": 26, "core_size": 0}),
+     ((17, 33, 48), {"delta": 2, "low_pairs": 0, "core_size": 23, "core_pairs_checked": 13})),
+]
+
+
+@pytest.mark.parametrize("row", SPARSE_PARTITE_TRIANGLES, ids=lambda row: f"seed{row[0]}")
+def test_detect_triangle_sparse_partite_frozen(row):
+    seed, n, m, *expected = row
+    g = _sparse_partite(seed)
+    assert (g.n, g.m) == (n, m)
+    reports = [
+        detect_triangle(g, backend="naive-mm"),
+        detect_triangle(g, backend="degree-split"),
+        detect_triangle(g, backend="degree-split", delta=2),
+    ]
+    got = [(rep.witness, {k: v for k, v in rep.stats.items() if k not in ("wall_time_s", "backend")}) for rep in reports]
+    assert got == expected
+
+
 def test_detect_triangle_backends_agree_random():
     rng = random.Random(41)
     for _ in range(120):
