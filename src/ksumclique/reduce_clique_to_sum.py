@@ -209,6 +209,20 @@ def mixed_radices(k: int, t_thresh: int) -> tuple[int, ...]:
     return (arity * t_thresh + 1,) * k + (arity * k + 1,) * (k * k + 1)
 
 
+def _pack_clique_vectors(vs: VectorSumInstance, enc: CliqueEncoding, radix_mode: str) -> KSumInstance:
+    """Pack the vector instance of a k-clique encoding into k'-SUM."""
+    if radix_mode == "uniform":
+        return vectorsum_to_ksum(vs)
+    if radix_mode != "mixed":
+        raise ParameterError(f"unknown radix mode {radix_mode!r}")
+    k = enc.k
+    radices = mixed_radices(k, enc.threshold)
+    numbers = tuple(pack_mixed(v, radices) for v in vs.vectors)
+    target = pack_mixed(vs.target, radices)
+    top = pack_mixed([enc.threshold] * k + [k] * (k * k + 1), radices)
+    return KSumInstance(k=vs.k, numbers=numbers, target=target, bounds=(0, top))
+
+
 def kclique_to_ksum(
     g: CliqueInstance,
     radix_mode: str = "uniform",
@@ -220,29 +234,17 @@ def kclique_to_ksum(
     coordinates in the tighter radix k'k+1, shrinking the numbers.
     """
     enc = encoding if encoding is not None else encode_vertices(g.n, g.k)
-    vs = clique_to_vectorsum(g, encoding=enc)
-    if radix_mode == "uniform":
-        return vectorsum_to_ksum(vs)
-    if radix_mode != "mixed":
-        raise ParameterError(f"unknown radix mode {radix_mode!r}")
-    radices = mixed_radices(g.k, enc.threshold)
-    numbers = tuple(pack_mixed(v, radices) for v in vs.vectors)
-    target = pack_mixed(vs.target, radices)
-    top = pack_mixed([enc.threshold] * g.k + [g.k] * (g.k * g.k + 1), radices)
-    return KSumInstance(k=vs.k, numbers=numbers, target=target, bounds=(0, top))
+    return _pack_clique_vectors(clique_to_vectorsum(g, encoding=enc), enc, radix_mode)
 
 
-def lift_vectorsum_witness_to_clique(
+def _decode_vector_witness(
     g: CliqueInstance,
-    witness: Iterable[int],
-    encoding: CliqueEncoding | None = None,
+    enc: CliqueEncoding,
+    vs: VectorSumInstance,
+    idxs: tuple[int, ...],
 ) -> tuple[int, ...]:
-    """Decode a verified vector-instance witness into the k clique vertices,
-    re-asserting the structural steps: exactly one vertex vector per slot,
-    exactly one edge vector per slot pair, and matching codes at every slot."""
-    enc = encoding if encoding is not None else encode_vertices(g.n, g.k)
-    vs = clique_to_vectorsum(g, encoding=enc)
-    idxs = tuple(sorted(witness))
+    """Decode sorted witness indices of the vector instance vs = the encoding
+    of g into the k clique vertices, re-asserting every step."""
     if not verify_witness(vs, idxs):
         raise MalformedWitnessError("witness does not verify in the vector instance")
     k = g.k
@@ -271,6 +273,19 @@ def lift_vectorsum_witness_to_clique(
     return verts
 
 
+def lift_vectorsum_witness_to_clique(
+    g: CliqueInstance,
+    witness: Iterable[int],
+    encoding: CliqueEncoding | None = None,
+) -> tuple[int, ...]:
+    """Decode a verified vector-instance witness into the k clique vertices,
+    re-asserting the structural steps: exactly one vertex vector per slot,
+    exactly one edge vector per slot pair, and matching codes at every slot."""
+    enc = encoding if encoding is not None else encode_vertices(g.n, g.k)
+    vs = clique_to_vectorsum(g, encoding=enc)
+    return _decode_vector_witness(g, enc, vs, tuple(sorted(witness)))
+
+
 def lift_ksum_witness_to_clique(
     g: CliqueInstance,
     witness: Iterable[int],
@@ -278,10 +293,12 @@ def lift_ksum_witness_to_clique(
     encoding: CliqueEncoding | None = None,
 ) -> tuple[int, ...]:
     """Decode a verified k'-SUM witness back to the clique vertices: packing
-    keeps index sets, so the vector-level decoder applies unchanged."""
+    keeps index sets, so the vector-level decoder applies unchanged. The
+    vector instance is built once and serves both checks."""
     enc = encoding if encoding is not None else encode_vertices(g.n, g.k)
-    ks = kclique_to_ksum(g, radix_mode=radix_mode, encoding=enc)
+    vs = clique_to_vectorsum(g, encoding=enc)
+    ks = _pack_clique_vectors(vs, enc, radix_mode)
     idxs = tuple(sorted(witness))
     if not verify_witness(ks, idxs):
         raise MalformedWitnessError("witness does not verify in the packed instance")
-    return lift_vectorsum_witness_to_clique(g, idxs, encoding=enc)
+    return _decode_vector_witness(g, enc, vs, idxs)

@@ -11,7 +11,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import chain, combinations, compress, count, islice
 from typing import Any, Callable, Iterable, Iterator
 
 from .instances import (
@@ -80,11 +80,51 @@ def solve_ksum_bruteforce(inst: KSumInstance, budget: int = DEFAULT_BUDGET) -> S
     )
 
 
+def _colex_sums(numbers: tuple[int, ...], m: int) -> list[int]:
+    """Sums of the m-subsets of numbers in colex order (by largest index
+    first): those of numbers[:c] are the first C(c, m)."""
+    sums = [0]
+    for size in range(1, m + 1):
+        prev, sums = sums, []
+        for j in range(size - 1, len(numbers)):
+            sums.extend(map(numbers[j].__add__, prev[:math.comb(j, size - 1)]))
+    return sums
+
+
+def _first_match(flags: Iterable[bool]) -> int | None:
+    """Position of the first true flag, scanned at C level."""
+    return next(compress(count(), flags), None)
+
+
+def _first_left(numbers: tuple[int, ...], a: int, need: int, stop: int) -> tuple[int, ...]:
+    """First a-subset of range(stop) in (max index, lex) order whose numbers
+    sum to need; the caller knows one exists."""
+    for c in range(a - 1, stop):
+        pos = _first_match(map((need - numbers[c]).__eq__, map(sum, combinations(numbers[:c], a - 1))))
+        if pos is not None:
+            return next(islice(combinations(range(c), a - 1), pos, None)) + (c,)
+    raise ValidationError(f"no left half below index {stop} sums to {need}")
+
+
 def solve_ksum_mim(inst: KSumInstance, budget: int = DEFAULT_BUDGET) -> SolverReport:
-    """Meet in the middle: the k chosen indices split into their first ceil(k/2)
-    and last floor(k/2) positions, so left halves can be joined to right halves
-    whenever max(left) < min(right). Exact, deterministic, same answers as
-    brute force.
+    """Meet in the middle with a table that grows as the probe needs it.
+
+    The k chosen indices split into a left half of ceil(k/2) and a right half
+    of floor(k/2) indices, joinable whenever max(left) < min(right). Right
+    halves are probed in lexicographic order, grouped by their smallest index
+    c0. Just before group c0 the left halves whose largest index is c0-1 add
+    their sums to a set, so the set holds exactly the left halves that can
+    precede the group and a probe is one membership test. Both blocks are
+    slices of subset sums computed once: the (ceil(k/2)-1)-subsets in colex
+    order and the (floor(k/2)-1)-subsets in lexicographic order. The witness
+    is the first right half that hits, joined to the first left half in
+    (max index, lex) order with the missing sum. Exact, deterministic, same
+    answers as brute force.
+
+    Stats: `probes` counts the right halves examined up to and including the
+    hit (all C(n, floor(k/2)) when unsolvable); `table_size` counts the
+    distinct left sums in the set when the search stops. For k = 1 the single
+    probe is the empty right half, which every left half can join.
     """
     start = time.perf_counter()
     n, k, t = inst.n, inst.k, inst.target
@@ -94,33 +134,33 @@ def solve_ksum_mim(inst: KSumInstance, budget: int = DEFAULT_BUDGET) -> SolverRe
     if k > n:
         return SolverReport(False, None, {"table_size": 0, "probes": 0, "wall_time_s": time.perf_counter() - start})
     _guard_combinations(n, a, budget)
-    # per sum keep the left subset minimizing (max index, subset) so any
-    # compatible right half can be detected by one lookup
-    table: dict[int, tuple[int, ...]] = {}
-    for combo in combinations(range(n), a):
-        s = 0
-        for i in combo:
-            s += numbers[i]
-        prev = table.get(s)
-        if prev is None or (prev[-1], prev) > (combo[-1], combo):
-            table[s] = combo
-    probes = 0
     witness = None
     if b == 0:
-        left = table.get(t)
+        table = set(numbers)
         probes = 1
-        if left is not None:
-            witness = left
+        if t in table:
+            witness = (numbers.index(t),)
     else:
-        for combo in combinations(range(n), b):
-            probes += 1
-            s = 0
-            for i in combo:
-                s += numbers[i]
-            left = table.get(t - s)
-            if left is not None and left[-1] < combo[0]:
-                witness = left + combo
-                break
+        heads = _colex_sums(numbers, a - 1)
+        # lexicographic order is colex order of the reversed indices, reversed:
+        # the subsets of numbers[s:] are the last C(n - s, b - 1)
+        tails = _colex_sums(numbers[::-1], b - 1)[::-1]
+        table = set()
+        probes = 0
+        for c0 in range(n - b + 1):
+            if c0 >= a:
+                table.update(map(numbers[c0 - 1].__add__, heads[:math.comb(c0 - 1, a - 1)]))
+            group = math.comb(n - c0 - 1, b - 1)
+            pos = None
+            if table:
+                pos = _first_match(map(table.__contains__, map((t - numbers[c0]).__sub__, tails[len(tails) - group:])))
+            if pos is None:
+                probes += group
+                continue
+            probes += pos + 1
+            right = (c0,) + next(islice(combinations(range(c0 + 1, n), b - 1), pos, None))
+            witness = _first_left(numbers, a, t - sum(numbers[i] for i in right), c0) + right
+            break
     return SolverReport(
         solvable=witness is not None,
         witness=witness,

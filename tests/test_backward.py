@@ -10,6 +10,7 @@ import pytest
 from ksumclique import (
     CliqueInstance,
     MalformedWitnessError,
+    ResourceBudgetError,
     ValidationError,
     solve_ksum_mim,
     solve_vectorsum_bruteforce,
@@ -175,6 +176,94 @@ def test_mixed_numbers_smaller_than_uniform():
         uni = bwd.kclique_to_ksum(g, radix_mode="uniform")
         mix = bwd.kclique_to_ksum(g, radix_mode="mixed")
         assert max(mix.numbers, default=0) < max(uni.numbers, default=1)
+
+
+# (n, k, edges) -> witness and probes of solve_ksum_mim on the packed
+# instance, identical in both radix modes; recorded from the whole-table
+# meet in the middle
+PACKED_MIM_FROZEN = [
+    (3, 3, ((0, 1), (0, 2), (1, 2)), (0, 4, 8, 9, 17, 25), 2208),
+    (5, 3, ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4)), None, 14190),
+    (5, 3, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)), (0, 4, 8, 15, 23, 37), 10319),
+    (6, 3, ((0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)), (9, 13, 17, 36, 44, 52), 24087),
+    (6, 3, ((0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)), None, 59640),
+    (8, 3, ((0, 5), (0, 6), (1, 2), (1, 4), (2, 4), (3, 7), (5, 6), (6, 7)), (0, 16, 20, 24, 32, 64), 42677),
+    (9, 3, ((0, 2), (1, 8), (2, 5), (3, 4), (3, 6), (4, 8), (5, 7), (6, 7), (6, 8), (7, 8)),
+     (18, 22, 26, 69, 77, 85), 105278),
+    (4, 2, ((1, 3),), (2, 7, 8), 9),
+    (3, 2, (), None, 6),
+]
+
+
+def test_packed_mim_frozen():
+    for n, k, edges, witness, probes in PACKED_MIM_FROZEN:
+        g = CliqueInstance(n=n, edges=edges, k=k)
+        for mode in ("uniform", "mixed"):
+            rep = solve_ksum_mim(bwd.kclique_to_ksum(g, radix_mode=mode))
+            assert (rep.witness, rep.stats["probes"]) == (witness, probes), (n, edges, mode)
+            if witness is not None:
+                lifted = bwd.lift_ksum_witness_to_clique(g, witness, radix_mode=mode)
+                assert lifted == oracle_kclique(n, edges, k)
+
+
+def test_packed_mim_budget_guard():
+    k4 = CliqueInstance(n=4, edges=complete_edges(4), k=4)
+    ks = bwd.kclique_to_ksum(k4)
+    assert ks.n == 88 and comb(88, 5) > 20_000_000
+    with pytest.raises(ResourceBudgetError):
+        solve_ksum_mim(ks)
+    tri = bwd.kclique_to_ksum(CliqueInstance(n=3, edges=complete_edges(3), k=3))
+    with pytest.raises(ResourceBudgetError):
+        solve_ksum_mim(tri, budget=comb(tri.n, 3) - 1)
+    assert solve_ksum_mim(tri, budget=comb(tri.n, 3)).solvable
+
+
+def test_lift_builds_the_vector_instance_once(monkeypatch):
+    calls = []
+    build = bwd.clique_to_vectorsum
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(bwd, "clique_to_vectorsum", counted)
+    k3 = CliqueInstance(n=3, edges=complete_edges(3), k=3)
+    for mode in ("uniform", "mixed"):
+        witness = solve_ksum_mim(bwd.kclique_to_ksum(k3, radix_mode=mode)).witness
+        calls.clear()
+        assert bwd.lift_ksum_witness_to_clique(k3, witness, radix_mode=mode) == (0, 1, 2)
+        assert len(calls) == 1
+        calls.clear()
+        with pytest.raises(MalformedWitnessError, match="^witness does not verify in the packed instance$"):
+            bwd.lift_ksum_witness_to_clique(k3, witness[:-1] + (witness[-1] + 1,), radix_mode=mode)
+        assert len(calls) == 1
+    vs = bwd.clique_to_vectorsum(k3)
+    witness = solve_vectorsum_bruteforce(vs).witness
+    calls.clear()
+    with pytest.raises(MalformedWitnessError, match="^witness does not verify in the vector instance$"):
+        bwd.lift_vectorsum_witness_to_clique(k3, witness[:-1] + (witness[-1] + 1,))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("witness, message", [
+    ((0, 3, 8, 9, 11, 13), "two vertex vectors claim slot 1"),
+    ((0, 4, 8, 9, 15, 13), r"two edge vectors claim slot pair \(1,2\)"),
+    ((0, 1, 9, 11, 13), "witness is not k vertex vectors plus one edge vector per pair"),
+    ((0, 4, 8, 9, 11, 13), r"edge codes at pair \(1,3\) do not match the slot vertices"),
+])
+def test_lift_structure_checks_keep_their_messages(monkeypatch, witness, message):
+    # with the sum checks waved through, each structural check must fire
+    real_verify = bwd.verify_witness
+
+    def sums_pass(inst, w):
+        return real_verify(inst, w) if isinstance(inst, CliqueInstance) else True
+
+    monkeypatch.setattr(bwd, "verify_witness", sums_pass)
+    k3 = CliqueInstance(n=3, edges=complete_edges(3), k=3)
+    for lift in (lambda: bwd.lift_ksum_witness_to_clique(k3, witness, radix_mode="mixed"),
+                 lambda: bwd.lift_vectorsum_witness_to_clique(k3, witness)):
+        with pytest.raises(MalformedWitnessError, match=f"^{message}$"):
+            lift()
 
 
 def test_lift_rejects_wrong_shape_witness():

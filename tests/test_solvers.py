@@ -87,6 +87,59 @@ def test_mim_matches_brute_random():
             assert solve_ksum_mim(inst).witness == w  # canonical per input
 
 
+def _mim_full_table_reference(numbers, k, t):
+    """The whole-table meet in the middle: every left half tabled first, per
+    sum the one minimizing (max index, subset), then right halves probed in
+    lexicographic order. Returns (witness, probes, table_size)."""
+    n, a, b = len(numbers), (k + 1) // 2, k // 2
+    if k > n:
+        return None, 0, 0
+    table = {}
+    for combo in combinations(range(n), a):
+        s = sum(numbers[i] for i in combo)
+        prev = table.get(s)
+        if prev is None or (prev[-1], prev) > (combo[-1], combo):
+            table[s] = combo
+    if b == 0:
+        return table.get(t), 1, len(table)
+    probes = 0
+    for combo in combinations(range(n), b):
+        probes += 1
+        left = table.get(t - sum(numbers[i] for i in combo))
+        if left is not None and left[-1] < combo[0]:
+            return left + combo, probes, len(table)
+    return None, probes, len(table)
+
+
+def test_mim_matches_full_table_reference_random():
+    rng = random.Random(44)
+    cases = [
+        ((), 1, 0),
+        ((), 3, -1),
+        ((4, 4), 3, 8),  # k > n
+        ((0, 0, 0, 0, 0), 3, 0),
+        ((7, 1, 7, 1, 7), 1, 7),
+        ((2, 5, 9, 1), 4, -1),  # the packed sentinel target
+    ]
+    for _ in range(1500):
+        k = rng.randint(1, 6)
+        n = rng.randint(0, 12)
+        palette = rng.choice([(-10, 10), (0, 3), (-10**6, 10**6)])
+        nums = tuple(rng.randint(*palette) for _ in range(n))
+        if nums and rng.random() < 0.6:
+            t = sum(rng.sample(nums, min(k, n)))
+        else:
+            t = rng.choice([-1, rng.randint(-20, 20)])
+        cases.append((nums, k, t))
+    for nums, k, t in cases:
+        rep = solve_ksum_mim(make_ksum(nums, k, t))
+        witness, probes, table_size = _mim_full_table_reference(nums, k, t)
+        assert rep.solvable == (witness is not None)
+        assert rep.witness == witness
+        assert rep.stats["probes"] == probes
+        assert rep.stats["table_size"] <= table_size
+
+
 def test_vectorsum_frozen_cases():
     inst = make_vectorsum([(1, 1), (1, 0)], 2, (2, 1), lo=0, hi=1)
     assert solve_vectorsum_bruteforce(inst).witness == (0, 1)
