@@ -77,7 +77,6 @@ from .solvers import (
     SolverReport,
     detect_triangle,
     iter_kcliques,
-    solve_instance,
     solve_kclique_bruteforce,
     solve_ksum_bruteforce,
     solve_ksum_mim,

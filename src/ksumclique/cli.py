@@ -14,7 +14,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from . import fieldapps, modprime, reduce_clique_to_sum as bwd, reduce_sum_to_clique as fwd
 from .instances import (
@@ -30,7 +30,6 @@ from .instances import (
     VectorSumInstance,
     WeightedGraph,
     instance_digest,
-    parse_collection,
     parse_instance,
     parse_instance_dict,
     serialize_collection,
@@ -192,18 +191,10 @@ def _single_item_collection(name: str, source: Any, inst: Any, params: dict[str,
     )
 
 
-def _auto_radix(inst: Any, params: dict[str, Any], k: int, bound: int) -> tuple[int, int]:
+def _apply_ksum_to_vectorsum(inst: KSumInstance, params: dict[str, Any]) -> AppliedStep:
     d = int(params.get("d", 1))
     p = params.get("p")
-    if p is None:
-        p = max(k + 1, k * bound + 1) if d == 1 else max(k + 1, 2)
-        while p**d < k * bound + 1:
-            p += 1
-    return int(p), d
-
-
-def _apply_ksum_to_vectorsum(inst: KSumInstance, params: dict[str, Any]) -> AppliedStep:
-    p, d = _auto_radix(inst, params, inst.k, max(inst.bounds[1], 0))
+    p = fwd.choose_radix(inst.k, max(inst.bounds[1], 0), d) if p is None else int(p)
     coll = fwd.ksum_to_vectorsum(inst, p, d)
 
     def lift(item_idx: int, witness: tuple[int, ...]) -> tuple[int, ...]:
@@ -213,9 +204,9 @@ def _apply_ksum_to_vectorsum(inst: KSumInstance, params: dict[str, Any]) -> Appl
 
 
 def _apply_nodeweight_to_edgeweight(inst: WeightedGraph, params: dict[str, Any]) -> AppliedStep:
-    bound = max(inst.node_weights or (0,))
-    p, d = _auto_radix(inst, params, inst.k, bound)
-    coll = fwd.nodeweight_to_edgeweight(inst, t=inst.target, p=p, d=d)
+    p = params.get("p")
+    d = int(params.get("d", 1))
+    coll = fwd.nodeweight_to_edgeweight(inst, t=inst.target, p=None if p is None else int(p), d=d)
 
     def lift(item_idx: int, witness: tuple[int, ...]) -> tuple[int, ...]:
         return fwd.lift_clique_witness(inst, coll, item_idx, witness)
@@ -294,7 +285,7 @@ def _apply_targetsum_to_ksum(inst: fieldapps.TargetSumInstance, params: dict[str
         item = coll.items[item_idx].instance
         if not verify_witness(item, witness):
             raise MalformedWitnessError("witness does not verify in the lifted instance")
-        if sum(inst.elements[i] for i in witness) % inst.q != inst.target:
+        if not verify_witness(inst, witness):
             raise MalformedWitnessError("witness misses the target mod q")
         return tuple(sorted(witness))
 
@@ -317,8 +308,12 @@ def _apply_lindep_to_vectorsum(inst: fieldapps.LinDepInstance, params: dict[str,
     coll = fieldapps.lindep_to_vectorsum(inst)
 
     def lift(item_idx: int, witness: tuple[int, ...]) -> tuple[int, ...]:
-        pairs = fieldapps.lift_lindep_witness(inst, coll, item_idx, witness)
-        return tuple(sorted({i for _, i in pairs}))
+        used = {i for _, i in fieldapps.lift_lindep_witness(inst, coll, item_idx, witness)}
+        # one source vector may appear under two scalars; the span only grows
+        # with more vectors, so the lowest unused indices pad the set to k
+        # (lindep_to_vectorsum requires r >= k)
+        pad = [i for i in range(inst.r) if i not in used][: inst.k - len(used)]
+        return tuple(sorted(used.union(pad)))
 
     return AppliedStep(coll, lift)
 
@@ -341,38 +336,13 @@ REDUCTIONS: dict[str, ReductionSpec] = {
 }
 
 
-def _instance_kind(inst: Any) -> str:
-    if isinstance(inst, KSumInstance):
-        return "ksum"
-    if isinstance(inst, VectorSumInstance):
-        return "vectorsum"
-    if isinstance(inst, CliqueInstance):
-        return "clique"
-    if isinstance(inst, WeightedGraph):
-        return "graph-node" if inst.is_node_weighted else "graph-edge"
-    if isinstance(inst, fieldapps.TargetSumInstance):
-        return "targetsum"
-    if isinstance(inst, fieldapps.LinDepInstance):
-        return "lindep"
-    raise ParameterError(f"unrecognized instance type {type(inst).__name__}")
-
-
 def solve_auto(inst: Any, budget: int | None = None) -> SolverReport:
-    """Exact oracle for any instance kind; brute-force family throughout."""
-    kwargs: dict[str, Any] = {}
-    if budget is not None:
-        kwargs["budget"] = budget
-    if isinstance(inst, KSumInstance):
-        return solve_ksum_bruteforce(inst, **kwargs)
-    if isinstance(inst, VectorSumInstance):
-        return solve_vectorsum_bruteforce(inst, **kwargs)
-    if isinstance(inst, (CliqueInstance, WeightedGraph)):
-        return solve_kclique_bruteforce(inst, **kwargs)
-    if isinstance(inst, fieldapps.TargetSumInstance):
-        return fieldapps.solve_targetsum_bruteforce(inst)
-    if isinstance(inst, fieldapps.LinDepInstance):
-        return fieldapps.solve_lindep_bruteforce(inst)
-    raise ParameterError(f"no oracle for {type(inst).__name__}")
+    """Exact oracle for any instance kind: the first solver its kind lists in
+    KIND_SOLVERS, a brute-force search throughout."""
+    names = KIND_SOLVERS.get(inst.kind)
+    if names is None:
+        raise ParameterError(f"no oracle for {type(inst).__name__}")
+    return SOLVERS[names[0]](inst, **({} if budget is None else {"budget": budget}))
 
 
 SOLVERS: dict[str, Callable[..., SolverReport]] = {
@@ -385,8 +355,20 @@ SOLVERS: dict[str, Callable[..., SolverReport]] = {
     "triangle-degree-split": lambda inst: detect_triangle(inst, backend="degree-split"),
     "nw-triangle": solve_nw_triangle,
     "nw-clique": solve_nw_kclique,
-    "targetsum-brute": lambda inst: fieldapps.solve_targetsum_bruteforce(inst),
-    "lindep-brute": lambda inst: fieldapps.solve_lindep_bruteforce(inst),
+    "targetsum-brute": fieldapps.solve_targetsum_bruteforce,
+    "lindep-brute": fieldapps.solve_lindep_bruteforce,
+}
+
+# Each instance kind and the solvers that take it; the first is the kind's
+# exact oracle, which "auto" runs. "auto" takes every kind listed here.
+KIND_SOLVERS: dict[str, tuple[str, ...]] = {
+    "ksum": ("ksum-brute", "ksum-mim"),
+    "vectorsum": ("vectorsum-brute",),
+    "clique": ("clique-brute", "triangle-naive-mm", "triangle-degree-split"),
+    "graph-node": ("clique-brute", "nw-triangle", "nw-clique"),
+    "graph-edge": ("clique-brute",),
+    "targetsum": ("targetsum-brute",),
+    "lindep": ("lindep-brute",),
 }
 
 
@@ -509,10 +491,8 @@ def _apply_chain(source: Any, chain: tuple[str, ...], params: dict[str, Any]) ->
         spec = REDUCTIONS[name]
         next_frontier = []
         for inst, path in frontier:
-            if _instance_kind(inst) != spec.source:
-                raise ParameterError(
-                    f"reduction {name!r} expects a {spec.source} instance, got {_instance_kind(inst)}"
-                )
+            if inst.kind != spec.source:
+                raise ParameterError(f"reduction {name!r} expects a {spec.source} instance, got {inst.kind}")
             step = spec.apply(inst, params)
             for idx, item in enumerate(step.collection.items):
                 next_frontier.append((item.instance, path + [(step.lift, idx)]))
@@ -579,7 +559,7 @@ def run_equivalence_experiment(cfg: ExperimentConfig) -> dict[str, Any]:
                     "source_solvable": src_report.solvable,
                     "reduced_solvable": reduced_solvable,
                 }
-        except (ParameterError, ResourceBudgetError, ValidationError) as exc:
+        except (MalformedWitnessError, ParameterError, ResourceBudgetError, ValidationError) as exc:
             failure = {"reason": f"{type(exc).__name__}: {exc}"}
         if failure is None:
             passes += 1
@@ -649,7 +629,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     inst = _read_instance(getattr(args, "in"))
-    kind = _instance_kind(inst)
+    kind = inst.kind
     name = args.via
     if name is None:
         src = getattr(args, "from") or kind
@@ -695,6 +675,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     solver = SOLVERS.get(args.solver)
     if solver is None:
         print(f"unknown solver {args.solver!r}", file=sys.stderr)
+        return 2
+    if args.solver != "auto" and args.solver not in KIND_SOLVERS.get(inst.kind, ()):
+        print(f"solver {args.solver!r} does not take a {inst.kind} instance", file=sys.stderr)
         return 2
     report = solver(inst)
     _emit(_json_bytes(report.to_json_dict(include_timing=args.timing)), args.out)

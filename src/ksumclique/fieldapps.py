@@ -14,6 +14,7 @@ from itertools import combinations, product
 from typing import Any, Iterable, Sequence
 
 from .instances import (
+    Instance,
     KSumInstance,
     MalformedWitnessError,
     ParameterError,
@@ -29,12 +30,13 @@ from .instances import (
     verify_witness,
 )
 from .modprime import is_prime
+from .solvers import SolverReport, _guard_combinations
 
 LINDEP_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
-class TargetSumInstance:
+class TargetSumInstance(Instance):
     """Do some k distinct indices sum to the target in Z_q?"""
 
     q: int
@@ -54,9 +56,16 @@ class TargetSumInstance:
         if not 0 <= self.target < self.q:
             raise ValidationError(f"target {self.target} not reduced mod {self.q}")
 
+    kind = "targetsum"
+
     @property
     def r(self) -> int:
         return len(self.elements)
+
+    size = r
+
+    def holds(self, ws: tuple[int, ...]) -> bool:
+        return sum(self.elements[i] for i in ws) % self.q == self.target
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -78,7 +87,7 @@ def parse_targetsum_dict(obj: dict[str, Any]) -> TargetSumInstance:
 
 
 @dataclass(frozen=True)
-class LinDepInstance:
+class LinDepInstance(Instance):
     """Is the target in the F_q-span of the vectors at some k distinct indices?"""
 
     q: int
@@ -105,9 +114,16 @@ class LinDepInstance:
             if not 0 <= c < self.q:
                 raise ValidationError(f"entry {c} not reduced mod {self.q}")
 
+    kind = "lindep"
+
     @property
     def r(self) -> int:
         return len(self.vectors)
+
+    size = r
+
+    def holds(self, ws: tuple[int, ...]) -> bool:
+        return span_contains(self.q, [self.vectors[i] for i in ws], self.target)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -231,8 +247,6 @@ def span_contains(q: int, vectors: Sequence[Sequence[int]], target: Sequence[int
 def solve_targetsum_bruteforce(inst: TargetSumInstance, budget: int = 20_000_000):
     """Exact mod-q oracle: lexicographically first k distinct indices whose
     sum hits the target."""
-    from .solvers import SolverReport, _guard_combinations
-
     _guard_combinations(inst.r, inst.k, budget)
     witness = None
     candidates = 0
@@ -247,8 +261,6 @@ def solve_targetsum_bruteforce(inst: TargetSumInstance, budget: int = 20_000_000
 def solve_lindep_bruteforce(inst: LinDepInstance, budget: int = 2_000_000):
     """Exact span oracle: first k distinct indices whose vectors span the
     target over F_q, by Gaussian elimination per subset."""
-    from .solvers import SolverReport, _guard_combinations
-
     _guard_combinations(inst.r, inst.k, budget)
     witness = None
     candidates = 0

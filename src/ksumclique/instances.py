@@ -115,8 +115,34 @@ def normalize_edges(n: int, edges: Iterable[Sequence[int]]) -> tuple[tuple[int, 
     return tuple(out) if seen is None else tuple(sorted(seen))
 
 
+def _is_clique(edges: tuple[tuple[int, int], ...], ws: tuple[int, ...]) -> bool:
+    edge_set = set(edges)
+    return all((ws[a], ws[b]) in edge_set for a in range(len(ws)) for b in range(a + 1, len(ws)))
+
+
+class Instance:
+    """Base of every instance type.
+
+    ``kind`` names the type in the solver and reduction registries. A witness
+    is k distinct ids in range(``size``), vertices for graphs and indices
+    otherwise, and ``holds`` is the defining predicate on such a witness,
+    sorted. All of them live on the class, so equality, hashing and
+    serialization ignore them.
+    """
+
+    kind: str
+    id_name = "index"
+
+    @property
+    def size(self) -> int:
+        return self.n
+
+    def holds(self, ws: tuple[int, ...]) -> bool:
+        raise ValidationError(f"cannot verify witness for {type(self).__name__}")
+
+
 @dataclass(frozen=True)
-class KSumInstance:
+class KSumInstance(Instance):
     """k-SUM: does some set of k distinct indices have numbers summing to target?
 
     ``bounds`` is the declared inclusive range of the numbers and serializes
@@ -141,9 +167,14 @@ class KSumInstance:
             if not lo <= x <= hi:
                 raise ValidationError(f"number {x} outside declared range [{lo},{hi}]")
 
+    kind = "ksum"
+
     @property
     def n(self) -> int:
         return len(self.numbers)
+
+    def holds(self, ws: tuple[int, ...]) -> bool:
+        return sum(self.numbers[i] for i in ws) == self.target
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -156,7 +187,7 @@ class KSumInstance:
 
 
 @dataclass(frozen=True)
-class VectorSumInstance:
+class VectorSumInstance(Instance):
     """k-Vector-SUM over integer vectors with a shared per-entry range.
 
     A target entry outside the k-fold Minkowski range of ``entry_bounds``
@@ -189,6 +220,8 @@ class VectorSumInstance:
                 if not lo <= c <= hi:
                     raise ValidationError(f"entry {c} outside declared range [{lo},{hi}]")
 
+    kind = "vectorsum"
+
     @property
     def n(self) -> int:
         return len(self.vectors)
@@ -197,6 +230,13 @@ class VectorSumInstance:
     def trivially_unsolvable(self) -> bool:
         lo, hi = self.entry_bounds
         return any(not (self.k * lo <= t <= self.k * hi) for t in self.target)
+
+    def holds(self, ws: tuple[int, ...]) -> bool:
+        total = [0] * self.dim
+        for i in ws:
+            for j, c in enumerate(self.vectors[i]):
+                total[j] += c
+        return tuple(total) == self.target
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -210,7 +250,7 @@ class VectorSumInstance:
 
 
 @dataclass(frozen=True)
-class CliqueInstance:
+class CliqueInstance(Instance):
     """Unweighted k-Clique, optionally k-partite with 1-based slot labels."""
 
     n: int
@@ -236,9 +276,15 @@ class CliqueInstance:
                 if part[u] == part[v]:
                     raise ValidationError(f"edge ({u},{v}) joins two slot-{part[u]} vertices")
 
+    kind = "clique"
+    id_name = "vertex"
+
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    def holds(self, ws: tuple[int, ...]) -> bool:
+        return _is_clique(self.edges, ws)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -255,7 +301,7 @@ class CliqueInstance:
 
 
 @dataclass(frozen=True)
-class WeightedGraph:
+class WeightedGraph(Instance):
     """A graph with exactly one weight kind plus the clique arity and target.
 
     Node weights answer Exact Node-Weight k-Clique (clique node weights sum to
@@ -302,13 +348,23 @@ class WeightedGraph:
                 if abs(x) > m:
                     raise ValidationError(f"edge weight {x} exceeds declared bound {m}")
 
+    id_name = "vertex"
+
     @property
     def m(self) -> int:
         return len(self.edges)
 
     @property
-    def is_node_weighted(self) -> bool:
-        return self.node_weights is not None
+    def kind(self) -> str:
+        return "graph-node" if self.node_weights is not None else "graph-edge"
+
+    def holds(self, ws: tuple[int, ...]) -> bool:
+        if not _is_clique(self.edges, ws):
+            return False
+        if self.node_weights is not None:
+            return sum(self.node_weights[v] for v in ws) == self.target
+        wmap = self.edge_weight_map()
+        return sum(wmap[(ws[a], ws[b])] for a in range(len(ws)) for b in range(a + 1, len(ws))) == self.target
 
     def edge_weight_map(self) -> dict[tuple[int, int], int]:
         if self.edge_weights is None:
@@ -345,9 +401,6 @@ class WeightedGraph:
         }
 
 
-Instance = Any  # any of the to_json_dict-bearing instance types
-
-
 @dataclass(frozen=True)
 class ReducedItem:
     instance: Instance
@@ -375,15 +428,10 @@ def witness_tuple(inst: Instance, witness: Iterable[int]) -> tuple[int, ...]:
     k = inst.k
     if len(ws) != k:
         raise MalformedWitnessError(f"witness has {len(ws)} elements, expected k={k}")
-    if isinstance(inst, (CliqueInstance, WeightedGraph)):
-        limit = inst.n
-        what = "vertex"
-    else:
-        limit = inst.r if hasattr(inst, "r") else inst.n
-        what = "index"
+    limit = inst.size
     for x in ws:
         if not 0 <= x < limit:
-            raise MalformedWitnessError(f"{what} {x} out of range [0,{limit})")
+            raise MalformedWitnessError(f"{inst.id_name} {x} out of range [0,{limit})")
     return tuple(sorted(ws))
 
 
@@ -394,36 +442,7 @@ def verify_witness(inst: Instance, witness: Iterable[int]) -> bool:
     MalformedWitnessError; a well-formed but non-satisfying witness returns
     False.
     """
-    ws = witness_tuple(inst, witness)
-    if isinstance(inst, KSumInstance):
-        return sum(inst.numbers[i] for i in ws) == inst.target
-    if isinstance(inst, VectorSumInstance):
-        dim = inst.dim
-        total = [0] * dim
-        for i in ws:
-            vec = inst.vectors[i]
-            for j in range(dim):
-                total[j] += vec[j]
-        return tuple(total) == inst.target
-    if isinstance(inst, CliqueInstance):
-        edge_set = set(inst.edges)
-        return all((ws[a], ws[b]) in edge_set for a in range(len(ws)) for b in range(a + 1, len(ws)))
-    if isinstance(inst, WeightedGraph):
-        edge_set = set(inst.edges)
-        if not all((ws[a], ws[b]) in edge_set for a in range(len(ws)) for b in range(a + 1, len(ws))):
-            return False
-        if inst.node_weights is not None:
-            return sum(inst.node_weights[v] for v in ws) == inst.target
-        wmap = inst.edge_weight_map()
-        total = sum(wmap[(ws[a], ws[b])] for a in range(len(ws)) for b in range(a + 1, len(ws)))
-        return total == inst.target
-    from . import fieldapps  # local import to avoid a cycle
-
-    if isinstance(inst, fieldapps.TargetSumInstance):
-        return sum(inst.elements[i] for i in ws) % inst.q == inst.target
-    if isinstance(inst, fieldapps.LinDepInstance):
-        return fieldapps.span_contains(inst.q, [inst.vectors[i] for i in ws], inst.target)
-    raise ValidationError(f"cannot verify witness for {type(inst).__name__}")
+    return inst.holds(witness_tuple(inst, witness))
 
 
 def normalize_zero_target(inst: KSumInstance) -> KSumInstance:

@@ -24,6 +24,7 @@ from .instances import (
     VectorSumInstance,
     verify_witness,
 )
+from .reduce_sum_to_clique import slot_pairs
 from .sumfree import behrend_sumfree, greedy_sumfree_elements
 
 GREEDY_CODE_LIMIT = 64
@@ -74,10 +75,6 @@ def encode_vertices(n: int, k: int) -> CliqueEncoding:
     else:
         codes = behrend_sumfree(n, k).elements
     return CliqueEncoding(k=k, codes=tuple(codes[:n]))
-
-
-def slot_pairs(k: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
 
 
 def _pair_coord(i: int, j: int, k: int) -> int:

@@ -58,6 +58,21 @@ def digits_to_int(digits: Iterable[int], p: int) -> int:
     return total
 
 
+def choose_radix(k: int, bound: int, d: int = 1, floor: int = 0) -> int:
+    """Smallest radix p >= max(k+1, floor) with p^d >= k*bound + 1: k digits
+    below p sum without carrying, and d digits hold every k-fold sum of
+    numbers up to bound. The d-th root is exact integer Newton iteration."""
+    if d < 1:
+        raise ParameterError(f"digit count must be >= 1, got {d}")
+    v = k * bound
+    root = 0  # largest r with r^d <= v
+    if v >= 1:
+        root = 1 << -(-v.bit_length() // d)  # at least the root
+        while (step := ((d - 1) * root + v // root ** (d - 1)) // d) < root:
+            root = step
+    return max(k + 1, floor, root + 1)
+
+
 @dataclass(frozen=True)
 class CarryContext:
     """All carry guesses for one target: gamma tuples and their digit targets.
@@ -219,9 +234,7 @@ def nodeweight_to_edgeweight(
     bound = max(weights, default=0)
     if any(w < 0 for w in weights):
         raise ParameterError("node weights must be nonnegative; shift the instance first")
-    radix = arity * bound + 1 if p is None else p
-    if radix <= arity:
-        radix = arity + 1
+    radix = choose_radix(arity, bound, d) if p is None else max(p, arity + 1)
     if radix**d < arity * bound + 1:
         raise ParameterError(f"p^d = {radix**d} < k*M+1 = {arity * bound + 1}")
     if not 0 <= goal <= arity * bound:
@@ -488,11 +501,8 @@ def pipeline_dimension(n: int) -> int:
 
 
 def pipeline_radix(n: int, k: int, bound: int, f_exp: int, d: int) -> int:
-    """Smallest p at least ceil(k * 2^f * log2 n) with p^d >= kM+1 and p > k."""
-    p = max(k + 1, math.ceil(k * 2**f_exp * math.log2(max(n, 2))))
-    while p**d < k * bound + 1:
-        p += 1
-    return p
+    """The radix choose_radix gives with the pipeline's floor ceil(k * 2^f * log2 n)."""
+    return choose_radix(k, bound, d, floor=math.ceil(k * 2**f_exp * math.log2(max(n, 2))))
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ from .instances import (
     ValidationError,
     VectorSumInstance,
     WeightedGraph,
-    verify_witness,
 )
+from .reduce_sum_to_clique import build_alpha_instance, nodeweight_to_edgeweight, present_alpha_tuples
 
 DEFAULT_BUDGET = 20_000_000
 
@@ -443,8 +443,6 @@ def _nw_pipeline(
 ) -> SolverReport:
     """Shared engine: shift weights, square-trick edge weights per carry, strip
     weights per occupied alpha profile, then call the unweighted backend."""
-    from . import reduce_sum_to_clique as fwd
-
     start = time.perf_counter()
     if graph.node_weights is None:
         raise ParameterError("node-weighted graph required")
@@ -461,13 +459,6 @@ def _nw_pipeline(
         stats["range_pruned"] = True
         stats["wall_time_s"] = time.perf_counter() - start
         return SolverReport(False, None, stats)
-    p = bound * k + 1
-    while p <= k:
-        p += 1
-    if d > 1:
-        p = max(k + 1, _int_root_ceil(k * bound + 1, d))
-        while p ** d < k * bound + 1:
-            p += 1
     shifted_graph = WeightedGraph(
         n=n,
         edges=graph.edges,
@@ -477,16 +468,16 @@ def _nw_pipeline(
         weight_bound=bound,
         target=t_shifted,
     )
-    coll = fwd.nodeweight_to_edgeweight(shifted_graph, t=t_shifted, p=p, d=d)
-    stats["p"] = p
+    coll = nodeweight_to_edgeweight(shifted_graph, t=t_shifted, d=d)
+    stats["p"] = coll.params["p"]
     stats["d"] = d
     stats["carries"] = len(coll.items)
     witness = None
     for item in coll.items:
         ew_graph = item.instance
-        for alpha in fwd.present_alpha_tuples(ew_graph, k):
+        for alpha in present_alpha_tuples(ew_graph, k):
             stats["alphas"] += 1
-            g_alpha = fwd.build_alpha_instance(ew_graph, k, alpha)
+            g_alpha = build_alpha_instance(ew_graph, k, alpha)
             if g_alpha.m > k * k * ew_graph.m:
                 raise ValidationError(f"alpha instance has {g_alpha.m} edges, above k^2 * {ew_graph.m}")
             stats["instances_generated"] += 1
@@ -501,17 +492,6 @@ def _nw_pipeline(
             break
     stats["wall_time_s"] = time.perf_counter() - start
     return SolverReport(solvable=witness is not None, witness=witness, stats=stats)
-
-
-def _int_root_ceil(value: int, d: int) -> int:
-    if value <= 1:
-        return 1
-    root = round(value ** (1.0 / d))
-    while root**d >= value:
-        root -= 1
-    while (root + 1) ** d < value:
-        root += 1
-    return root + 1
 
 
 def solve_nw_triangle(
@@ -567,28 +547,3 @@ def solve_nw_kclique(
 
     return _nw_pipeline(graph, t, backend_solve, d=d)
 
-
-def solve_instance(inst: Any, solver: str | None = None, **kwargs: Any) -> SolverReport:
-    """Dispatch an instance to a named solver; default picks the brute oracle."""
-    if isinstance(inst, KSumInstance):
-        if solver in (None, "ksum-brute"):
-            return solve_ksum_bruteforce(inst, **kwargs)
-        if solver == "ksum-mim":
-            return solve_ksum_mim(inst, **kwargs)
-    if isinstance(inst, VectorSumInstance) and solver in (None, "vectorsum-brute"):
-        return solve_vectorsum_bruteforce(inst, **kwargs)
-    if isinstance(inst, CliqueInstance):
-        if solver in (None, "clique-brute"):
-            return solve_kclique_bruteforce(inst, **kwargs)
-        if solver == "triangle-naive-mm":
-            return detect_triangle(inst, backend="naive-mm")
-        if solver == "triangle-degree-split":
-            return detect_triangle(inst, backend="degree-split", **kwargs)
-    if isinstance(inst, WeightedGraph):
-        if solver in (None, "clique-brute"):
-            return solve_kclique_bruteforce(inst, **kwargs)
-        if solver == "nw-triangle":
-            return solve_nw_triangle(inst, **kwargs)
-        if solver == "nw-clique":
-            return solve_nw_kclique(inst, **kwargs)
-    raise ParameterError(f"no solver {solver!r} for {type(inst).__name__}")

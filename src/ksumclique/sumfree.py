@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Any, Iterable
 
-from .instances import ValidationError, _as_int, _as_int_list
+from .instances import Instance, ValidationError, _as_int, _as_int_list
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class SumFreeParams:
 
 
 @dataclass(frozen=True)
-class SumFreeSet:
+class SumFreeSet(Instance):
     """Sorted distinct elements certified k-sum-free, with their construction params.
 
     The certified arity k may be smaller than params.k: every set is trivially
@@ -65,6 +65,8 @@ class SumFreeSet:
                 raise ValidationError(f"element {x} outside [0, base^m)")
             if sum(d * d for d in digits_of(x, p.base, p.m)) != p.r:
                 raise ValidationError(f"element {x} is not in the norm-{p.r} class")
+
+    kind = "sumfree"
 
     @property
     def n(self) -> int:

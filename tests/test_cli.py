@@ -2,6 +2,7 @@
 experiment harness, and the per-k subset-sum sweep."""
 
 import json
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -9,13 +10,17 @@ import pytest
 from ksumclique import (
     CliqueInstance,
     KSumInstance,
+    LinDepInstance,
+    MalformedWitnessError,
     ParameterError,
     parse_collection,
     parse_instance,
+    serialize_instance,
     solve_ksum_bruteforce,
 )
 from ksumclique.cli import (
     REDUCTIONS,
+    SOLVERS,
     AppliedStep,
     ExperimentConfig,
     ReductionSpec,
@@ -24,6 +29,7 @@ from ksumclique.cli import (
     gen_random_ksum,
     main,
     run_equivalence_experiment,
+    solve_auto,
 )
 
 from util import make_ksum, oracle_kclique
@@ -169,6 +175,52 @@ def test_experiment_failure_emits_repro_bundle(tmp_path, monkeypatch, capsys):
     assert not (Path.cwd() / "experiment.repro.json").exists()
 
 
+def _raising_lift_apply(inst, params):
+    def lift(item_idx, witness):
+        raise MalformedWitnessError("lift broke")
+
+    return AppliedStep(_single_item_collection("broken_lift", inst, inst, {}), lift)
+
+
+def test_experiment_records_lift_errors_per_trial(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(
+        REDUCTIONS, "broken_lift",
+        ReductionSpec("broken_lift", "ksum", "ksum", "iff", _raising_lift_apply),
+    )
+    report_path = tmp_path / "report.json"
+    cfg = {
+        "trials": 20, "seed": 3, "n_range": [4, 6], "k_range": [2, 2],
+        "m_range": [0, 10], "chain": ["broken_lift"], "report": str(report_path),
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "o.json")]) == 3
+    report = json.loads(report_path.read_text())
+    failures = report["failures"]
+    assert failures and report["passes"] + len(failures) == 20
+    assert {f["reason"] for f in failures} == {"MalformedWitnessError: lift broke"}
+    assert report_path.with_suffix(".repro.json").exists()
+
+
+def test_lindep_lift_pads_a_reused_source_index():
+    # over F_2 the expanded vectors are 0*v0, 0*v1, 1*v0, 1*v1; the first
+    # reduced witness, (0, 2), takes v0 under both scalars
+    inst = LinDepInstance(q=2, n=1, vectors=((1,), (0,)), k=2, target=(1,))
+    step = REDUCTIONS["lindep_to_vectorsum"].apply(inst, {})
+    report = solve_auto(step.collection.items[0].instance)
+    assert report.witness == (0, 2)
+    assert step.lift(0, report.witness) == (0, 1)
+
+
+def test_experiment_lindep_trials_pass():
+    cfg = ExperimentConfig(
+        trials=400, seed=7, n_range=(3, 8), k_range=(1, 3), m_range=(0, 5),
+        chain=("lindep_to_vectorsum",), source="lindep",
+    )
+    report = run_equivalence_experiment(cfg)
+    assert report["passes"] == 400, report["failures"][:2]
+
+
 # --- subcommand plumbing ---
 
 @pytest.mark.parametrize(
@@ -211,6 +263,48 @@ def test_cli_malformed_instance_is_usage_error(tmp_path, capsys, instance):
 
 def run_cli(tmp_path, *argv):
     return main(list(argv))
+
+
+def test_solver_registry_dispatch(tmp_path):
+    inst = make_ksum([1, 3], 2, 4)
+    assert solve_auto(inst).solvable
+    assert SOLVERS["ksum-mim"](inst).solvable
+    tri = CliqueInstance(n=3, edges=((0, 1), (0, 2), (1, 2)), k=3)
+    assert solve_auto(tri).solvable
+    path = tmp_path / "a.json"
+    path.write_bytes(serialize_instance(inst))
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--in", str(path), "--solver", "quantum"])
+    assert exc.value.code == 2
+
+
+KSUM_FILE = {"type": "ksum", "k": 2, "numbers": ["1", "3"], "target": "4", "range": ["0", "3"]}
+GRAPH_FILE = {"type": "graph", "k": 3, "n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}
+NODE_WEIGHTED_FILE = dict(GRAPH_FILE, node_weights=["1", "2", "3"], weight_bound="3", target="6")
+
+
+@pytest.mark.parametrize(
+    "solver, instance",
+    [
+        ("clique-brute", KSUM_FILE),
+        ("triangle-naive-mm", KSUM_FILE),
+        ("nw-triangle", KSUM_FILE),
+        ("vectorsum-brute", KSUM_FILE),
+        ("lindep-brute", KSUM_FILE),
+        ("ksum-mim", GRAPH_FILE),
+        ("ksum-brute", GRAPH_FILE),
+        ("nw-clique", GRAPH_FILE),
+        ("targetsum-brute", GRAPH_FILE),
+        ("triangle-degree-split", NODE_WEIGHTED_FILE),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v["type"] + ("-node" if "node_weights" in v else ""),
+)
+def test_cli_solver_wrong_kind_is_usage_error(tmp_path, capsys, solver, instance):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance))
+    assert main(["solve", "--in", str(path), "--solver", solver, "--out", str(tmp_path / "r.json")]) == 2
+    assert "does not take" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_cli_gen_solve_verify_round_trip(tmp_path):
@@ -317,6 +411,33 @@ def test_cli_subsetsum_mode(tmp_path):
     solvable_ks = [entry["k"] for entry in lines if entry.get("solvable")]
     assert solvable_ks == [3]
     assert (out_dir / "edgeweight_k3.jsonl").exists()
+
+
+def test_cli_reduce_huge_number_at_d2(tmp_path):
+    big = 10**30
+    inst_path = tmp_path / "big.json"
+    inst_path.write_text(json.dumps(
+        {"type": "ksum", "k": 2, "numbers": ["1", str(big)], "target": str(big + 1), "range": ["0", str(big)]}
+    ))
+    out = tmp_path / "red.jsonl"
+    assert main(["reduce", "--in", str(inst_path), "--via", "ksum_to_vectorsum", "--d", "2",
+                 "--out", str(out)]) == 0
+    coll = parse_collection(out.read_bytes())
+    assert (coll.params["p"], coll.params["d"]) == (isqrt(2 * big) + 1, 2)
+    assert any(solve_auto(item.instance).solvable for item in coll.items)
+
+
+def test_cli_subsetsum_mode_huge_numbers(tmp_path):
+    numbers = [2_000_000_000, 2_000_000_011, 1_999_999_989]
+    inst_path = tmp_path / "ss.json"
+    inst_path.write_text(json.dumps({
+        "type": "ksum", "k": 2, "numbers": [str(x) for x in numbers],
+        "target": str(numbers[0] + numbers[2]), "range": ["0", str(max(numbers))],
+    }))
+    report = tmp_path / "r.jsonl"
+    assert main(["subsetsum-mode", "--in", str(inst_path), "--report", str(report)]) == 0
+    lines = [json.loads(x) for x in report.read_text().splitlines()]
+    assert [entry["k"] for entry in lines if entry["solvable"]] == [2]
 
 
 def test_cli_subsetsum_mode_unsolvable_exit(tmp_path):

@@ -3,7 +3,7 @@ zero-sum edge-weight guesses, merging, and the small-number pipeline."""
 
 import random
 from itertools import combinations, product
-from math import comb
+from math import comb, isqrt
 
 import pytest
 
@@ -472,6 +472,36 @@ def test_pipeline_radix_frozen_point():
 def test_pipeline_radix_bumps_until_capacity():
     p = fwd.pipeline_radix(4, 2, 10**6, 1, 1)
     assert p >= 2 * 10**6 + 1
+
+
+def test_choose_radix_matches_smallest_p_search():
+    # the smallest p only grows with M, so one upward scan per (k, d, floor)
+    # visits every candidate the brute-force search would
+    for k in range(1, 9):
+        for d in range(1, 6):
+            for floor in (0, 40):
+                p = max(k + 1, floor)
+                for big_m in range(3001):
+                    while p**d < k * big_m + 1:
+                        p += 1
+                    assert fwd.choose_radix(k, big_m, d, floor=floor) == p, (k, d, floor, big_m)
+
+
+def test_choose_radix_exact_on_huge_bounds():
+    assert fwd.choose_radix(2, 10**30, 2) == isqrt(2 * 10**30) + 1
+    big_m = 7 * 10**399 + 3  # 400 digits, beyond float range
+    assert fwd.choose_radix(1, big_m, 2) == isqrt(big_m) + 1
+    for k, d in ((3, 3), (5, 7), (8, 50)):
+        p = fwd.choose_radix(k, big_m, d)
+        assert (p - 1) ** d < k * big_m + 1 <= p**d
+    with pytest.raises(ParameterError):
+        fwd.choose_radix(2, 5, 0)
+
+
+def test_nodeweight_default_radix_is_minimal():
+    g = make_nw_graph(3, complete_edges(3), 2, [50, 7, 0], target=57)
+    assert fwd.nodeweight_to_edgeweight(g, d=1).params["p"] == 101
+    assert fwd.nodeweight_to_edgeweight(g, d=2).params["p"] == 11  # 10^2 < 2*50+1 <= 11^2
 
 
 def test_pipeline_rejects_numbers_beyond_small_regime():

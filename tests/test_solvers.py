@@ -16,7 +16,6 @@ from ksumclique import (
     ValidationError,
     detect_triangle,
     iter_kcliques,
-    solve_instance,
     solve_kclique_bruteforce,
     solve_ksum_bruteforce,
     solve_ksum_mim,
@@ -437,12 +436,3 @@ def test_nw_pipeline_higher_dimension_agrees():
     two = solve_nw_triangle(g, d=2)
     assert one.solvable == two.solvable == True  # noqa: E712  (9+14+3)
     assert one.witness == two.witness
-
-
-def test_solve_instance_dispatch():
-    assert solve_instance(make_ksum([1, 3], 2, 4)).solvable
-    assert solve_instance(make_ksum([1, 3], 2, 4), solver="ksum-mim").solvable
-    tri = CliqueInstance(n=3, edges=complete_edges(3), k=3)
-    assert solve_instance(tri).solvable
-    with pytest.raises(ParameterError):
-        solve_instance(make_ksum([1, 3], 2, 4), solver="quantum")
