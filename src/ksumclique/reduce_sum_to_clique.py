@@ -121,6 +121,8 @@ def carry_targets(t: int, k: int, p: int, d: int) -> CarryContext:
     """
     if p <= k:
         raise ParameterError(f"radix must exceed the arity, got p={p} <= k={k}")
+    if d < 1:
+        raise ParameterError(f"digit count must be >= 1, got {d}")
     if not 0 <= t <= k * (p**d - 1):
         raise ParameterError(f"target {t} outside [0, k(p^d - 1)]")
     top, low = divmod(t, p ** (d - 1))
@@ -160,6 +162,8 @@ def ksum_to_vectorsum(inst: KSumInstance, p: int, d: int) -> ReducedCollection:
     """One digit-vector instance per feasible carry target; skipped carries are
     recorded in the collection params. The source is solvable iff some emitted
     instance is; a target no k numbers can reach emits an empty collection."""
+    if d < 1:
+        raise ParameterError(f"digit count must be >= 1, got {d}")
     bound = _achieved_bound(inst)
     if p**d < inst.k * bound + 1:
         raise ParameterError(f"p^d = {p**d} < k*M+1 = {inst.k * bound + 1}")
@@ -234,6 +238,8 @@ def nodeweight_to_edgeweight(
     bound = max(weights, default=0)
     if any(w < 0 for w in weights):
         raise ParameterError("node weights must be nonnegative; shift the instance first")
+    if d < 1:
+        raise ParameterError(f"digit count must be >= 1, got {d}")
     radix = choose_radix(arity, bound, d) if p is None else max(p, arity + 1)
     if radix**d < arity * bound + 1:
         raise ParameterError(f"p^d = {radix**d} < k*M+1 = {arity * bound + 1}")
@@ -348,6 +354,85 @@ def present_alpha_tuples(g: WeightedGraph, k: int, budget: int = ALPHA_BUDGET) -
             yield from extend(head + (x,), total + x, left - 1)
 
     yield from extend((), 0, free + 1)
+
+
+def consistent_alpha_tuples(
+    g: WeightedGraph,
+    k: int,
+    budget: int = ALPHA_BUDGET,
+    counter: list[int] | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """The present-mode alphas whose every slot can still hold a vertex.
+
+    A k-clique of an alpha graph puts in slot i a source vertex that is the
+    first endpoint of an edge in bucket alpha_ij for every j > i and the
+    second endpoint of one in bucket alpha_hi for every h < i. The search
+    walks the slot pairs as present_alpha_tuples does (same lexicographic
+    order, bisect windows and forced last coordinate) and keeps one vertex
+    bitmask per slot, intersected with the matching endpoint set of each
+    chosen weight's bucket. A branch where some slot's set is empty is cut:
+    no alpha below it has a k-clique (arc consistency, Mackworth 1977). The
+    output is therefore the subsequence of present_alpha_tuples that keeps
+    every alpha whose graph has a k-clique, in the same order.
+
+    The budget bounds the heads met per call: each bisect window at the last
+    free coordinate counts in full when entered, and k = 2 has one empty
+    head. Each is a present-mode head, so no graph whose support^(C(k,2)-1)
+    fits the budget can exceed it. counter[0], when given, accumulates them.
+    """
+    if g.edge_weights is None:
+        raise ParameterError("edge-weighted graph required")
+    if k < 2:
+        raise ParameterError("alpha enumeration needs k >= 2")
+    buckets = g.edges_by_weight
+    support = list(buckets)
+    if not support:
+        return
+    ends: dict[int, tuple[int, int]] = {}
+    for w, edges in buckets.items():
+        first = second = 0
+        for u, v in edges:
+            first |= 1 << u
+            second |= 1 << v
+        ends[w] = (first, second)
+    pairs = [(i - 1, j - 1) for i, j in slot_pairs(k)]
+    last = len(pairs) - 1
+    lo, hi = support[0], support[-1]
+    nodes = [0] if counter is None else counter
+    base = nodes[0]
+
+    def try_heads(count: int) -> None:
+        nodes[0] += count
+        if nodes[0] - base > budget:
+            raise ResourceBudgetError(f"alpha search needs more than {budget} heads")
+
+    def extend(idx: int, head: tuple[int, ...], total: int, slots: list[int]) -> Iterator[tuple[int, ...]]:
+        i, j = pairs[idx]
+        if idx == last:
+            fit = ends.get(-total)
+            if fit is not None and slots[i] & fit[0] and slots[j] & fit[1]:
+                yield head + (-total,)
+            return
+        rest = last - idx  # coordinates after this one, the forced one included
+        start = bisect.bisect_left(support, -total - rest * hi)
+        stop = bisect.bisect_right(support, -total - rest * lo)
+        if rest == 1:
+            try_heads(stop - start)
+        for x in support[start:stop]:
+            if rest == 1 and -total - x not in ends:
+                continue  # the forced last coordinate is no present weight
+            first, second = ends[x]
+            a = slots[i] & first
+            b = slots[j] & second
+            if a and b:
+                narrowed = slots.copy()
+                narrowed[i] = a
+                narrowed[j] = b
+                yield from extend(idx + 1, head + (x,), total + x, narrowed)
+
+    if last == 0:
+        try_heads(1)
+    yield from extend(0, (), 0, [(1 << g.n) - 1] * k)
 
 
 def build_alpha_instance(g: WeightedGraph, k: int, alpha: tuple[int, ...]) -> CliqueInstance:

@@ -23,7 +23,7 @@ from .instances import (
     VectorSumInstance,
     WeightedGraph,
 )
-from .reduce_sum_to_clique import build_alpha_instance, nodeweight_to_edgeweight, present_alpha_tuples
+from .reduce_sum_to_clique import build_alpha_instance, consistent_alpha_tuples, nodeweight_to_edgeweight
 
 DEFAULT_BUDGET = 20_000_000
 
@@ -442,7 +442,16 @@ def _nw_pipeline(
     d: int = 1,
 ) -> SolverReport:
     """Shared engine: shift weights, square-trick edge weights per carry, strip
-    weights per occupied alpha profile, then call the unweighted backend."""
+    weights per slot-consistent alpha profile, then call the unweighted
+    backend on each alpha graph in turn and stop at the first hit.
+
+    consistent_alpha_tuples skips only alphas whose graphs hold no k-clique
+    and keeps present-mode order, so the witness is the one a search over
+    every present-mode alpha would find. Stats: `alphas` and
+    `instances_generated` count the alpha graphs built and solved;
+    `alpha_nodes` counts the search heads tried, summed over carries, which
+    ALPHA_BUDGET bounds per carry.
+    """
     start = time.perf_counter()
     if graph.node_weights is None:
         raise ParameterError("node-weighted graph required")
@@ -454,7 +463,7 @@ def _nw_pipeline(
     shifted = tuple(w + shift for w in weights)
     t_shifted = t + k * shift
     bound = max(shifted, default=0)
-    stats: dict[str, Any] = {"shift": shift, "instances_generated": 0, "alphas": 0}
+    stats: dict[str, Any] = {"shift": shift, "instances_generated": 0, "alphas": 0, "alpha_nodes": 0}
     if not 0 <= t_shifted <= k * bound or k > n:
         stats["range_pruned"] = True
         stats["wall_time_s"] = time.perf_counter() - start
@@ -473,9 +482,10 @@ def _nw_pipeline(
     stats["d"] = d
     stats["carries"] = len(coll.items)
     witness = None
+    nodes = [0]
     for item in coll.items:
         ew_graph = item.instance
-        for alpha in present_alpha_tuples(ew_graph, k):
+        for alpha in consistent_alpha_tuples(ew_graph, k, counter=nodes):
             stats["alphas"] += 1
             g_alpha = build_alpha_instance(ew_graph, k, alpha)
             if g_alpha.m > k * k * ew_graph.m:
@@ -490,6 +500,7 @@ def _nw_pipeline(
                 break
         if witness is not None:
             break
+    stats["alpha_nodes"] = nodes[0]
     stats["wall_time_s"] = time.perf_counter() - start
     return SolverReport(solvable=witness is not None, witness=witness, stats=stats)
 
@@ -501,7 +512,8 @@ def solve_nw_triangle(
     d: int = 1,
 ) -> SolverReport:
     """Exact node-weight triangle via the edge-weight and weight-removal chain,
-    running detect_triangle on every produced unweighted instance."""
+    running detect_triangle on each slot-consistent alpha graph until one
+    holds a triangle."""
     if graph.k != 3:
         raise ParameterError(f"triangle pipeline requires k=3, got k={graph.k}")
 

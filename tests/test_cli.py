@@ -427,6 +427,27 @@ def test_cli_reduce_huge_number_at_d2(tmp_path):
     assert any(solve_auto(item.instance).solvable for item in coll.items)
 
 
+@pytest.mark.parametrize("target", ["0", "5"])
+@pytest.mark.parametrize(
+    "via, instance",
+    [
+        ("ksum_to_vectorsum", {"type": "ksum", "k": 3, "numbers": ["0", "0", "0"], "range": ["0", "0"]}),
+        ("nodeweight_to_edgeweight", dict(GRAPH_FILE, node_weights=["0", "0", "0"], weight_bound="0")),
+    ],
+)
+def test_cli_reduce_zero_digit_count_is_usage_error(tmp_path, capsys, via, instance, target):
+    # all-zero weights fit p^0 = 1, so only a digit-count check stops d = 0,
+    # both for a reachable target and for one the range check prunes
+    instance = dict(instance, target=target)
+    inst_path = tmp_path / "zero.json"
+    inst_path.write_text(json.dumps(instance))
+    out = tmp_path / "red.jsonl"
+    assert main(["reduce", "--in", str(inst_path), "--via", via, "--p", "5", "--d", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "digit count must be >= 1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_subsetsum_mode_huge_numbers(tmp_path):
     numbers = [2_000_000_000, 2_000_000_011, 1_999_999_989]
     inst_path = tmp_path / "ss.json"

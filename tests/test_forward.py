@@ -366,6 +366,52 @@ def test_present_alpha_tuples_rejects_small_arity(k):
     g = make_ew_graph(3, [(0, 1), (1, 2)], 2, [1, -1])
     with pytest.raises(ParameterError):
         list(fwd.present_alpha_tuples(g, k))
+    with pytest.raises(ParameterError):
+        list(fwd.consistent_alpha_tuples(g, k))
+
+
+def test_consistent_alpha_tuples_drops_only_clique_free_alphas_random():
+    """The slot-consistent alphas are present-mode alphas in the same order,
+    every dropped alpha's graph has no k-clique (so every alpha with one is
+    kept), and a budget present mode accepts is never exceeded."""
+    rng = random.Random(29)
+    seen = {"empty": 0, "single": 0, "negative": 0, "dropped": 0, "kept_clique": 0}
+    for trial in range(300):
+        lo = rng.randint(-6, 2)
+        g = _random_ew_graph(rng, lo, lo + rng.choice([0, 1, 4, 9]))
+        k = 2 + trial % 3
+        support = sorted({w for _, _, w in g.edge_weights})
+        seen["empty"] += not support
+        seen["single"] += len(support) == 1
+        seen["negative"] += bool(support) and support[0] < 0
+        heads = len(support) ** (comb(k, 2) - 1)
+        present = list(fwd.present_alpha_tuples(g, k, budget=heads))
+        counter = [0]
+        kept = list(fwd.consistent_alpha_tuples(g, k, budget=heads, counter=counter))
+        assert counter[0] <= heads
+        pos = 0
+        for alpha in present:
+            has_clique = solve_kclique_bruteforce(fwd.build_alpha_instance(g, k, alpha)).solvable
+            if pos < len(kept) and kept[pos] == alpha:
+                pos += 1
+                seen["kept_clique"] += has_clique
+            else:
+                assert not has_clique, (trial, alpha)
+                seen["dropped"] += 1
+        assert pos == len(kept), "kept alphas must be a subsequence of present mode"
+    assert min(seen.values()) > 0, seen
+
+
+def test_consistent_alpha_tuples_budget_counts_heads():
+    # a path 0-1-2 with two weights: 2 heads at the last free coordinate for k = 3
+    g = make_ew_graph(3, [(0, 1), (1, 2)], 3, [1, -1])
+    counter = [5]
+    assert list(fwd.consistent_alpha_tuples(g, 3, budget=2, counter=counter)) == []
+    assert counter == [7]
+    with pytest.raises(ResourceBudgetError):
+        list(fwd.consistent_alpha_tuples(g, 3, budget=1))
+    tri = make_ew_graph(3, complete_edges(3), 3, [1, -1, 0])
+    assert list(fwd.consistent_alpha_tuples(tri, 3)) == [(1, -1, 0)]
 
 
 def _rescan_alpha_instance(g, k, alpha):

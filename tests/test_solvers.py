@@ -22,7 +22,9 @@ from ksumclique import (
     solve_nw_kclique,
     solve_nw_triangle,
     solve_vectorsum_bruteforce,
+    verify_witness,
 )
+from ksumclique import reduce_sum_to_clique as fwd
 
 from util import (
     complete_edges,
@@ -436,3 +438,116 @@ def test_nw_pipeline_higher_dimension_agrees():
     two = solve_nw_triangle(g, d=2)
     assert one.solvable == two.solvable == True  # noqa: E712  (9+14+3)
     assert one.witness == two.witness
+
+
+def _frozen_nw_graph(i):
+    """Graphs 0-29 are triangles, 30-41 are k = 4 graphs on a narrow palette."""
+    rng = random.Random(f"frozen-nw:{i}")
+    k = 3 if i < 30 else 4
+    n = rng.randint(8, 18) if k == 3 else rng.randint(6, 10)
+    density = rng.uniform(0.3, 0.7) if k == 3 else rng.uniform(0.5, 0.9)
+    edges = tuple(e for e in combinations(range(n), 2) if rng.random() < density)
+    if k == 3:
+        weights = [rng.randint(-5, 30) for _ in range(n)]
+    else:
+        palette = [rng.randint(0, 8) for _ in range(3)]
+        weights = [rng.choice(palette) for _ in range(n)]
+    if i % 2 == 0 or k == 4:
+        target = sum(rng.sample(weights, k))
+    else:
+        target = rng.randint(-5, 30 * k)
+    return make_nw_graph(n, edges, k, weights, target=target)
+
+
+# Witnesses and alpha counts of the present-mode pipeline, which built every
+# alpha graph the graph's weights allow: (witness, alphas) at d = 1 then d = 2
+# for the triangles (both backends gave the same), (witness, alphas) for k = 4.
+FROZEN_NW = (
+    ((9, 11, 13), 40, (9, 11, 13), 20),
+    (None, 0, None, 18),
+    ((1, 9, 11), 69, (4, 6, 7), 106),
+    ((5, 7, 11), 2, (5, 7, 11), 47),
+    ((5, 6, 15), 31, (5, 6, 15), 149),
+    ((4, 9, 10), 20, (4, 9, 10), 45),
+    ((0, 3, 4), 7, (3, 4, 6), 55),
+    (None, 0, None, 24),
+    ((1, 13, 16), 9, (1, 13, 16), 114),
+    (None, 12, None, 93),
+    ((2, 3, 7), 7, (2, 3, 7), 62),
+    ((2, 3, 9), 21, (5, 6, 9), 50),
+    (None, 3, None, 18),
+    ((2, 5, 13), 18, (2, 11, 14), 76),
+    ((1, 8, 15), 1, (3, 11, 12), 119),
+    ((0, 6, 10), 4, (0, 6, 10), 9),
+    (None, 0, None, 48),
+    (None, 18, None, 69),
+    (None, 3, None, 6),
+    ((5, 6, 7), 19, (5, 6, 7), 23),
+    ((5, 9, 11), 3, (5, 9, 11), 501),
+    ((3, 7, 8), 13, (0, 8, 12), 13),
+    ((10, 11, 12), 33, (10, 11, 12), 213),
+    ((1, 3, 4), 1, (1, 3, 4), 55),
+    (None, 9, None, 138),
+    ((5, 11, 15), 19, (5, 11, 15), 288),
+    (None, 0, None, 36),
+    (None, 6, None, 276),
+    ((3, 5, 16), 30, (3, 5, 16), 166),
+    (None, 99, None, 189),
+    ((1, 3, 5, 8), 6),
+    ((1, 2, 6, 7), 30),
+    ((2, 4, 5, 6), 28),
+    ((0, 1, 2, 5), 6),
+    ((0, 2, 3, 5), 1),
+    ((0, 1, 3, 5), 1),
+    (None, 15),
+    ((1, 2, 4, 9), 8),
+    ((0, 7, 8, 9), 6),
+    ((0, 1, 2, 3), 38),
+    ((1, 3, 4, 5), 27),
+    (None, 180),
+)
+
+
+def test_nw_pipeline_frozen_witnesses():
+    """Pruning alphas whose graphs hold no clique keeps the first alpha that
+    holds one, so witnesses stay frozen and alpha counts never grow."""
+    for i, frozen in enumerate(FROZEN_NW):
+        g = _frozen_nw_graph(i)
+        if g.k == 3:
+            for d, (witness, alphas) in ((1, frozen[:2]), (2, frozen[2:])):
+                for backend in ("naive-mm", "degree-split"):
+                    rep = solve_nw_triangle(g, backend=backend, d=d)
+                    assert rep.witness == witness, (i, backend, d)
+                    assert rep.stats["alphas"] <= alphas, (i, backend, d)
+        else:
+            witness, alphas = frozen
+            rep = solve_nw_kclique(g)
+            assert rep.witness == witness, i
+            assert rep.stats["alphas"] <= alphas, i
+
+
+def _capacity_graph(seed, n, k, big_m, density):
+    rng = random.Random(f"capacity:{seed}")
+    edges = tuple(e for e in combinations(range(n), 2) if rng.random() < density)
+    weights = [rng.randint(0, big_m) for _ in range(n)]
+    target = rng.randint(0, k * big_m) if seed % 2 else sum(rng.sample(weights, k))
+    return make_nw_graph(n, edges, k, weights, target=target)
+
+
+@pytest.mark.parametrize(
+    "seed, n, k, big_m, density",
+    [(seed, 150, 3, 200, 0.3) for seed in range(4)]
+    + [(seed, 100, 3, 200, 0.1) for seed in (0, 2, 3)]
+    + [(seed, 12, 4, 20, 0.6) for seed in range(6)],
+)
+def test_nw_pipeline_beyond_the_present_mode_bound(seed, n, k, big_m, density):
+    g = _capacity_graph(seed, n, k, big_m, density)
+    # support^(C(k,2)-1) of the carry graph exceeds ALPHA_BUDGET: present mode
+    # refuses this input before trying any alpha
+    carry = fwd.nodeweight_to_edgeweight(g).items[0].instance
+    with pytest.raises(ResourceBudgetError):
+        next(fwd.present_alpha_tuples(carry, k))
+    rep = solve_nw_triangle(g) if k == 3 else solve_nw_kclique(g)
+    assert rep.solvable == solve_kclique_bruteforce(g).solvable
+    assert rep.witness is None or verify_witness(g, rep.witness)
+    assert 0 < rep.stats["alpha_nodes"] <= fwd.ALPHA_BUDGET
