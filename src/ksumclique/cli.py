@@ -29,7 +29,6 @@ from .instances import (
     ValidationError,
     VectorSumInstance,
     WeightedGraph,
-    instance_digest,
     parse_instance,
     parse_instance_dict,
     serialize_collection,
@@ -185,7 +184,7 @@ class ReductionSpec:
 def _single_item_collection(name: str, source: Any, inst: Any, params: dict[str, Any]) -> ReducedCollection:
     return ReducedCollection(
         reduction=name,
-        source_digest=instance_digest(source),
+        source=source,
         params=params,
         items=(ReducedItem(inst, {}),),
     )

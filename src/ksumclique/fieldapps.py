@@ -26,7 +26,6 @@ from .instances import (
     _as_int,
     _as_int_list,
     _as_list,
-    instance_digest,
     verify_witness,
 )
 from .modprime import is_prime
@@ -160,7 +159,7 @@ def targetsum_to_ksum(inst: TargetSumInstance) -> ReducedCollection:
         items.append(ReducedItem(out, {"offset": i, "target": str(inst.target + i * inst.q)}))
     return ReducedCollection(
         reduction="targetsum_to_ksum",
-        source_digest=instance_digest(inst),
+        source=inst,
         params={"q": str(inst.q)},
         items=tuple(items),
     )
@@ -209,7 +208,7 @@ def lindep_to_vectorsum(inst: LinDepInstance, budget: int = LINDEP_BUDGET) -> Re
         items.append(ReducedItem(out, {"overshoot": list(v)}))
     return ReducedCollection(
         reduction="lindep_to_vectorsum",
-        source_digest=instance_digest(inst),
+        source=inst,
         params={"q": str(q), "r": r, "expansion": "scalar-times-vector"},
         items=tuple(items),
     )

@@ -407,14 +407,34 @@ class ReducedItem:
     provenance: dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class ReducedCollection:
-    """Ordered output of a reduction plus the metadata needed to lift witnesses."""
+    """Ordered output of a reduction plus the metadata needed to lift witnesses.
+
+    Reductions pass their ``source`` instance, and ``source_digest``, its
+    instance_digest, is computed on first read (only serialize_collection
+    reads it); a parsed collection passes the digest text instead.
+    """
 
     reduction: str
-    source_digest: str
     params: dict[str, Any]
     items: tuple[ReducedItem, ...]
+
+    def __init__(self, reduction: str, source_digest: str | None = None, params: dict[str, Any] | None = None,
+                 items: tuple[ReducedItem, ...] = (), source: Instance | None = None) -> None:
+        if (source_digest is None) == (source is None):
+            raise ParameterError("a collection takes exactly one of source_digest and source")
+        self.__dict__.update(reduction=reduction, params={} if params is None else params, items=items, _source=source)
+        if source is None:
+            self.__dict__["source_digest"] = source_digest
+
+    @cached_property
+    def source_digest(self) -> str:
+        return instance_digest(self._source)
+
+    def __eq__(self, other: object) -> bool:
+        fields = ("reduction", "source_digest", "params", "items")
+        return isinstance(other, ReducedCollection) and all(getattr(self, f) == getattr(other, f) for f in fields)
 
     def instances(self) -> list[Instance]:
         return [it.instance for it in self.items]

@@ -21,7 +21,6 @@ from .instances import (
     ReducedCollection,
     ReducedItem,
     ResourceBudgetError,
-    instance_digest,
 )
 
 PRIME_DRAW_BUDGET = 1_000_000
@@ -133,7 +132,7 @@ def ksum_mod_reduce(inst: KSumInstance, confidence: int, seed: int) -> ReducedCo
     draw = PrimeReductionParams(confidence=confidence, prime=p, bound=bound, seed=seed)
     return ReducedCollection(
         reduction="ksum_mod_reduce",
-        source_digest=instance_digest(inst),
+        source=inst,
         params={
             "prime": str(draw.prime),
             "bound": str(draw.bound),

@@ -16,7 +16,8 @@ import bisect
 import math
 from dataclasses import dataclass
 from itertools import chain, product
-from typing import Any, Iterable, Iterator
+from operator import mul
+from typing import Any, Callable, Iterable, Iterator
 
 from .instances import (
     CliqueInstance,
@@ -29,7 +30,6 @@ from .instances import (
     ValidationError,
     VectorSumInstance,
     WeightedGraph,
-    instance_digest,
     verify_witness,
 )
 
@@ -170,7 +170,7 @@ def ksum_to_vectorsum(inst: KSumInstance, p: int, d: int) -> ReducedCollection:
     if not 0 <= inst.target <= inst.k * bound:
         return ReducedCollection(
             reduction="ksum_to_vectorsum",
-            source_digest=instance_digest(inst),
+            source=inst,
             params={"p": p, "d": d, "s": 0, "skipped": [], "range_pruned": True},
             items=(),
         )
@@ -192,7 +192,7 @@ def ksum_to_vectorsum(inst: KSumInstance, p: int, d: int) -> ReducedCollection:
         items.append(ReducedItem(out, {"gamma": list(ctx.gammas[i]), "target": list(ctx.targets[i])}))
     return ReducedCollection(
         reduction="ksum_to_vectorsum",
-        source_digest=instance_digest(inst),
+        source=inst,
         params={"p": p, "d": d, "s": ctx.s, "skipped": skipped},
         items=tuple(items),
     )
@@ -247,12 +247,13 @@ def nodeweight_to_edgeweight(
         # no k node weights can reach the target: empty emission, OR preserved
         return ReducedCollection(
             reduction="nodeweight_to_edgeweight",
-            source_digest=instance_digest(g),
+            source=g,
             params={"t": str(goal), "p": radix, "d": d, "s": 0, "skipped": [], "range_pruned": True},
             items=(),
         )
     ctx = carry_targets(goal, arity, radix, d)
     cap = edge_weight_cap(arity, d, radix)
+    cross = 2 * (arity - 1)
     per_carry: list[tuple[int, list[tuple[int, int, int]]]] = []
     achieved = 0
     skipped = []
@@ -260,35 +261,29 @@ def nodeweight_to_edgeweight(
         if not ctx.is_feasible(i):
             skipped.append({"gamma": list(ctx.gammas[i]), "target": list(ctx.targets[i])})
             continue
-        t_gamma = ctx.targets[i]
-        fvec = [map_f(w, t_gamma, arity, radix, d) for w in weights]
-        ew = []
-        for u, v in g.edges:
-            w_uv = squaring_edge_weight(fvec[u], fvec[v], arity)
-            if abs(w_uv) > cap:
-                raise ValidationError(f"edge weight {w_uv} exceeds the cap {cap}")
-            achieved = max(achieved, abs(w_uv))
-            ew.append((u, v, w_uv))
+        # squaring_edge_weight regrouped: |f_u|^2 + |f_v|^2 + 2(k-1)<f_u, f_v>
+        fvec = [map_f(w, ctx.targets[i], arity, radix, d) for w in weights]
+        sq = [sum(map(mul, f, f)) for f in fvec]
+        ew = [(u, v, sq[u] + sq[v] + cross * sum(map(mul, fvec[u], fvec[v]))) for u, v in g.edges]
+        peak = max((abs(w) for _, _, w in ew), default=0)
+        if peak > cap:
+            bad = next(w for _, _, w in ew if abs(w) > cap)
+            raise ValidationError(f"edge weight {bad} exceeds the cap {cap}")
+        achieved = max(achieved, peak)
         per_carry.append((i, ew))
-    items = []
-    for i, ew in per_carry:
-        out = WeightedGraph(
-            n=g.n,
-            edges=g.edges,
-            k=arity,
-            node_weights=None,
-            edge_weights=tuple(ew),
-            weight_bound=achieved,
-            target=0,
+    items = tuple(
+        ReducedItem(
+            WeightedGraph(n=g.n, edges=g.edges, k=arity, node_weights=None, edge_weights=tuple(ew),
+                          weight_bound=achieved, target=0),
+            {"gamma": list(ctx.gammas[i]), "target": list(ctx.targets[i])},
         )
-        items.append(
-            ReducedItem(out, {"gamma": list(ctx.gammas[i]), "target": list(ctx.targets[i])})
-        )
+        for i, ew in per_carry
+    )
     return ReducedCollection(
         reduction="nodeweight_to_edgeweight",
-        source_digest=instance_digest(g),
+        source=g,
         params={"t": str(goal), "p": radix, "d": d, "s": ctx.s, "weight_cap": str(cap), "skipped": skipped},
-        items=tuple(items),
+        items=items,
     )
 
 
@@ -435,27 +430,50 @@ def consistent_alpha_tuples(
     yield from extend(0, (), 0, [(1 << g.n) - 1] * k)
 
 
-def build_alpha_instance(g: WeightedGraph, k: int, alpha: tuple[int, ...]) -> CliqueInstance:
-    """The k-partite graph for one alpha: slot-major vertex ids i*n+v for slot
-    i+1, and an edge from (u, slot i) to (v, slot j) for each source edge
-    u < v whose weight matches alpha at pair (i, j).
+def _alpha_union(k: int, n: int, pieces: Iterable[tuple[WeightedGraph, tuple[int, ...]]]) -> CliqueInstance:
+    """Disjoint union of the k-partite graphs of (n-vertex graph, alpha)
+    pieces: id c*k*n + i*n + v is source vertex v in slot i+1 of piece c, and
+    an edge runs from (u, slot i) to (v, slot j) for each source edge u < v
+    whose weight is the piece's alpha entry at pair (i, j).
 
-    Each slot pair reads only the bucket of source edges whose weight is its
-    alpha entry (``WeightedGraph.edges_by_weight``, built once per graph), so
-    one call costs O(k*n + edges out), not O(m * C(k,2)).
+    A slot pair reads only its weight's bucket (``edges_by_weight``, built
+    once per graph), so a piece costs O(k*n + edges out). Pieces are sorted
+    one by one in ascending id ranges, so the one CliqueInstance check meets
+    every edge once, in order, with no set or final sort.
     """
     pairs = slot_pairs(k)
-    if len(alpha) != len(pairs):
-        raise ValidationError(f"alpha needs {len(pairs)} entries, got {len(alpha)}")
-    buckets = g.edges_by_weight
-    n = g.n
     edges: list[tuple[int, int]] = []
-    for (i, j), w in zip(pairs, alpha):
-        du, dv = (i - 1) * n, (j - 1) * n
-        edges.extend((du + u, dv + v) for u, v in buckets.get(w, ()))
-    edges.sort()  # sorted input lets normalize_edges skip its set and sort
-    partition = tuple(chain.from_iterable((i,) * n for i in range(1, k + 1)))
-    return CliqueInstance(n=k * n, edges=tuple(edges), k=k, partition=partition)
+    count = 0
+    for g, alpha in pieces:
+        if len(alpha) != len(pairs):
+            raise ValidationError(f"alpha needs {len(pairs)} entries, got {len(alpha)}")
+        buckets = g.edges_by_weight
+        base = count * k * n
+        piece: list[tuple[int, int]] = []
+        for (i, j), w in zip(pairs, alpha):
+            du, dv = base + (i - 1) * n, base + (j - 1) * n
+            piece.extend((du + u, dv + v) for u, v in buckets.get(w, ()))
+        piece.sort()
+        edges += piece
+        count += 1
+    slots = tuple(chain.from_iterable((i,) * n for i in range(1, k + 1)))
+    return CliqueInstance(n=count * k * n, edges=tuple(edges), k=k, partition=slots * count if count else None)
+
+
+def build_alpha_instance(g: WeightedGraph, k: int, alpha: tuple[int, ...]) -> CliqueInstance:
+    """The k-partite graph for one alpha on k*n vertices: vertex i*n+v is
+    source vertex v in slot i+1 (see _alpha_union)."""
+    return _alpha_union(k, g.n, [(g, alpha)])
+
+
+def _alpha_enumerator(alpha_mode: str) -> Callable[[WeightedGraph, int, int], Iterator[tuple[int, ...]]]:
+    """The alphas of one mode as a function of (graph, k, budget): full over
+    the declared weight bound, present over the weights the graph has."""
+    if alpha_mode == "full":
+        return lambda g, k, budget: alpha_tuples_full(g.weight_bound, k, budget=budget)
+    if alpha_mode == "present":
+        return lambda g, k, budget: present_alpha_tuples(g, k, budget=budget)
+    raise ParameterError(f"unknown alpha mode {alpha_mode!r}")
 
 
 def edgeweight_to_unweighted(
@@ -478,23 +496,16 @@ def edgeweight_to_unweighted(
         raise ParameterError(f"arity {arity} differs from the graph's k={g.k}")
     if arity < 2:
         raise ParameterError("alpha enumeration needs k >= 2")
-    if alpha_mode == "full":
-        alphas = alpha_tuples_full(g.weight_bound, arity, budget=budget)
-    elif alpha_mode == "present":
-        alphas = present_alpha_tuples(g, arity, budget=budget)
-    else:
-        raise ParameterError(f"unknown alpha mode {alpha_mode!r}")
     pairs = slot_pairs(arity)
-    items = []
-    for alpha in alphas:
-        inst = build_alpha_instance(g, arity, alpha)
-        prov = {"alpha": [[i, j, alpha[idx]] for idx, (i, j) in enumerate(pairs)]}
-        items.append(ReducedItem(inst, prov))
+    items = tuple(
+        ReducedItem(build_alpha_instance(g, arity, alpha), {"alpha": [[i, j, w] for (i, j), w in zip(pairs, alpha)]})
+        for alpha in _alpha_enumerator(alpha_mode)(g, arity, budget)
+    )
     return ReducedCollection(
         reduction="edgeweight_to_unweighted",
-        source_digest=instance_digest(g),
+        source=g,
         params={"alpha_mode": alpha_mode, "weight_bound": str(g.weight_bound), "k": arity},
-        items=tuple(items),
+        items=items,
     )
 
 
@@ -506,43 +517,23 @@ def strip_slot_witness(n_source: int, witness: Iterable[int]) -> tuple[int, ...]
     return tuple(lifted)
 
 
-def merge_offsets(coll: ReducedCollection) -> tuple[int, ...]:
-    """Vertex-id offset of each item inside the disjoint union."""
-    offsets = []
-    total = 0
-    for item in coll.items:
-        offsets.append(total)
-        total += item.instance.n
-    return tuple(offsets)
-
-
 def merge_clique_instances(coll: ReducedCollection) -> CliqueInstance:
-    """Disjoint union of unweighted instances; a k-clique cannot straddle
-    components, so the union is solvable iff some item is."""
+    """Disjoint union of unweighted instances, item after item; a k-clique
+    cannot straddle components, so the union is solvable iff some item is."""
     insts = coll.instances()
     if not insts:
         return CliqueInstance(n=0, edges=(), k=2, partition=None)
     arities = {inst.k for inst in insts}
     if len(arities) != 1:
         raise ParameterError(f"cannot merge mixed arities {sorted(arities)}")
-    k = arities.pop()
-    offsets = merge_offsets(coll)
-    edges = []
-    partition: list[int] | None = []
-    for off, inst in zip(offsets, insts):
-        for u, v in inst.edges:
-            edges.append((u + off, v + off))
-        if partition is not None and inst.partition is not None:
-            partition.extend(inst.partition)
-        else:
-            partition = None
-    n = offsets[-1] + insts[-1].n
-    return CliqueInstance(
-        n=n,
-        edges=tuple(edges),
-        k=k,
-        partition=tuple(partition) if partition is not None else None,
-    )
+    edges: list[tuple[int, int]] = []
+    off = 0
+    for inst in insts:
+        edges.extend((u + off, v + off) for u, v in inst.edges)
+        off += inst.n
+    parts = [inst.partition for inst in insts]
+    partition = None if None in parts else tuple(chain.from_iterable(parts))
+    return CliqueInstance(n=off, edges=tuple(edges), k=arities.pop(), partition=partition)
 
 
 def locate_in_merge(offsets: tuple[int, ...], sizes: tuple[int, ...], witness: Iterable[int]) -> tuple[int, tuple[int, ...]]:
@@ -611,9 +602,13 @@ def smallksum_to_kclique(inst: KSumInstance, f_exp: int, alpha_mode: str = "pres
     node weights on a complete graph, reduce to per-carry edge weightings,
     strip weights per alpha and merge everything into one unweighted instance.
 
-    A target outside [0, k*max(numbers)] short-circuits to an empty (hence
-    unsolvable) merged instance.
+    The merge is one pass: each feasible carry graph's alphas, in order, go
+    straight into _alpha_union as pieces of k*n vertices, and only the merged
+    instance is built and validated. A target outside [0, k*max(numbers)]
+    short-circuits to an empty (hence unsolvable) merged instance. An
+    unknown alpha mode raises ParameterError on every input.
     """
+    alphas_of = _alpha_enumerator(alpha_mode)
     n, k = inst.n, inst.k
     if k < 2:
         raise ParameterError("pipeline requires arity k >= 2")
@@ -629,32 +624,13 @@ def smallksum_to_kclique(inst: KSumInstance, f_exp: int, alpha_mode: str = "pres
         params = {"p": p, "d": d, "f_exp": f_exp, "alpha_mode": alpha_mode, "g_nk": 0, "range_pruned": True}
         empty = CliqueInstance(n=0, edges=(), k=k)
         return PipelineResult(instance=empty, source=inst, params=params, offsets=(), sizes=())
-    nw = ksum_as_nodeweight_clique(inst)
-    ew_coll = nodeweight_to_edgeweight(nw, t=inst.target, p=p, d=d)
-    pieces = []
-    for carry_item in ew_coll.items:
-        alpha_coll = edgeweight_to_unweighted(carry_item.instance, alpha_mode=alpha_mode)
-        for alpha_item in alpha_coll.items:
-            prov = dict(carry_item.provenance)
-            prov.update(alpha_item.provenance)
-            pieces.append(ReducedItem(alpha_item.instance, prov))
-    flat = ReducedCollection(
-        reduction="smallksum_to_kclique",
-        source_digest=instance_digest(inst),
-        params={"p": p, "d": d, "f_exp": f_exp, "alpha_mode": alpha_mode},
-        items=tuple(pieces),
-    )
-    merged = merge_clique_instances(flat) if pieces else CliqueInstance(n=0, edges=(), k=k)
-    sizes = tuple(item.instance.n for item in pieces)
-    params = {
-        "p": p,
-        "d": d,
-        "s": ew_coll.params["s"],
-        "f_exp": f_exp,
-        "alpha_mode": alpha_mode,
-        "g_nk": len(pieces),
-    }
-    return PipelineResult(instance=merged, source=inst, params=params, offsets=merge_offsets(flat), sizes=sizes)
+    ew_coll = nodeweight_to_edgeweight(ksum_as_nodeweight_clique(inst), t=inst.target, p=p, d=d)
+    carries = [item.instance for item in ew_coll.items]
+    merged = _alpha_union(k, n, ((g, alpha) for g in carries for alpha in alphas_of(g, k, ALPHA_BUDGET)))
+    g_nk = merged.n // (k * n)
+    params = {"p": p, "d": d, "s": ew_coll.params["s"], "f_exp": f_exp, "alpha_mode": alpha_mode, "g_nk": g_nk}
+    offsets = tuple(range(0, merged.n, k * n))
+    return PipelineResult(instance=merged, source=inst, params=params, offsets=offsets, sizes=(k * n,) * g_nk)
 
 
 def lift_clique_witness(

@@ -239,6 +239,39 @@ def test_edge_weight_cap_formula_and_bound():
         assert abs(fwd.squaring_edge_weight(u, v, k)) <= cap
 
 
+def test_nodeweight_to_edgeweight_matches_per_edge_squaring_random():
+    rng = random.Random(31)
+    shapes = {"edgeless": 0, "empty": 0, "pruned": 0}
+    for trial in range(400):
+        k = rng.randint(2, 4)
+        d = rng.randint(1, 3)
+        n = 0 if trial % 25 == 0 else rng.randint(1, 7)
+        edges = [e for e in combinations(range(n), 2) if rng.random() < (0 if trial % 5 == 0 else 0.5)]
+        weights = [rng.randint(0, 30) for _ in range(n)]
+        t = rng.randint(0, k * max(weights, default=0) + 2)
+        if trial < 2:  # no vertices, d >= 2 and k = 2, with carries to emit
+            n, k, d, edges, weights, t = 0, 2, 2 + trial, [], [], 0
+        g = make_nw_graph(n, edges, k, weights, target=t)
+        coll = fwd.nodeweight_to_edgeweight(g, d=d)
+        shapes["edgeless"] += not edges
+        shapes["empty"] += n == 0
+        if coll.params.get("range_pruned"):
+            shapes["pruned"] += 1
+            assert coll.items == ()
+            continue
+        p = coll.params["p"]
+        ctx = fwd.carry_targets(t, k, p, d)
+        want = []
+        for i in range(ctx.s):
+            if ctx.is_feasible(i):
+                f = [fwd.map_f(w, ctx.targets[i], k, p, d) for w in weights]
+                want.append(tuple((u, v, fwd.squaring_edge_weight(f[u], f[v], k)) for u, v in g.edges))
+        assert [item.instance.edge_weights for item in coll.items] == want
+        bound = max((abs(w) for ew in want for _, _, w in ew), default=0)
+        assert all(item.instance.weight_bound == bound for item in coll.items)
+    assert all(shapes.values()), shapes
+
+
 def test_nodeweight_to_edgeweight_uniform_bound_and_params():
     g = make_nw_graph(2, [(0, 1)], 2, [1, 3], target=4)
     coll = fwd.nodeweight_to_edgeweight(g, p=3, d=2)
@@ -493,9 +526,7 @@ def test_merge_locates_the_solvable_component():
     merged = fwd.merge_clique_instances(coll)
     w = oracle_kclique(merged.n, merged.edges, 3)
     assert w == (3, 4, 5)
-    offsets = fwd.merge_offsets(coll)
-    sizes = tuple(it.instance.n for it in coll.items)
-    idx, local = fwd.locate_in_merge(offsets, sizes, w)
+    idx, local = fwd.locate_in_merge((0, 3), (3, 3), w)
     assert idx == 1 and local == (0, 1, 2)
 
 
@@ -599,6 +630,88 @@ def test_pipeline_or_equivalence_random():
             w = solve_kclique_bruteforce(res.instance).witness
             lifted = fwd.lift_pipeline_witness(res, w)
             assert sum(nums[i] for i in lifted) == t
+
+
+def _reference_pipeline(inst, f_exp, alpha_mode):
+    """smallksum_to_kclique as a composition of public stages: one
+    edgeweight_to_unweighted collection per carry graph, then
+    merge_clique_instances over every alpha graph in order. Returns
+    (instance, params, offsets, sizes)."""
+    from ksumclique import ReducedCollection
+
+    n, k = inst.n, inst.k
+    if k < 2:
+        raise ParameterError("pipeline requires arity k >= 2")
+    bound = max(inst.numbers, default=0)
+    if bound > max(n, 1) ** f_exp:
+        raise ParameterError("numbers exceed n^f")
+    d = fwd.pipeline_dimension(n)
+    p = fwd.pipeline_radix(n, k, bound, f_exp, d)
+    if not 0 <= inst.target <= k * bound or k > n:
+        params = {"p": p, "d": d, "f_exp": f_exp, "alpha_mode": alpha_mode, "g_nk": 0, "range_pruned": True}
+        return CliqueInstance(n=0, edges=(), k=k), params, (), ()
+    ew = fwd.nodeweight_to_edgeweight(fwd.ksum_as_nodeweight_clique(inst), t=inst.target, p=p, d=d)
+    items = tuple(
+        item
+        for carry in ew.items
+        for item in fwd.edgeweight_to_unweighted(carry.instance, alpha_mode=alpha_mode, budget=fwd.ALPHA_BUDGET).items
+    )
+    merged = fwd.merge_clique_instances(ReducedCollection("ref", "-", {}, items))
+    sizes = tuple(item.instance.n for item in items)
+    offsets = tuple(sum(sizes[:i]) for i in range(len(sizes)))
+    params = {"p": p, "d": d, "s": ew.params["s"], "f_exp": f_exp, "alpha_mode": alpha_mode, "g_nk": len(items)}
+    return (merged if items else CliqueInstance(n=0, edges=(), k=k)), params, offsets, sizes
+
+
+def test_pipeline_matches_stage_composition_random(monkeypatch):
+    from ksumclique import serialize_instance
+
+    # a smaller alpha budget (both sides read ALPHA_BUDGET per call) keeps
+    # each trial fast and makes budget errors common
+    monkeypatch.setattr(fwd, "ALPHA_BUDGET", 3000)
+    rng = random.Random(81)
+    outcomes = {"range_pruned": 0, "budget": 0, "parameter": 0, "solvable": 0, "unsolvable": 0}
+    for trial in range(1000):
+        k = rng.choice((1, 2, 2, 3, 3, 3, 4, 4, 4))
+        f_exp = rng.randint(1, 2)
+        mode = rng.choice(("full", "present"))
+        n = rng.randint(max(k - 1, 0), 6)
+        cap = max(n, 1) ** f_exp
+        nums = [rng.randint(0, cap + (trial % 17 == 0)) for _ in range(n)]
+        if nums and rng.random() < 0.5:
+            t = sum(rng.sample(nums, min(k, n)))
+        else:
+            t = rng.randint(0, k * max(nums, default=0) + 3)
+        inst = make_ksum(nums, k, t)
+        try:
+            want = _reference_pipeline(inst, f_exp, mode)
+        except (ParameterError, ResourceBudgetError) as exc:
+            outcomes["budget" if isinstance(exc, ResourceBudgetError) else "parameter"] += 1
+            with pytest.raises(type(exc)):
+                fwd.smallksum_to_kclique(inst, f_exp, alpha_mode=mode)
+            continue
+        res = fwd.smallksum_to_kclique(inst, f_exp, alpha_mode=mode)
+        assert serialize_instance(res.instance) == serialize_instance(want[0])
+        assert (res.instance, res.params, res.offsets, res.sizes) == want
+        if res.params.get("range_pruned"):
+            outcomes["range_pruned"] += 1
+            continue
+        try:
+            report = solve_kclique_bruteforce(res.instance)
+        except ResourceBudgetError:
+            continue  # a k = 4 union beyond the clique search's budget
+        outcomes["solvable" if report.solvable else "unsolvable"] += 1
+        if report.solvable:
+            ref = fwd.PipelineResult(instance=want[0], source=inst, params=want[1], offsets=want[2], sizes=want[3])
+            assert fwd.lift_pipeline_witness(res, report.witness) == fwd.lift_pipeline_witness(ref, report.witness)
+    assert all(outcomes.values()), outcomes
+
+
+@pytest.mark.parametrize("nums,t", [([1, 1, 1, 1], 9), ([1, 3, 2, 2], 4), ([0, 0], 0)])
+def test_pipeline_rejects_unknown_alpha_mode_on_every_input(nums, t):
+    # the first input is range-pruned: the mode is checked before that short cut
+    with pytest.raises(ParameterError, match="unknown alpha mode"):
+        fwd.smallksum_to_kclique(make_ksum(nums, 2, t), 2, alpha_mode="bogus")
 
 
 def test_lift_rejects_nonsense_witness():

@@ -267,3 +267,23 @@ def test_collection_round_trip():
     again = parse_collection(serialize_collection(coll))
     assert again == coll
     assert serialize_collection(again) == serialize_collection(coll)
+
+
+def test_collection_digests_its_source_only_when_serialized(monkeypatch):
+    from ksumclique import ParameterError, instances
+    from ksumclique import reduce_sum_to_clique as fwd
+
+    src = make_ksum([1, 3, 2, 2], 2, 4)
+    given = ReducedCollection("ksum_to_vectorsum", instance_digest(src), {}, ())
+    hashed = []
+    monkeypatch.setattr(instances, "instance_digest", lambda inst: hashed.append(inst) or instance_digest(inst))
+    coll = fwd.ksum_to_vectorsum(src, 3, 2)
+    assert hashed == []
+    blob = serialize_collection(coll)
+    serialize_collection(coll)
+    assert hashed == [src]  # computed once, on first read
+    assert parse_collection(blob) == coll
+    assert json.loads(blob.split(b"\n")[0])["meta"]["source_digest"] == given.source_digest
+    for bad in ({}, {"source_digest": "x", "source": src}):
+        with pytest.raises(ParameterError):
+            ReducedCollection(reduction="demo", params={}, items=(), **bad)
