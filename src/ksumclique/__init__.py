@@ -15,7 +15,6 @@ from .instances import (
     VectorSumInstance,
     WeightedGraph,
     instance_digest,
-    normalize_zero_target,
     parse_collection,
     parse_instance,
     serialize_collection,
@@ -40,7 +39,6 @@ from .reduce_sum_to_clique import (
     carry_targets,
     edgeweight_to_unweighted,
     ksum_to_vectorsum,
-    lift_clique_witness,
     lift_pipeline_witness,
     map_f,
     merge_clique_instances,

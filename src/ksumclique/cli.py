@@ -27,8 +27,11 @@ from .instances import (
     ReducedItem,
     ResourceBudgetError,
     ValidationError,
-    VectorSumInstance,
     WeightedGraph,
+    _as_int,
+    _as_list,
+    _as_pair,
+    parse_collection,
     parse_instance,
     parse_instance_dict,
     serialize_collection,
@@ -163,174 +166,76 @@ def gen_random_graph(
 # reduction registry
 # ---------------------------------------------------------------------------
 
-LiftFn = Callable[[int, tuple[int, ...]], tuple[int, ...]]
-
-
-@dataclass
-class AppliedStep:
-    collection: ReducedCollection
-    lift: LiftFn | None  # None: witnesses cannot be lifted (one-sided step)
-
-
 @dataclass(frozen=True)
 class ReductionSpec:
     name: str
     source: str  # ksum | vectorsum | clique | graph-node | graph-edge | targetsum | lindep
     target: str
     equivalence: str  # "iff" or "completeness"
-    apply: Callable[[Any, dict[str, Any]], AppliedStep]
+    reduce: Callable[[Any, dict[str, Any]], ReducedCollection]
 
 
-def _single_item_collection(name: str, source: Any, inst: Any, params: dict[str, Any]) -> ReducedCollection:
-    return ReducedCollection(
-        reduction=name,
-        source=source,
-        params=params,
-        items=(ReducedItem(inst, {}),),
-    )
+def _single_item_collection(name: str, source: Any, inst: Any, params: dict[str, Any],
+                            decode: Callable[[int, tuple[int, ...]], tuple[int, ...]] | None = None) -> ReducedCollection:
+    return ReducedCollection(name, params=params, items=(ReducedItem(inst, {}),), source=source, decode=decode)
 
 
-def _apply_ksum_to_vectorsum(inst: KSumInstance, params: dict[str, Any]) -> AppliedStep:
+def _reduce_ksum_to_vectorsum(inst: KSumInstance, params: dict[str, Any]) -> ReducedCollection:
     d = int(params.get("d", 1))
     p = params.get("p")
     p = fwd.choose_radix(inst.k, max(inst.bounds[1], 0), d) if p is None else int(p)
-    coll = fwd.ksum_to_vectorsum(inst, p, d)
-
-    def lift(item_idx: int, witness: tuple[int, ...]) -> tuple[int, ...]:
-        return fwd.lift_clique_witness(inst, coll, item_idx, witness)
-
-    return AppliedStep(coll, lift)
+    return fwd.ksum_to_vectorsum(inst, p, d)
 
 
-def _apply_nodeweight_to_edgeweight(inst: WeightedGraph, params: dict[str, Any]) -> AppliedStep:
+def _reduce_nodeweight_to_edgeweight(inst: WeightedGraph, params: dict[str, Any]) -> ReducedCollection:
     p = params.get("p")
     d = int(params.get("d", 1))
-    coll = fwd.nodeweight_to_edgeweight(inst, t=inst.target, p=None if p is None else int(p), d=d)
-
-    def lift(item_idx: int, witness: tuple[int, ...]) -> tuple[int, ...]:
-        return fwd.lift_clique_witness(inst, coll, item_idx, witness)
-
-    return AppliedStep(coll, lift)
+    return fwd.nodeweight_to_edgeweight(inst, t=inst.target, p=None if p is None else int(p), d=d)
 
 
-def _apply_edgeweight_to_unweighted(inst: WeightedGraph, params: dict[str, Any]) -> AppliedStep:
-    mode = params.get("alpha_mode", "full")
-    coll = fwd.edgeweight_to_unweighted(inst, alpha_mode=mode)
-
-    def lift(item_idx: int, witness: tuple[int, ...]) -> tuple[int, ...]:
-        return fwd.lift_clique_witness(inst, coll, item_idx, witness)
-
-    return AppliedStep(coll, lift)
-
-
-def _apply_smallksum_to_kclique(inst: KSumInstance, params: dict[str, Any]) -> AppliedStep:
+def _reduce_smallksum_to_kclique(inst: KSumInstance, params: dict[str, Any]) -> ReducedCollection:
     f_exp = int(params.get("f_exp", 2))
-    mode = params.get("alpha_mode", "present")
-    result = fwd.smallksum_to_kclique(inst, f_exp, alpha_mode=mode)
-    coll = _single_item_collection("smallksum_to_kclique", inst, result.instance, dict(result.params))
-
-    def lift(item_idx: int, witness: tuple[int, ...]) -> tuple[int, ...]:
-        return fwd.lift_pipeline_witness(result, witness)
-
-    return AppliedStep(coll, lift)
+    result = fwd.smallksum_to_kclique(inst, f_exp, alpha_mode=params.get("alpha_mode", "present"))
+    return _single_item_collection("smallksum_to_kclique", inst, result.instance, dict(result.params),
+                                   decode=lambda _, w: fwd.lift_pipeline_witness(result, w))
 
 
-def _apply_clique_to_vectorsum(inst: CliqueInstance, params: dict[str, Any]) -> AppliedStep:
-    out = bwd.clique_to_vectorsum(inst)
-    coll = _single_item_collection("clique_to_vectorsum", inst, out, {})
-
-    def lift(item_idx: int, witness: tuple[int, ...]) -> tuple[int, ...]:
-        return bwd.lift_vectorsum_witness_to_clique(inst, witness)
-
-    return AppliedStep(coll, lift)
+def _reduce_clique_to_vectorsum(inst: CliqueInstance, params: dict[str, Any]) -> ReducedCollection:
+    return _single_item_collection("clique_to_vectorsum", inst, bwd.clique_to_vectorsum(inst), {},
+                                   decode=lambda _, w: bwd.lift_vectorsum_witness_to_clique(inst, w))
 
 
-def _apply_vectorsum_to_ksum(inst: VectorSumInstance, params: dict[str, Any]) -> AppliedStep:
-    out = bwd.vectorsum_to_ksum(inst)
-    coll = _single_item_collection("vectorsum_to_ksum", inst, out, {})
-
-    def lift(item_idx: int, witness: tuple[int, ...]) -> tuple[int, ...]:
-        if not verify_witness(out, witness):
-            raise MalformedWitnessError("witness does not verify in the packed instance")
-        if not verify_witness(inst, witness):
-            raise MalformedWitnessError("packed witness does not lift")
-        return tuple(sorted(witness))
-
-    return AppliedStep(coll, lift)
-
-
-def _apply_kclique_to_ksum(inst: CliqueInstance, params: dict[str, Any]) -> AppliedStep:
+def _reduce_kclique_to_ksum(inst: CliqueInstance, params: dict[str, Any]) -> ReducedCollection:
     mode = params.get("radix_mode", "uniform")
-    out = bwd.kclique_to_ksum(inst, radix_mode=mode)
-    coll = _single_item_collection("kclique_to_ksum", inst, out, {"radix_mode": mode})
-
-    def lift(item_idx: int, witness: tuple[int, ...]) -> tuple[int, ...]:
-        return bwd.lift_ksum_witness_to_clique(inst, witness, radix_mode=mode)
-
-    return AppliedStep(coll, lift)
+    return _single_item_collection("kclique_to_ksum", inst, bwd.kclique_to_ksum(inst, radix_mode=mode),
+                                   {"radix_mode": mode},
+                                   decode=lambda _, w: bwd.lift_ksum_witness_to_clique(inst, w, radix_mode=mode))
 
 
-def _apply_ksum_mod_reduce(inst: KSumInstance, params: dict[str, Any]) -> AppliedStep:
-    confidence = int(params.get("confidence", 100))
-    seed = int(params.get("seed", 0))
-    coll = modprime.ksum_mod_reduce(inst, confidence, seed)
-    return AppliedStep(coll, None)
-
-
-def _apply_targetsum_to_ksum(inst: fieldapps.TargetSumInstance, params: dict[str, Any]) -> AppliedStep:
-    coll = fieldapps.targetsum_to_ksum(inst)
-
-    def lift(item_idx: int, witness: tuple[int, ...]) -> tuple[int, ...]:
-        item = coll.items[item_idx].instance
-        if not verify_witness(item, witness):
-            raise MalformedWitnessError("witness does not verify in the lifted instance")
-        if not verify_witness(inst, witness):
-            raise MalformedWitnessError("witness misses the target mod q")
-        return tuple(sorted(witness))
-
-    return AppliedStep(coll, lift)
-
-
-def _apply_ksum_to_targetsum(inst: KSumInstance, params: dict[str, Any]) -> AppliedStep:
+def _reduce_ksum_to_targetsum(inst: KSumInstance, params: dict[str, Any]) -> ReducedCollection:
     out = fieldapps.ksum_to_targetsum(inst)
-    coll = _single_item_collection("ksum_to_targetsum", inst, out, {"q": str(out.q)})
-
-    def lift(item_idx: int, witness: tuple[int, ...]) -> tuple[int, ...]:
-        if not verify_witness(inst, witness):
-            raise MalformedWitnessError("witness does not lift to the integer instance")
-        return tuple(sorted(witness))
-
-    return AppliedStep(coll, lift)
-
-
-def _apply_lindep_to_vectorsum(inst: fieldapps.LinDepInstance, params: dict[str, Any]) -> AppliedStep:
-    coll = fieldapps.lindep_to_vectorsum(inst)
-
-    def lift(item_idx: int, witness: tuple[int, ...]) -> tuple[int, ...]:
-        used = {i for _, i in fieldapps.lift_lindep_witness(inst, coll, item_idx, witness)}
-        # one source vector may appear under two scalars; the span only grows
-        # with more vectors, so the lowest unused indices pad the set to k
-        # (lindep_to_vectorsum requires r >= k)
-        pad = [i for i in range(inst.r) if i not in used][: inst.k - len(used)]
-        return tuple(sorted(used.union(pad)))
-
-    return AppliedStep(coll, lift)
+    return _single_item_collection("ksum_to_targetsum", inst, out, {"q": str(out.q)})
 
 
 REDUCTIONS: dict[str, ReductionSpec] = {
     spec.name: spec
     for spec in (
-        ReductionSpec("ksum_to_vectorsum", "ksum", "vectorsum", "iff", _apply_ksum_to_vectorsum),
-        ReductionSpec("nodeweight_to_edgeweight", "graph-node", "graph-edge", "iff", _apply_nodeweight_to_edgeweight),
-        ReductionSpec("edgeweight_to_unweighted", "graph-edge", "clique", "iff", _apply_edgeweight_to_unweighted),
-        ReductionSpec("smallksum_to_kclique", "ksum", "clique", "iff", _apply_smallksum_to_kclique),
-        ReductionSpec("clique_to_vectorsum", "clique", "vectorsum", "iff", _apply_clique_to_vectorsum),
-        ReductionSpec("vectorsum_to_ksum", "vectorsum", "ksum", "iff", _apply_vectorsum_to_ksum),
-        ReductionSpec("kclique_to_ksum", "clique", "ksum", "iff", _apply_kclique_to_ksum),
-        ReductionSpec("ksum_mod_reduce", "ksum", "ksum", "completeness", _apply_ksum_mod_reduce),
-        ReductionSpec("targetsum_to_ksum", "targetsum", "ksum", "iff", _apply_targetsum_to_ksum),
-        ReductionSpec("ksum_to_targetsum", "ksum", "targetsum", "iff", _apply_ksum_to_targetsum),
-        ReductionSpec("lindep_to_vectorsum", "lindep", "vectorsum", "iff", _apply_lindep_to_vectorsum),
+        ReductionSpec("ksum_to_vectorsum", "ksum", "vectorsum", "iff", _reduce_ksum_to_vectorsum),
+        ReductionSpec("nodeweight_to_edgeweight", "graph-node", "graph-edge", "iff", _reduce_nodeweight_to_edgeweight),
+        ReductionSpec("edgeweight_to_unweighted", "graph-edge", "clique", "iff", lambda inst, params:
+                      fwd.edgeweight_to_unweighted(inst, alpha_mode=params.get("alpha_mode", "full"))),
+        ReductionSpec("smallksum_to_kclique", "ksum", "clique", "iff", _reduce_smallksum_to_kclique),
+        ReductionSpec("clique_to_vectorsum", "clique", "vectorsum", "iff", _reduce_clique_to_vectorsum),
+        ReductionSpec("vectorsum_to_ksum", "vectorsum", "ksum", "iff", lambda inst, params:
+                      _single_item_collection("vectorsum_to_ksum", inst, bwd.vectorsum_to_ksum(inst), {})),
+        ReductionSpec("kclique_to_ksum", "clique", "ksum", "iff", _reduce_kclique_to_ksum),
+        ReductionSpec("ksum_mod_reduce", "ksum", "ksum", "completeness", lambda inst, params:
+                      modprime.ksum_mod_reduce(inst, int(params.get("confidence", 100)), int(params.get("seed", 0)))),
+        ReductionSpec("targetsum_to_ksum", "targetsum", "ksum", "iff", lambda inst, params:
+                      fieldapps.targetsum_to_ksum(inst)),
+        ReductionSpec("ksum_to_targetsum", "ksum", "targetsum", "iff", _reduce_ksum_to_targetsum),
+        ReductionSpec("lindep_to_vectorsum", "lindep", "vectorsum", "iff", lambda inst, params:
+                      fieldapps.lindep_to_vectorsum(inst)),
     )
 }
 
@@ -394,25 +299,36 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
+        for what, (lo, hi) in (("n_range", self.n_range), ("k_range", self.k_range), ("m_range", self.m_range)):
+            if lo > hi:
+                raise ParameterError(f"{what} low {lo} exceeds high {hi}")
         for name in self.chain:
-            if name not in REDUCTIONS:
+            if not isinstance(name, str) or name not in REDUCTIONS:
                 raise ParameterError(f"unknown reduction {name!r} in chain")
-        if self.oracle not in SOLVERS:
+        if not isinstance(self.oracle, str) or self.oracle not in SOLVERS:
             raise ParameterError(f"unknown oracle {self.oracle!r}")
+        if not isinstance(self.params, dict):
+            raise ParameterError("params must be a JSON object")
+        if self.source_instance is not None and not isinstance(self.source_instance, dict):
+            raise ParameterError("source_instance must be a JSON object")
+        if self.report is not None and not isinstance(self.report, str):
+            raise ParameterError("report must be a file name")
 
     @classmethod
-    def from_json(cls, obj: dict[str, Any]) -> "ExperimentConfig":
+    def from_json(cls, obj: Any) -> "ExperimentConfig":
+        if not isinstance(obj, dict):
+            raise ParameterError(f"a config must be a JSON object, got {type(obj).__name__}")
         return cls(
-            trials=int(obj.get("trials", 1)),
-            seed=int(obj.get("seed", 0)),
-            n_range=tuple(obj.get("n_range", [4, 8])),
-            k_range=tuple(obj.get("k_range", [2, 3])),
-            m_range=tuple(obj.get("m_range", [0, 20])),
-            chain=tuple(obj.get("chain", [])),
+            trials=_as_int(obj.get("trials", 1), "trials"),
+            seed=_as_int(obj.get("seed", 0), "seed"),
+            n_range=_as_pair(obj.get("n_range", [4, 8]), "n_range"),
+            k_range=_as_pair(obj.get("k_range", [2, 3]), "k_range"),
+            m_range=_as_pair(obj.get("m_range", [0, 20]), "m_range"),
+            chain=tuple(_as_list(obj.get("chain", []), "chain")),
             oracle=obj.get("oracle", "auto"),
             source=obj.get("source", "ksum"),
             report=obj.get("report"),
-            params=dict(obj.get("params", {})),
+            params=obj.get("params", {}),
             source_instance=obj.get("source_instance"),
         )
 
@@ -482,30 +398,29 @@ def _gen_source(cfg: ExperimentConfig, rng: random.Random) -> Any:
     raise ParameterError(f"unknown source kind {cfg.source!r}")
 
 
-def _apply_chain(source: Any, chain: tuple[str, ...], params: dict[str, Any]) -> list[tuple[Any, list[tuple[LiftFn | None, int]]]]:
+def _apply_chain(
+    source: Any, chain: tuple[str, ...], params: dict[str, Any],
+) -> list[tuple[Any, list[tuple[ReducedCollection, int]]]]:
     """Run the chain, fanning out over collection items. Returns leaf
-    instances paired with their lift path (step lift, item index) bottom-up."""
-    frontier: list[tuple[Any, list[tuple[LiftFn | None, int]]]] = [(source, [])]
+    instances paired with their lift path (collection, item index) bottom-up."""
+    frontier: list[tuple[Any, list[tuple[ReducedCollection, int]]]] = [(source, [])]
     for name in chain:
         spec = REDUCTIONS[name]
         next_frontier = []
         for inst, path in frontier:
             if inst.kind != spec.source:
                 raise ParameterError(f"reduction {name!r} expects a {spec.source} instance, got {inst.kind}")
-            step = spec.apply(inst, params)
-            for idx, item in enumerate(step.collection.items):
-                next_frontier.append((item.instance, path + [(step.lift, idx)]))
+            coll = spec.reduce(inst, params)
+            for idx, item in enumerate(coll.items):
+                next_frontier.append((item.instance, path + [(coll, idx)]))
         frontier = next_frontier
     return frontier
 
 
-def _lift_through(path: list[tuple[LiftFn | None, int]], witness: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Compose per-step lifts from leaf back to the source; None when some
-    step is one-sided."""
-    for lift, idx in reversed(path):
-        if lift is None:
-            return None
-        witness = lift(idx, witness)
+def _lift_through(path: list[tuple[ReducedCollection, int]], witness: tuple[int, ...]) -> tuple[int, ...]:
+    """Compose per-step lifts from leaf back to the source."""
+    for coll, idx in reversed(path):
+        witness = coll.lift(idx, witness)
     return witness
 
 
@@ -543,8 +458,8 @@ def run_equivalence_experiment(cfg: ExperimentConfig) -> dict[str, Any]:
                 rep = solve_auto(inst)
                 if rep.solvable:
                     reduced_solvable = True
-                    lifted = _lift_through(path, rep.witness)
-                    if lifted is not None and not verify_witness(source, lifted):
+                    # a one-sided step's witnesses need not lift, so its chains skip the lift
+                    if not one_sided and not verify_witness(source, _lift_through(path, rep.witness)):
                         lifted_ok = False
                     break
             if not lifted_ok:
@@ -596,9 +511,8 @@ def _json_bytes(obj: Any) -> bytes:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _read_instance(path: str | None) -> Any:
-    data = sys.stdin.buffer.read() if path in (None, "-") else Path(path).read_bytes()
-    return parse_instance(data)
+def _read_bytes(path: str | None) -> bytes:
+    return sys.stdin.buffer.read() if path in (None, "-") else Path(path).read_bytes()
 
 
 def _emit(data: bytes, out: str | None) -> None:
@@ -627,7 +541,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    inst = _read_instance(getattr(args, "in"))
+    inst = parse_instance(_read_bytes(getattr(args, "in")))
     kind = inst.kind
     name = args.via
     if name is None:
@@ -664,27 +578,47 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         params["alpha_mode"] = args.alpha_mode
     if args.radix_mode is not None:
         params["radix_mode"] = args.radix_mode
-    step = spec.apply(inst, params)
-    _emit(serialize_collection(step.collection), args.out)
+    _emit(serialize_collection(spec.reduce(inst, params)), args.out)
     return 0
 
 
+def _is_collection(data: bytes) -> bool:
+    """Whether the first line is a collection's meta line."""
+    try:
+        head = json.loads(data.split(b"\n", 1)[0])
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        return False
+    return isinstance(head, dict) and "meta" in head
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
-    inst = _read_instance(getattr(args, "in"))
+    """Solve one instance, or the items of a reduced collection in order up
+    to the first solvable one, whose index the report adds as "item"."""
+    data = _read_bytes(getattr(args, "in"))
+    coll = parse_collection(data) if _is_collection(data) else None
+    insts = [parse_instance(data)] if coll is None else coll.instances()
     solver = SOLVERS.get(args.solver)
     if solver is None:
         print(f"unknown solver {args.solver!r}", file=sys.stderr)
         return 2
-    if args.solver != "auto" and args.solver not in KIND_SOLVERS.get(inst.kind, ()):
-        print(f"solver {args.solver!r} does not take a {inst.kind} instance", file=sys.stderr)
-        return 2
-    report = solver(inst)
-    _emit(_json_bytes(report.to_json_dict(include_timing=args.timing)), args.out)
+    report, item = SolverReport(False, None), None
+    for idx, inst in enumerate(insts):
+        if args.solver != "auto" and args.solver not in KIND_SOLVERS.get(inst.kind, ()):
+            print(f"solver {args.solver!r} does not take a {inst.kind} instance", file=sys.stderr)
+            return 2
+        report = solver(inst)
+        if report.solvable:
+            item = idx
+            break
+    out = report.to_json_dict(include_timing=args.timing)
+    if coll is not None:
+        out["item"] = item
+    _emit(_json_bytes(out), args.out)
     return 0 if report.solvable else 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    inst = _read_instance(getattr(args, "in"))
+    inst = parse_instance(_read_bytes(getattr(args, "in")))
     try:
         witness = witness_tuple(inst, [int(x) for x in args.witness.split(",") if x.strip()])
     except (MalformedWitnessError, ValueError) as exc:
@@ -699,7 +633,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     try:
         obj = json.loads(Path(args.config).read_text(encoding="utf-8"))
         cfg = ExperimentConfig.from_json(obj)
-    except (OSError, json.JSONDecodeError, ParameterError) as exc:
+    except (OSError, json.JSONDecodeError, ParameterError, ValidationError) as exc:
         print(f"bad experiment config: {exc}", file=sys.stderr)
         return 2
     if args.seed is not None:
@@ -719,7 +653,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_subsetsum(args: argparse.Namespace) -> int:
-    inst = _read_instance(getattr(args, "in"))
+    inst = parse_instance(_read_bytes(getattr(args, "in")))
     if not isinstance(inst, KSumInstance):
         print("subsetsum-mode needs a ksum instance (its k is ignored)", file=sys.stderr)
         return 2

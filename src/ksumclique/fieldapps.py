@@ -206,12 +206,22 @@ def lindep_to_vectorsum(inst: LinDepInstance, budget: int = LINDEP_BUDGET) -> Re
             entry_bounds=(0, q - 1),
         )
         items.append(ReducedItem(out, {"overshoot": list(v)}))
-    return ReducedCollection(
+
+    def decode(index: int, witness: tuple[int, ...]) -> list[int]:
+        used = {i for _, i in lift_lindep_witness(inst, coll, index, witness)}
+        # one source vector may appear under two scalars; the span only grows
+        # with more vectors, so the lowest unused indices pad the set to k
+        # (hence r >= k above)
+        return sorted(used) + [i for i in range(r) if i not in used][: k - len(used)]
+
+    coll = ReducedCollection(
         reduction="lindep_to_vectorsum",
         source=inst,
         params={"q": str(q), "r": r, "expansion": "scalar-times-vector"},
         items=tuple(items),
+        decode=decode,
     )
+    return coll
 
 
 def decode_expanded_index(inst: LinDepInstance, e: int) -> tuple[int, int]:

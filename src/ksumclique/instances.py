@@ -409,11 +409,14 @@ class ReducedItem:
 
 @dataclass(frozen=True, init=False, eq=False)
 class ReducedCollection:
-    """Ordered output of a reduction plus the metadata needed to lift witnesses.
+    """Ordered output of a reduction that lifts witnesses back to its source.
 
     Reductions pass their ``source`` instance, and ``source_digest``, its
     instance_digest, is computed on first read (only serialize_collection
-    reads it); a parsed collection passes the digest text instead.
+    reads it); a parsed collection passes the digest text instead and cannot
+    lift. ``decode`` maps (item index, sorted item witness) to source ids;
+    without one, ids carry over unchanged. Neither is a field, so equality
+    and serialization ignore them.
     """
 
     reduction: str
@@ -421,10 +424,12 @@ class ReducedCollection:
     items: tuple[ReducedItem, ...]
 
     def __init__(self, reduction: str, source_digest: str | None = None, params: dict[str, Any] | None = None,
-                 items: tuple[ReducedItem, ...] = (), source: Instance | None = None) -> None:
+                 items: tuple[ReducedItem, ...] = (), source: Instance | None = None,
+                 decode: Callable[[int, tuple[int, ...]], Iterable[int]] | None = None) -> None:
         if (source_digest is None) == (source is None):
             raise ParameterError("a collection takes exactly one of source_digest and source")
-        self.__dict__.update(reduction=reduction, params={} if params is None else params, items=items, _source=source)
+        self.__dict__.update(reduction=reduction, params={} if params is None else params, items=items,
+                             _source=source, _decode=decode)
         if source is None:
             self.__dict__["source_digest"] = source_digest
 
@@ -438,6 +443,20 @@ class ReducedCollection:
 
     def instances(self) -> list[Instance]:
         return [it.instance for it in self.items]
+
+    def lift(self, index: int, witness: Iterable[int]) -> tuple[int, ...]:
+        """Check a witness of item ``index``, decode it and check the result
+        at the source; any failed check raises MalformedWitnessError."""
+        if self._source is None:
+            raise ParameterError("a parsed collection has no source to lift to")
+        item = self.items[index].instance
+        ws = witness_tuple(item, witness)
+        if not item.holds(ws):
+            raise MalformedWitnessError("witness does not verify in the reduced instance")
+        lifted = ws if self._decode is None else tuple(sorted(self._decode(index, ws)))
+        if not verify_witness(self._source, lifted):
+            raise MalformedWitnessError("lifted witness does not verify in the source")
+        return lifted
 
 
 def witness_tuple(inst: Instance, witness: Iterable[int]) -> tuple[int, ...]:
@@ -463,18 +482,6 @@ def verify_witness(inst: Instance, witness: Iterable[int]) -> bool:
     False.
     """
     return inst.holds(witness_tuple(inst, witness))
-
-
-def normalize_zero_target(inst: KSumInstance) -> KSumInstance:
-    """Map numbers x to k*x - t so the target becomes 0; witness sets are unchanged."""
-    k, t = inst.k, inst.target
-    lo, hi = inst.bounds
-    return KSumInstance(
-        k=k,
-        numbers=tuple(k * x - t for x in inst.numbers),
-        target=0,
-        bounds=(k * lo - t, k * hi - t),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -108,9 +108,6 @@ class CarryContext:
         cap = self.k * (self.p - 1)
         return all(0 <= c <= cap for c in self.targets[index])
 
-    def feasible_indices(self) -> list[int]:
-        return [i for i in range(len(self.targets)) if self.is_feasible(i)]
-
 
 def carry_targets(t: int, k: int, p: int, d: int) -> CarryContext:
     """Enumerate carry tuples in lexicographic order with their digit targets.
@@ -506,6 +503,7 @@ def edgeweight_to_unweighted(
         source=g,
         params={"alpha_mode": alpha_mode, "weight_bound": str(g.weight_bound), "k": arity},
         items=items,
+        decode=lambda _, witness: strip_slot_witness(g.n, witness),
     )
 
 
@@ -534,23 +532,6 @@ def merge_clique_instances(coll: ReducedCollection) -> CliqueInstance:
     parts = [inst.partition for inst in insts]
     partition = None if None in parts else tuple(chain.from_iterable(parts))
     return CliqueInstance(n=off, edges=tuple(edges), k=arities.pop(), partition=partition)
-
-
-def locate_in_merge(offsets: tuple[int, ...], sizes: tuple[int, ...], witness: Iterable[int]) -> tuple[int, tuple[int, ...]]:
-    """Map merged-graph vertices back to (item index, local vertices); the
-    witness must stay inside one component."""
-    verts = sorted(witness)
-    if not verts or verts[0] < 0 or verts[-1] >= offsets[-1] + sizes[-1]:
-        raise MalformedWitnessError(f"vertices {verts} outside the merged graph")
-    idx = bisect.bisect_right(offsets, verts[0]) - 1
-    lo = offsets[idx]
-    hi = lo + sizes[idx]
-    local = []
-    for v in verts:
-        if not lo <= v < hi:
-            raise MalformedWitnessError("merged witness straddles components")
-        local.append(v - lo)
-    return idx, tuple(local)
 
 
 def ksum_as_nodeweight_clique(inst: KSumInstance) -> WeightedGraph:
@@ -583,18 +564,17 @@ def pipeline_radix(n: int, k: int, bound: int, f_exp: int, d: int) -> int:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Merged unweighted instance plus the provenance needed to lift witnesses
-    and to report instance accounting."""
+    """Merged unweighted instance plus the source and parameters needed to
+    lift witnesses and to report instance accounting. The merge holds g_nk
+    pieces of k*n vertices each, in emission order."""
 
     instance: CliqueInstance
     source: KSumInstance
     params: dict[str, Any]
-    offsets: tuple[int, ...]
-    sizes: tuple[int, ...]
 
     @property
     def g_nk(self) -> int:
-        return len(self.offsets)
+        return self.params["g_nk"]
 
 
 def smallksum_to_kclique(inst: KSumInstance, f_exp: int, alpha_mode: str = "present") -> PipelineResult:
@@ -623,48 +603,24 @@ def smallksum_to_kclique(inst: KSumInstance, f_exp: int, alpha_mode: str = "pres
     if not 0 <= inst.target <= k * bound or k > n:
         params = {"p": p, "d": d, "f_exp": f_exp, "alpha_mode": alpha_mode, "g_nk": 0, "range_pruned": True}
         empty = CliqueInstance(n=0, edges=(), k=k)
-        return PipelineResult(instance=empty, source=inst, params=params, offsets=(), sizes=())
+        return PipelineResult(instance=empty, source=inst, params=params)
     ew_coll = nodeweight_to_edgeweight(ksum_as_nodeweight_clique(inst), t=inst.target, p=p, d=d)
     carries = [item.instance for item in ew_coll.items]
     merged = _alpha_union(k, n, ((g, alpha) for g in carries for alpha in alphas_of(g, k, ALPHA_BUDGET)))
     g_nk = merged.n // (k * n)
     params = {"p": p, "d": d, "s": ew_coll.params["s"], "f_exp": f_exp, "alpha_mode": alpha_mode, "g_nk": g_nk}
-    offsets = tuple(range(0, merged.n, k * n))
-    return PipelineResult(instance=merged, source=inst, params=params, offsets=offsets, sizes=(k * n,) * g_nk)
-
-
-def lift_clique_witness(
-    source: Any,
-    coll: ReducedCollection,
-    item_index: int,
-    witness: Iterable[int],
-) -> tuple[int, ...]:
-    """Lift a witness of one reduced item back to the source instance of the
-    given stage, verifying both ends."""
-    item = coll.items[item_index]
-    verts = tuple(sorted(witness))
-    if not verify_witness(item.instance, verts):
-        raise ValidationError("witness does not verify in the reduced instance")
-    name = coll.reduction
-    if name == "ksum_to_vectorsum":
-        lifted = verts
-    elif name == "nodeweight_to_edgeweight":
-        lifted = verts
-    elif name == "edgeweight_to_unweighted":
-        lifted = strip_slot_witness(source.n, verts)
-    else:
-        raise ParameterError(f"no lift rule for reduction {name!r}")
-    if not verify_witness(source, lifted):
-        raise ValidationError("lifted witness does not verify in the source")
-    return lifted
+    return PipelineResult(instance=merged, source=inst, params=params)
 
 
 def lift_pipeline_witness(result: PipelineResult, witness: Iterable[int]) -> tuple[int, ...]:
-    """Lift a merged-graph k-clique to source indices summing to the target."""
-    if not result.offsets:
-        raise ValidationError("empty pipeline output has no witnesses")
-    _, local = locate_in_merge(result.offsets, result.sizes, witness)
-    lifted = strip_slot_witness(result.source.n, local)
+    """Lift a merged-graph k-clique to source indices summing to the target.
+
+    No edge joins two pieces, so a k-clique lies inside one piece, and there
+    vertex id mod n is its source index (see _alpha_union).
+    """
+    if not verify_witness(result.instance, witness):
+        raise MalformedWitnessError("witness is not a k-clique of the merged instance")
+    lifted = strip_slot_witness(result.source.n, witness)
     if not verify_witness(result.source, lifted):
-        raise ValidationError("lifted witness does not verify in the source")
+        raise MalformedWitnessError("lifted witness does not verify in the source")
     return lifted

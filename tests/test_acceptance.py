@@ -12,7 +12,6 @@ import json
 import math
 import random
 import time
-from bisect import bisect_right
 from itertools import combinations, product
 
 from ksumclique import (
@@ -27,7 +26,6 @@ from ksumclique import (
     kclique_to_ksum,
     ksum_mod_reduce,
     ksum_to_vectorsum,
-    lift_clique_witness,
     lift_ksum_witness_to_clique,
     lift_pipeline_witness,
     lindep_to_vectorsum,
@@ -116,7 +114,7 @@ def _stage_digit_vectors(rng):
             rep = solve_vectorsum_bruteforce(item.instance)
             if rep.solvable:
                 got = True
-                _count_lift(inst, lift_clique_witness(inst, coll, idx, rep.witness))
+                _count_lift(inst, coll.lift(idx, rep.witness))
                 break
         mism += want != got
     return mism
@@ -151,7 +149,7 @@ def _stage_squared_edges(rng):
             rep = solve_kclique_bruteforce(item.instance)
             if rep.solvable:
                 got = True
-                _count_lift(g, lift_clique_witness(g, coll, idx, rep.witness))
+                _count_lift(g, coll.lift(idx, rep.witness))
                 break
         mism += want != got
     return mism
@@ -207,23 +205,25 @@ def _stage_alpha(rng):
             rep = solve_kclique_bruteforce(item.instance)
             if rep.solvable:
                 got = True
-                _count_lift(g, lift_clique_witness(g, coll, idx, rep.witness))
+                _count_lift(g, coll.lift(idx, rep.witness))
                 break
         mism += want != got
     return mism
 
 
+def _piece_size(result):
+    """Every piece of the merged pipeline graph has k*n vertices."""
+    return result.source.k * result.source.n
+
+
 def _component_instances(result):
-    offs = result.offsets
-    buckets = [[] for _ in offs]
+    size = _piece_size(result)
+    buckets = [[] for _ in range(result.g_nk)]
     for u, v in result.instance.edges:
-        i = bisect_right(offs, u) - 1
-        buckets[i].append((u - offs[i], v - offs[i]))
+        i = u // size
+        buckets[i].append((u - i * size, v - i * size))
     k = result.source.k
-    return [
-        CliqueInstance(n=size, edges=tuple(b), k=k)
-        for size, b in zip(result.sizes, buckets)
-    ]
+    return [CliqueInstance(n=size, edges=tuple(b), k=k) for b in buckets]
 
 
 def _stage_pipeline(rng):
@@ -248,7 +248,7 @@ def _stage_pipeline(rng):
             rep = solve_kclique_bruteforce(comp)
             if rep.solvable:
                 got = True
-                merged = tuple(v + result.offsets[comp_idx] for v in rep.witness)
+                merged = tuple(v + comp_idx * _piece_size(result) for v in rep.witness)
                 _count_lift(inst, lift_pipeline_witness(result, merged))
                 break
         mism += want != got
@@ -326,7 +326,7 @@ def test_03_witness_lifting():
             for comp_idx, comp in enumerate(_component_instances(result)):
                 rep = solve_kclique_bruteforce(comp)
                 if rep.solvable:
-                    merged = tuple(v + result.offsets[comp_idx] for v in rep.witness)
+                    merged = tuple(v + comp_idx * _piece_size(result) for v in rep.witness)
                     _count_lift(inst, lift_pipeline_witness(result, merged))
                     break
         for _ in range(60):
@@ -399,7 +399,7 @@ def test_05_weight_and_count_accounting():
             bad.append("carry count is not (k+1)^(d-1)")
         if res.g_nk != len(ew.items):
             bad.append(f"{res.g_nk} components from {len(ew.items)} feasible carries (k=2)")
-        if any(size != 2 * n for size in res.sizes):
+        if res.instance.n != res.g_nk * 2 * n:
             bad.append("component vertex count differs from k*n")
 
     # alpha stage alone, k = 3, full mode: emitted count must equal the number
@@ -460,7 +460,7 @@ def test_05_weight_and_count_accounting():
                 bad.append("present-mode alpha count above the full-mode ceiling")
         if res.g_nk != total:
             bad.append(f"{res.g_nk} components vs {total} carry/alpha pairs")
-        if any(size != 3 * n for size in res.sizes):
+        if res.instance.n != res.g_nk * 3 * n:
             bad.append("component vertex count differs from k*n")
 
     _verdict(5, "weight and count accounting", ok := not bad,

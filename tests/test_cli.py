@@ -13,15 +13,18 @@ from ksumclique import (
     LinDepInstance,
     MalformedWitnessError,
     ParameterError,
+    TargetSumInstance,
+    VectorSumInstance,
     parse_collection,
     parse_instance,
+    serialize_collection,
     serialize_instance,
     solve_ksum_bruteforce,
+    verify_witness,
 )
 from ksumclique.cli import (
     REDUCTIONS,
     SOLVERS,
-    AppliedStep,
     ExperimentConfig,
     ReductionSpec,
     _single_item_collection,
@@ -144,15 +147,15 @@ def test_experiment_rejects_unknown_chain_name():
         )
 
 
-def _broken_apply(inst, params):
+def _broken_reduce(inst, params):
     dead = KSumInstance(k=2, numbers=(0, 0), target=1, bounds=(0, 0))
-    return AppliedStep(_single_item_collection("broken_noop", inst, dead, {}), None)
+    return _single_item_collection("broken_noop", inst, dead, {})
 
 
 def test_experiment_failure_emits_repro_bundle(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(
         REDUCTIONS, "broken_noop",
-        ReductionSpec("broken_noop", "ksum", "ksum", "iff", _broken_apply),
+        ReductionSpec("broken_noop", "ksum", "ksum", "iff", _broken_reduce),
     )
     report_path = tmp_path / "report.json"
     cfg = {
@@ -175,17 +178,17 @@ def test_experiment_failure_emits_repro_bundle(tmp_path, monkeypatch, capsys):
     assert not (Path.cwd() / "experiment.repro.json").exists()
 
 
-def _raising_lift_apply(inst, params):
-    def lift(item_idx, witness):
+def _raising_lift_reduce(inst, params):
+    def decode(index, witness):
         raise MalformedWitnessError("lift broke")
 
-    return AppliedStep(_single_item_collection("broken_lift", inst, inst, {}), lift)
+    return _single_item_collection("broken_lift", inst, inst, {}, decode=decode)
 
 
 def test_experiment_records_lift_errors_per_trial(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(
         REDUCTIONS, "broken_lift",
-        ReductionSpec("broken_lift", "ksum", "ksum", "iff", _raising_lift_apply),
+        ReductionSpec("broken_lift", "ksum", "ksum", "iff", _raising_lift_reduce),
     )
     report_path = tmp_path / "report.json"
     cfg = {
@@ -206,10 +209,51 @@ def test_lindep_lift_pads_a_reused_source_index():
     # over F_2 the expanded vectors are 0*v0, 0*v1, 1*v0, 1*v1; the first
     # reduced witness, (0, 2), takes v0 under both scalars
     inst = LinDepInstance(q=2, n=1, vectors=((1,), (0,)), k=2, target=(1,))
-    step = REDUCTIONS["lindep_to_vectorsum"].apply(inst, {})
-    report = solve_auto(step.collection.items[0].instance)
+    coll = REDUCTIONS["lindep_to_vectorsum"].reduce(inst, {})
+    report = solve_auto(coll.items[0].instance)
     assert report.witness == (0, 2)
-    assert step.lift(0, report.witness) == (0, 1)
+    assert coll.lift(0, report.witness) == (0, 1)
+
+
+# one planted-solvable source per two-sided reduction, small enough for the
+# brute-force oracles on every reduced item
+LIFT_SOURCES = {
+    "ksum_to_vectorsum": gen_random_ksum(6, 3, 20, solvable_bias="plant", seed=1),
+    "nodeweight_to_edgeweight": gen_random_graph(6, 0.5, 3, plant_clique=True, weights="node", big_m=5, seed=2),
+    "edgeweight_to_unweighted": gen_random_graph(5, 0.5, 3, plant_clique=True, weights="edge", big_m=1, seed=3),
+    "smallksum_to_kclique": gen_random_ksum(6, 2, 30, solvable_bias="plant", seed=4),
+    "clique_to_vectorsum": gen_random_graph(4, 0.5, 2, plant_clique=True, seed=5),
+    "vectorsum_to_ksum": VectorSumInstance(k=2, dim=2, vectors=((1, 2), (0, 1), (2, 0), (1, 1)), target=(3, 1),
+                                           entry_bounds=(0, 2)),
+    "kclique_to_ksum": gen_random_graph(4, 0.5, 2, plant_clique=True, seed=6),
+    "targetsum_to_ksum": TargetSumInstance(q=7, elements=(1, 5, 3, 6), k=2, target=1),
+    "ksum_to_targetsum": gen_random_ksum(6, 3, 20, solvable_bias="plant", seed=7),
+    "lindep_to_vectorsum": LinDepInstance(q=3, n=2, vectors=((1, 0), (0, 1), (1, 1), (2, 1)), k=2, target=(2, 2)),
+}
+
+
+def _one_id_changed(inst, witness):
+    """The witness with one id swapped for an unused one, so that it no
+    longer holds in inst."""
+    for pos in range(len(witness)):
+        for x in range(inst.size):
+            changed = tuple(sorted(witness[:pos] + (x,) + witness[pos + 1:]))
+            if x not in witness and not inst.holds(changed):
+                return changed
+    raise AssertionError("every one-id change is still a witness")
+
+
+def test_every_two_sided_reduction_lifts_its_own_witnesses():
+    assert set(LIFT_SOURCES) == {name for name, spec in REDUCTIONS.items() if spec.equivalence == "iff"}
+    for name, source in LIFT_SOURCES.items():
+        coll = REDUCTIONS[name].reduce(source, {})
+        idx, rep = next((i, r) for i, it in enumerate(coll.items) if (r := solve_auto(it.instance)).solvable)
+        assert verify_witness(source, coll.lift(idx, rep.witness)), name
+        with pytest.raises(MalformedWitnessError):
+            coll.lift(idx, _one_id_changed(coll.items[idx].instance, rep.witness))
+        # a parsed collection carries only the source digest
+        with pytest.raises(ParameterError):
+            parse_collection(serialize_collection(coll)).lift(idx, rep.witness)
 
 
 def test_experiment_lindep_trials_pass():
@@ -346,6 +390,47 @@ def test_cli_solve_exit_one_on_unsolvable(tmp_path):
     assert main(["solve", "--in", str(inst_path), "--out", str(tmp_path / "r.json")]) == 1
 
 
+def test_cli_solve_reduced_collection_reports_first_solvable_item(tmp_path):
+    inst_path, red_path, out_path = tmp_path / "a.json", tmp_path / "red.jsonl", tmp_path / "r.json"
+    inst = gen_random_ksum(7, 3, 40, solvable_bias="plant", seed=3)
+    inst_path.write_bytes(serialize_instance(inst))
+    assert main(["reduce", "--in", str(inst_path), "--via", "ksum_to_vectorsum", "--d", "2", "--out", str(red_path)]) == 0
+    coll = parse_collection(red_path.read_bytes())
+    reports = [solve_auto(it.instance) for it in coll.items]
+    first = next(i for i, r in enumerate(reports) if r.solvable)
+    assert main(["solve", "--in", str(red_path), "--out", str(out_path)]) == 0
+    got = json.loads(out_path.read_text())
+    assert got == {**reports[first].to_json_dict(), "item": first}
+
+
+def test_cli_solve_one_item_collection(tmp_path):
+    inst_path, red_path, out_path = tmp_path / "a.json", tmp_path / "red.jsonl", tmp_path / "r.json"
+    main(["gen", "graph", "--n", "6", "--k", "3", "--plant", "--seed", "4", "--out", str(inst_path)])
+    assert main(["reduce", "--in", str(inst_path), "--via", "kclique_to_ksum", "--out", str(red_path)]) == 0
+    assert main(["solve", "--in", str(red_path), "--solver", "ksum-mim", "--out", str(out_path)]) == 0
+    got = json.loads(out_path.read_text())
+    coll = REDUCTIONS["kclique_to_ksum"].reduce(parse_instance(inst_path.read_bytes()), {})
+    assert got["item"] == 0 and verify_witness(parse_instance(inst_path.read_bytes()), coll.lift(0, got["witness"]))
+
+
+def test_cli_solve_collection_without_solvable_item(tmp_path):
+    inst_path, red_path, out_path = tmp_path / "a.json", tmp_path / "red.jsonl", tmp_path / "r.json"
+    # the target is out of range, so the collection is empty
+    inst_path.write_bytes(b'{"type":"ksum","k":2,"numbers":["1","1"],"target":"3","range":["0","1"]}')
+    assert main(["reduce", "--in", str(inst_path), "--via", "ksum_to_vectorsum", "--out", str(red_path)]) == 0
+    assert parse_collection(red_path.read_bytes()).items == ()
+    assert main(["solve", "--in", str(red_path), "--out", str(out_path)]) == 1
+    assert json.loads(out_path.read_text()) == {"solvable": False, "witness": None, "stats": {}, "item": None}
+
+
+def test_cli_solve_collection_checks_each_item_kind(tmp_path, capsys):
+    inst_path, red_path = tmp_path / "a.json", tmp_path / "red.jsonl"
+    inst_path.write_bytes(serialize_instance(gen_random_ksum(6, 3, 20, solvable_bias="plant", seed=1)))
+    assert main(["reduce", "--in", str(inst_path), "--via", "ksum_to_vectorsum", "--out", str(red_path)]) == 0
+    assert main(["solve", "--in", str(red_path), "--solver", "ksum-mim"]) == 2
+    assert "does not take a vectorsum instance" in capsys.readouterr().err
+
+
 def test_cli_reduce_from_to_lookup(tmp_path):
     inst_path = tmp_path / "a.json"
     main(["gen", "ksum", "--n", "5", "--k", "2", "--M", "9", "--seed", "2",
@@ -476,6 +561,18 @@ def test_cli_unknown_reduction_is_usage_error(tmp_path):
     main(["gen", "ksum", "--n", "4", "--k", "2", "--M", "5", "--seed", "0",
           "--out", str(inst_path)])
     assert main(["reduce", "--in", str(inst_path), "--via", "bogus"]) == 2
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"trials": "x"}, {"n_range": 5}, {"n_range": [6, 4]}, {"params": [1]}, [1, 2], {"report": 5}],
+    ids=["trials-string", "range-scalar", "range-reversed", "params-list", "top-level-list", "report-number"],
+)
+def test_cli_malformed_experiment_config_is_usage_error(tmp_path, capsys, config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 2
+    assert "bad experiment config" in capsys.readouterr().err
 
 
 def test_cli_experiment_byte_deterministic(tmp_path):

@@ -64,7 +64,7 @@ def test_carry_targets_worked_example():
     # every target recomposes to t
     for tg in ctx.targets:
         assert fwd.digits_to_int(tg, 3) == 4
-    assert ctx.feasible_indices() == [0, 1]  # (7,-1) has an entry above k(p-1)=4
+    assert [ctx.is_feasible(i) for i in range(ctx.s)] == [True, True, False]  # (7,-1) has an entry above k(p-1)=4
 
 
 def test_carry_targets_d1_has_single_bare_target():
@@ -120,7 +120,7 @@ def test_map_f_cancellation_iff_sum_hits_target():
             continue
         ctx = fwd.carry_targets(t, k, p, d)
         cancels = False
-        for gi in ctx.feasible_indices():
+        for gi in filter(ctx.is_feasible, range(ctx.s)):
             vecs = [fwd.map_f(x, ctx.targets[gi], k, p, d) for x in nums]
             if all(sum(col) == 0 for col in zip(*vecs)):
                 cancels = True
@@ -526,7 +526,9 @@ def test_merge_locates_the_solvable_component():
     merged = fwd.merge_clique_instances(coll)
     w = oracle_kclique(merged.n, merged.edges, 3)
     assert w == (3, 4, 5)
-    idx, local = fwd.locate_in_merge((0, 3), (3, 3), w)
+    # both items have 3 vertices, so the piece is w[0] // 3
+    idx = w[0] // 3
+    local = tuple(v - 3 * idx for v in w)
     assert idx == 1 and local == (0, 1, 2)
 
 
@@ -592,7 +594,7 @@ def test_pipeline_solvable_worked_example():
     res = fwd.smallksum_to_kclique(inst, 2)
     merged = res.instance
     assert res.params["p"] == 16 and res.params["d"] == 2 and res.params["s"] == 3
-    assert res.g_nk == len(res.sizes)
+    assert res.instance.n == res.g_nk * inst.k * inst.n
     w = solve_kclique_bruteforce(merged).witness
     assert w is not None
     lifted = fwd.lift_pipeline_witness(res, w)
@@ -692,7 +694,9 @@ def test_pipeline_matches_stage_composition_random(monkeypatch):
             continue
         res = fwd.smallksum_to_kclique(inst, f_exp, alpha_mode=mode)
         assert serialize_instance(res.instance) == serialize_instance(want[0])
-        assert (res.instance, res.params, res.offsets, res.sizes) == want
+        assert (res.instance, res.params) == want[:2]
+        # every piece of the merge has k*n vertices, in emission order
+        assert want[2:] == (tuple(i * k * n for i in range(res.g_nk)), (k * n,) * res.g_nk)
         if res.params.get("range_pruned"):
             outcomes["range_pruned"] += 1
             continue
@@ -702,7 +706,7 @@ def test_pipeline_matches_stage_composition_random(monkeypatch):
             continue  # a k = 4 union beyond the clique search's budget
         outcomes["solvable" if report.solvable else "unsolvable"] += 1
         if report.solvable:
-            ref = fwd.PipelineResult(instance=want[0], source=inst, params=want[1], offsets=want[2], sizes=want[3])
+            ref = fwd.PipelineResult(instance=want[0], source=inst, params=want[1])
             assert fwd.lift_pipeline_witness(res, report.witness) == fwd.lift_pipeline_witness(ref, report.witness)
     assert all(outcomes.values()), outcomes
 
@@ -721,6 +725,23 @@ def test_lift_rejects_nonsense_witness():
     res = fwd.smallksum_to_kclique(inst, 2)
     with pytest.raises(MalformedWitnessError):
         fwd.lift_pipeline_witness(res, (0, 10**9))
+
+
+def test_pipeline_lift_rejects_an_in_piece_non_clique():
+    from ksumclique import MalformedWitnessError
+
+    inst = make_ksum([1, 3, 2, 2, 0], 3, 4)
+    res = fwd.smallksum_to_kclique(inst, 2)
+    n, kn = inst.n, inst.k * inst.n
+    # source indices 0, 1, 4 hit the target, but in some piece their slot
+    # copies do not form a triangle (k = 2 would not do: its one alpha is 0)
+    bogus = next(
+        w for c in range(res.g_nk)
+        if not verify_witness(res.instance, w := (c * kn, c * kn + n + 1, c * kn + 2 * n + 4))
+    )
+    assert verify_witness(inst, fwd.strip_slot_witness(n, bogus))
+    with pytest.raises(MalformedWitnessError):
+        fwd.lift_pipeline_witness(res, bogus)
 
 
 def test_ksum_as_nodeweight_clique_shape():

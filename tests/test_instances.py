@@ -1,7 +1,6 @@
 """Instance types, witness checking, normalization, and the wire format."""
 
 import json
-import random
 
 import pytest
 
@@ -16,7 +15,6 @@ from ksumclique import (
     VectorSumInstance,
     WeightedGraph,
     instance_digest,
-    normalize_zero_target,
     parse_collection,
     parse_instance,
     serialize_collection,
@@ -25,7 +23,7 @@ from ksumclique import (
 )
 from ksumclique.instances import normalize_edges
 
-from util import make_ew_graph, make_ksum, make_nw_graph, oracle_ksum
+from util import make_ew_graph, make_ksum, make_nw_graph
 
 
 def test_ksum_rejects_bad_arity():
@@ -145,36 +143,6 @@ def test_verify_witness_clique_needs_all_edges():
     assert not verify_witness(path, (0, 1, 2))
     tri = CliqueInstance(n=3, edges=((0, 1), (1, 2), (0, 2)), k=3)
     assert verify_witness(tri, (0, 1, 2))
-
-
-def test_normalize_zero_target_worked_example():
-    inst = make_ksum([1, 3, 2, 2], 2, 4)
-    out = normalize_zero_target(inst)
-    assert out.numbers == (-2, 2, 0, 0)
-    assert out.target == 0
-    # same witness sets on both sides
-    assert oracle_ksum(inst.numbers, 2, 4) == oracle_ksum(out.numbers, 2, 0) == (0, 1)
-
-
-def test_normalize_zero_target_fixed_point_and_short_instance():
-    zero = make_ksum([0, 0, 0], 3, 0)
-    out = normalize_zero_target(zero)
-    assert out.numbers == (0, 0, 0) and out.target == 0
-    short = make_ksum([5], 2, 10, lo=0, hi=5)
-    out = normalize_zero_target(short)
-    assert out.numbers == (0,) and out.target == 0
-    assert oracle_ksum(out.numbers, 2, 0) is None  # n < k stays unsolvable
-
-
-def test_normalize_zero_target_witness_sets_match_random():
-    rng = random.Random(101)
-    for _ in range(50):
-        k = rng.randint(2, 4)
-        nums = [rng.randint(-20, 20) for _ in range(rng.randint(k, 8))]
-        t = rng.randint(-30, 30)
-        inst = KSumInstance(k=k, numbers=tuple(nums), target=t, bounds=(-20, 20))
-        out = normalize_zero_target(inst)
-        assert oracle_ksum(inst.numbers, k, t) == oracle_ksum(out.numbers, k, 0)
 
 
 def test_parse_literal_ksum():
