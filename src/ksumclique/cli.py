@@ -190,7 +190,7 @@ def _reduce_ksum_to_vectorsum(inst: KSumInstance, params: dict[str, Any]) -> Red
 def _reduce_nodeweight_to_edgeweight(inst: WeightedGraph, params: dict[str, Any]) -> ReducedCollection:
     p = params.get("p")
     d = int(params.get("d", 1))
-    return fwd.nodeweight_to_edgeweight(inst, t=inst.target, p=None if p is None else int(p), d=d)
+    return fwd.nodeweight_to_edgeweight(inst, p=None if p is None else int(p), d=d)
 
 
 def _reduce_smallksum_to_kclique(inst: KSumInstance, params: dict[str, Any]) -> ReducedCollection:
@@ -240,13 +240,13 @@ REDUCTIONS: dict[str, ReductionSpec] = {
 }
 
 
-def solve_auto(inst: Any, budget: int | None = None) -> SolverReport:
+def solve_auto(inst: Any) -> SolverReport:
     """Exact oracle for any instance kind: the first solver its kind lists in
     KIND_SOLVERS, a brute-force search throughout."""
     names = KIND_SOLVERS.get(inst.kind)
     if names is None:
         raise ParameterError(f"no oracle for {type(inst).__name__}")
-    return SOLVERS[names[0]](inst, **({} if budget is None else {"budget": budget}))
+    return SOLVERS[names[0]](inst)
 
 
 SOLVERS: dict[str, Callable[..., SolverReport]] = {
@@ -313,6 +313,16 @@ class ExperimentConfig:
             raise ParameterError("source_instance must be a JSON object")
         if self.report is not None and not isinstance(self.report, str):
             raise ParameterError("report must be a file name")
+        if not isinstance(self.source, str):
+            raise ParameterError("source must be an instance kind name")
+        kind = self.source if self.source_instance is None else parse_instance_dict(dict(self.source_instance)).kind
+        if self.oracle != "auto" and self.oracle not in KIND_SOLVERS.get(kind, ()):
+            raise ParameterError(f"oracle {self.oracle!r} does not take a {kind} instance")
+        for name in self.chain:
+            spec = REDUCTIONS[name]
+            if spec.source != kind:
+                raise ParameterError(f"reduction {name!r} expects a {spec.source} instance, got {kind}")
+            kind = spec.target
 
     @classmethod
     def from_json(cls, obj: Any) -> "ExperimentConfig":
@@ -445,6 +455,7 @@ def run_equivalence_experiment(cfg: ExperimentConfig) -> dict[str, Any]:
         if "seed" not in params:
             params["seed"] = rng.getrandbits(32)
         failure: dict[str, Any] | None = None
+        leaves = None
         try:
             leaves = _apply_chain(source, cfg.chain, params)
             leaf_counts.append(len(leaves))
@@ -474,6 +485,8 @@ def run_equivalence_experiment(cfg: ExperimentConfig) -> dict[str, Any]:
                     "reduced_solvable": reduced_solvable,
                 }
         except (MalformedWitnessError, ParameterError, ResourceBudgetError, ValidationError) as exc:
+            if leaves is None and isinstance(exc, ParameterError):
+                raise  # a reduction rejects a source the config generates: the config is at fault
             failure = {"reason": f"{type(exc).__name__}: {exc}"}
         if failure is None:
             passes += 1
@@ -631,14 +644,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     try:
-        obj = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        cfg = ExperimentConfig.from_json(obj)
+        cfg = ExperimentConfig.from_json(json.loads(Path(args.config).read_text(encoding="utf-8")))
+        if args.seed is not None:
+            cfg.seed = args.seed
+        report = run_equivalence_experiment(cfg)
     except (OSError, json.JSONDecodeError, ParameterError, ValidationError) as exc:
         print(f"bad experiment config: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg.seed = args.seed
-    report = run_equivalence_experiment(cfg)
     payload = _json_bytes(report)
     if cfg.report:
         Path(cfg.report).write_bytes(payload)
@@ -675,7 +687,7 @@ def cmd_subsetsum(args: argparse.Namespace) -> int:
             d = fwd.pipeline_dimension(n)
             p = fwd.pipeline_radix(n, k, bound, args.f_exponent, d)
             nw = fwd.ksum_as_nodeweight_clique(sized)
-            coll = fwd.nodeweight_to_edgeweight(nw, t=t, p=p, d=d)
+            coll = fwd.nodeweight_to_edgeweight(nw, p=p, d=d)
             if out_dir is not None:
                 (out_dir / f"edgeweight_k{k}.jsonl").write_bytes(serialize_collection(coll))
             solvable = False

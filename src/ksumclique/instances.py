@@ -619,20 +619,22 @@ def parse_collection(data: bytes | str) -> ReducedCollection:
         head = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=1, column=exc.colno) from None
-    meta = head.get("meta")
-    if meta is None:
+    meta = head.get("meta") if isinstance(head, dict) else None
+    if not isinstance(meta, dict):
         raise ValidationError("first collection line must carry a 'meta' object")
+    reduction, digest, params = meta.get("reduction"), meta.get("source_digest"), meta.get("params", {})
+    if not (isinstance(reduction, str) and isinstance(digest, str) and isinstance(params, dict)):
+        raise ValidationError("collection meta needs string 'reduction' and 'source_digest' and object 'params'")
     items = []
     for lineno, ln in enumerate(lines[1:], start=2):
         try:
             obj = json.loads(ln)
         except json.JSONDecodeError as exc:
             raise ParseError(exc.msg, line=lineno, column=exc.colno) from None
+        if not isinstance(obj, dict):
+            raise ValidationError(f"collection line {lineno} must be a JSON object")
         prov = obj.pop("provenance", {})
+        if not isinstance(prov, dict):
+            raise ValidationError(f"provenance on collection line {lineno} must be a JSON object")
         items.append(ReducedItem(instance=parse_instance_dict(obj), provenance=prov))
-    return ReducedCollection(
-        reduction=meta["reduction"],
-        source_digest=meta["source_digest"],
-        params=meta.get("params", {}),
-        items=tuple(items),
-    )
+    return ReducedCollection(reduction=reduction, source_digest=digest, params=params, items=tuple(items))

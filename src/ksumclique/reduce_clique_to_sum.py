@@ -220,17 +220,13 @@ def _pack_clique_vectors(vs: VectorSumInstance, enc: CliqueEncoding, radix_mode:
     return KSumInstance(k=vs.k, numbers=numbers, target=target, bounds=(0, top))
 
 
-def kclique_to_ksum(
-    g: CliqueInstance,
-    radix_mode: str = "uniform",
-    encoding: CliqueEncoding | None = None,
-) -> KSumInstance:
+def kclique_to_ksum(g: CliqueInstance, radix_mode: str = "uniform") -> KSumInstance:
     """k-Clique to plain k'-SUM, k' = k + C(k,2), via the vector encoding.
 
     uniform packs every coordinate in radix k'T+1; mixed packs the small-entry
     coordinates in the tighter radix k'k+1, shrinking the numbers.
     """
-    enc = encoding if encoding is not None else encode_vertices(g.n, g.k)
+    enc = encode_vertices(g.n, g.k)
     return _pack_clique_vectors(clique_to_vectorsum(g, encoding=enc), enc, radix_mode)
 
 
@@ -283,16 +279,11 @@ def lift_vectorsum_witness_to_clique(
     return _decode_vector_witness(g, enc, vs, tuple(sorted(witness)))
 
 
-def lift_ksum_witness_to_clique(
-    g: CliqueInstance,
-    witness: Iterable[int],
-    radix_mode: str = "uniform",
-    encoding: CliqueEncoding | None = None,
-) -> tuple[int, ...]:
+def lift_ksum_witness_to_clique(g: CliqueInstance, witness: Iterable[int], radix_mode: str = "uniform") -> tuple[int, ...]:
     """Decode a verified k'-SUM witness back to the clique vertices: packing
     keeps index sets, so the vector-level decoder applies unchanged. The
     vector instance is built once and serves both checks."""
-    enc = encoding if encoding is not None else encode_vertices(g.n, g.k)
+    enc = encode_vertices(g.n, g.k)
     vs = clique_to_vectorsum(g, encoding=enc)
     ks = _pack_clique_vectors(vs, enc, radix_mode)
     idxs = tuple(sorted(witness))

@@ -209,28 +209,19 @@ def edge_weight_cap(k: int, d: int, p: int) -> int:
     return 2 * k**3 * d * p**2
 
 
-def nodeweight_to_edgeweight(
-    g: WeightedGraph,
-    t: int | None = None,
-    p: int | None = None,
-    d: int = 1,
-    k: int | None = None,
-) -> ReducedCollection:
+def nodeweight_to_edgeweight(g: WeightedGraph, p: int | None = None, d: int = 1) -> ReducedCollection:
     """Per feasible carry, reweight edges by the squaring trick on the mapped
-    node-weight vectors. A node-weight-t k-clique in the source exists iff
-    some output graph has a zero-edge-weight k-clique.
+    node-weight vectors. A k-clique of node weight g.target in the source
+    exists iff some output graph has a zero-edge-weight k-clique.
 
     Every output shares one declared weight bound (the largest magnitude
     produced across carries) so downstream alpha enumeration ranges agree.
     """
     if g.node_weights is None:
         raise ParameterError("node-weighted graph required")
-    arity = g.k if k is None else k
+    arity, goal = g.k, g.target
     if arity < 2:
         raise ParameterError("arity must be >= 2: single vertices carry no edge weight")
-    if arity != g.k:
-        raise ParameterError(f"arity {arity} differs from the graph's k={g.k}")
-    goal = g.target if t is None else t
     weights = g.node_weights
     bound = max(weights, default=0)
     if any(w < 0 for w in weights):
@@ -307,96 +298,32 @@ def alpha_tuples_full(bound: int, k: int, budget: int = ALPHA_BUDGET) -> Iterato
             yield head + (last,)
 
 
-def present_alpha_tuples(g: WeightedGraph, k: int, budget: int = ALPHA_BUDGET) -> Iterator[tuple[int, ...]]:
-    """Zero-sum alpha tuples drawn only from weights the graph actually has.
-
-    An alpha using an absent weight yields a slot pair with no edges and hence
-    no k-clique, so pruning those preserves the OR over outputs. Heads run in
-    the lexicographic order of product(support, repeat=C(k,2)-1), and each
-    coordinate is drawn only from the bisect window of support values that
-    leave the rest of the head plus the forced last coordinate a sum in
-    [min, max] of the support; heads outside that window cannot complete, so
-    the output sequence is the same as filtering every head. The budget still
-    bounds support^(C(k,2)-1).
-    """
-    if g.edge_weights is None:
-        raise ParameterError("edge-weighted graph required")
-    if k < 2:
-        raise ParameterError("alpha enumeration needs k >= 2")
-    buckets = g.edges_by_weight
-    support = list(buckets)
-    if not support:
-        return
-    free = math.comb(k, 2) - 1
-    if len(support) ** free > budget:
-        raise ResourceBudgetError(
-            f"alpha enumeration would need {len(support) ** free} tuples (budget {budget})"
-        )
-    lo, hi = support[0], support[-1]
-
-    def extend(head: tuple[int, ...], total: int, left: int) -> Iterator[tuple[int, ...]]:
-        # `left` coordinates remain, the forced last one included
-        if left == 1:
-            if -total in buckets:
-                yield head + (-total,)
-            return
-        start = bisect.bisect_left(support, -total - (left - 1) * hi)
-        stop = bisect.bisect_right(support, -total - (left - 1) * lo)
-        for x in support[start:stop]:
-            yield from extend(head + (x,), total + x, left - 1)
-
-    yield from extend((), 0, free + 1)
-
-
-def consistent_alpha_tuples(
-    g: WeightedGraph,
+def _zero_sum_alphas(
     k: int,
-    budget: int = ALPHA_BUDGET,
-    counter: list[int] | None = None,
+    ends: dict[int, tuple[int, int]],
+    on_window: Callable[[int], None] | None = None,
 ) -> Iterator[tuple[int, ...]]:
-    """The present-mode alphas whose every slot can still hold a vertex.
+    """Zero-sum alphas over the weights of ``ends`` whose every slot can
+    still hold a vertex.
 
-    A k-clique of an alpha graph puts in slot i a source vertex that is the
-    first endpoint of an edge in bucket alpha_ij for every j > i and the
-    second endpoint of one in bucket alpha_hi for every h < i. The search
-    walks the slot pairs as present_alpha_tuples does (same lexicographic
-    order, bisect windows and forced last coordinate) and keeps one vertex
-    bitmask per slot, intersected with the matching endpoint set of each
-    chosen weight's bucket. A branch where some slot's set is empty is cut:
-    no alpha below it has a k-clique (arc consistency, Mackworth 1977). The
-    output is therefore the subsequence of present_alpha_tuples that keeps
-    every alpha whose graph has a k-clique, in the same order.
-
-    The budget bounds the heads met per call: each bisect window at the last
-    free coordinate counts in full when entered, and k = 2 has one empty
-    head. Each is a present-mode head, so no graph whose support^(C(k,2)-1)
-    fits the budget can exceed it. counter[0], when given, accumulates them.
+    ``ends`` maps each support weight, ascending, to the (first-endpoint,
+    second-endpoint) vertex bitmask of its bucket; a mask of -1 cuts nothing.
+    A DFS fixes the slot pairs in order. Each coordinate is drawn from the
+    bisect window of weights that leave the rest of the head plus the forced
+    last coordinate a sum in [min, max] of the support, so the alphas come in
+    the lexicographic order of product(support, repeat=C(k,2)-1) filtered to
+    a present last coordinate. One bitmask per slot is intersected with the
+    matching endpoint mask of each chosen weight, and a branch where some
+    slot's set is empty is cut (arc consistency, Mackworth 1977).
+    ``on_window`` is called with the size of each window at the last free
+    coordinate when entered, and with 1 for the one empty head of k = 2.
     """
-    if g.edge_weights is None:
-        raise ParameterError("edge-weighted graph required")
-    if k < 2:
-        raise ParameterError("alpha enumeration needs k >= 2")
-    buckets = g.edges_by_weight
-    support = list(buckets)
+    support = list(ends)
     if not support:
         return
-    ends: dict[int, tuple[int, int]] = {}
-    for w, edges in buckets.items():
-        first = second = 0
-        for u, v in edges:
-            first |= 1 << u
-            second |= 1 << v
-        ends[w] = (first, second)
     pairs = [(i - 1, j - 1) for i, j in slot_pairs(k)]
     last = len(pairs) - 1
     lo, hi = support[0], support[-1]
-    nodes = [0] if counter is None else counter
-    base = nodes[0]
-
-    def try_heads(count: int) -> None:
-        nodes[0] += count
-        if nodes[0] - base > budget:
-            raise ResourceBudgetError(f"alpha search needs more than {budget} heads")
 
     def extend(idx: int, head: tuple[int, ...], total: int, slots: list[int]) -> Iterator[tuple[int, ...]]:
         i, j = pairs[idx]
@@ -408,8 +335,8 @@ def consistent_alpha_tuples(
         rest = last - idx  # coordinates after this one, the forced one included
         start = bisect.bisect_left(support, -total - rest * hi)
         stop = bisect.bisect_right(support, -total - rest * lo)
-        if rest == 1:
-            try_heads(stop - start)
+        if rest == 1 and on_window is not None:
+            on_window(stop - start)
         for x in support[start:stop]:
             if rest == 1 and -total - x not in ends:
                 continue  # the forced last coordinate is no present weight
@@ -422,9 +349,76 @@ def consistent_alpha_tuples(
                 narrowed[j] = b
                 yield from extend(idx + 1, head + (x,), total + x, narrowed)
 
-    if last == 0:
-        try_heads(1)
-    yield from extend(0, (), 0, [(1 << g.n) - 1] * k)
+    if last == 0 and on_window is not None:
+        on_window(1)
+    yield from extend(0, (), 0, [-1] * k)
+
+
+def present_alpha_tuples(g: WeightedGraph, k: int, budget: int = ALPHA_BUDGET) -> Iterator[tuple[int, ...]]:
+    """Zero-sum alpha tuples drawn only from weights the graph actually has.
+
+    An alpha using an absent weight yields a slot pair with no edges and hence
+    no k-clique, so pruning those preserves the OR over outputs. The search
+    is _zero_sum_alphas with no slot cut: every head of
+    product(support, repeat=C(k,2)-1), in lexicographic order, whose forced
+    last coordinate is a present weight. The budget bounds
+    support^(C(k,2)-1).
+    """
+    if g.edge_weights is None:
+        raise ParameterError("edge-weighted graph required")
+    if k < 2:
+        raise ParameterError("alpha enumeration needs k >= 2")
+    buckets = g.edges_by_weight
+    if not buckets:
+        return
+    free = math.comb(k, 2) - 1
+    if len(buckets) ** free > budget:
+        raise ResourceBudgetError(
+            f"alpha enumeration would need {len(buckets) ** free} tuples (budget {budget})"
+        )
+    yield from _zero_sum_alphas(k, dict.fromkeys(buckets, (-1, -1)))
+
+
+def consistent_alpha_tuples(
+    g: WeightedGraph,
+    k: int,
+    budget: int = ALPHA_BUDGET,
+    counter: list[int] | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """The present-mode alphas whose every slot can still hold a vertex.
+
+    A k-clique of an alpha graph puts in slot i a source vertex that is the
+    first endpoint of an edge in bucket alpha_ij for every j > i and the
+    second endpoint of one in bucket alpha_hi for every h < i, so
+    _zero_sum_alphas runs with each bucket's endpoint sets as its masks. The
+    output is the subsequence of present_alpha_tuples that keeps every alpha
+    whose graph has a k-clique, in the same order.
+
+    The budget bounds the heads met per call: each bisect window at the last
+    free coordinate counts in full when entered, and k = 2 has one empty
+    head. Each is a present-mode head, so no graph whose support^(C(k,2)-1)
+    fits the budget can exceed it. counter[0], when given, accumulates them.
+    """
+    if g.edge_weights is None:
+        raise ParameterError("edge-weighted graph required")
+    if k < 2:
+        raise ParameterError("alpha enumeration needs k >= 2")
+    ends: dict[int, tuple[int, int]] = {}
+    for w, edges in g.edges_by_weight.items():
+        first = second = 0
+        for u, v in edges:
+            first |= 1 << u
+            second |= 1 << v
+        ends[w] = (first, second)
+    nodes = [0] if counter is None else counter
+    base = nodes[0]
+
+    def try_heads(count: int) -> None:
+        nodes[0] += count
+        if nodes[0] - base > budget:
+            raise ResourceBudgetError(f"alpha search needs more than {budget} heads")
+
+    yield from _zero_sum_alphas(k, ends, try_heads)
 
 
 def _alpha_union(k: int, n: int, pieces: Iterable[tuple[WeightedGraph, tuple[int, ...]]]) -> CliqueInstance:
@@ -463,22 +457,18 @@ def build_alpha_instance(g: WeightedGraph, k: int, alpha: tuple[int, ...]) -> Cl
     return _alpha_union(k, g.n, [(g, alpha)])
 
 
-def _alpha_enumerator(alpha_mode: str) -> Callable[[WeightedGraph, int, int], Iterator[tuple[int, ...]]]:
-    """The alphas of one mode as a function of (graph, k, budget): full over
-    the declared weight bound, present over the weights the graph has."""
+def _alpha_enumerator(alpha_mode: str) -> Callable[[WeightedGraph], Iterator[tuple[int, ...]]]:
+    """The alphas of one mode as a function of the graph, at its arity and
+    under ALPHA_BUDGET as read at call time: full over the declared weight
+    bound, present over the weights the graph has."""
     if alpha_mode == "full":
-        return lambda g, k, budget: alpha_tuples_full(g.weight_bound, k, budget=budget)
+        return lambda g: alpha_tuples_full(g.weight_bound, g.k, budget=ALPHA_BUDGET)
     if alpha_mode == "present":
-        return lambda g, k, budget: present_alpha_tuples(g, k, budget=budget)
+        return lambda g: present_alpha_tuples(g, g.k, budget=ALPHA_BUDGET)
     raise ParameterError(f"unknown alpha mode {alpha_mode!r}")
 
 
-def edgeweight_to_unweighted(
-    g: WeightedGraph,
-    k: int | None = None,
-    alpha_mode: str = "full",
-    budget: int = ALPHA_BUDGET,
-) -> ReducedCollection:
+def edgeweight_to_unweighted(g: WeightedGraph, alpha_mode: str = "full") -> ReducedCollection:
     """Strip edge weights by guessing the per-slot-pair weight profile.
 
     full mode enumerates every zero-sum alpha over [-M, M] with M the declared
@@ -488,15 +478,13 @@ def edgeweight_to_unweighted(
     """
     if g.edge_weights is None:
         raise ParameterError("edge-weighted graph required")
-    arity = g.k if k is None else k
-    if arity != g.k:
-        raise ParameterError(f"arity {arity} differs from the graph's k={g.k}")
+    arity = g.k
     if arity < 2:
         raise ParameterError("alpha enumeration needs k >= 2")
     pairs = slot_pairs(arity)
     items = tuple(
         ReducedItem(build_alpha_instance(g, arity, alpha), {"alpha": [[i, j, w] for (i, j), w in zip(pairs, alpha)]})
-        for alpha in _alpha_enumerator(alpha_mode)(g, arity, budget)
+        for alpha in _alpha_enumerator(alpha_mode)(g)
     )
     return ReducedCollection(
         reduction="edgeweight_to_unweighted",
@@ -604,9 +592,9 @@ def smallksum_to_kclique(inst: KSumInstance, f_exp: int, alpha_mode: str = "pres
         params = {"p": p, "d": d, "f_exp": f_exp, "alpha_mode": alpha_mode, "g_nk": 0, "range_pruned": True}
         empty = CliqueInstance(n=0, edges=(), k=k)
         return PipelineResult(instance=empty, source=inst, params=params)
-    ew_coll = nodeweight_to_edgeweight(ksum_as_nodeweight_clique(inst), t=inst.target, p=p, d=d)
+    ew_coll = nodeweight_to_edgeweight(ksum_as_nodeweight_clique(inst), p=p, d=d)
     carries = [item.instance for item in ew_coll.items]
-    merged = _alpha_union(k, n, ((g, alpha) for g in carries for alpha in alphas_of(g, k, ALPHA_BUDGET)))
+    merged = _alpha_union(k, n, ((g, alpha) for g in carries for alpha in alphas_of(g)))
     g_nk = merged.n // (k * n)
     params = {"p": p, "d": d, "s": ew_coll.params["s"], "f_exp": f_exp, "alpha_mode": alpha_mode, "g_nk": g_nk}
     return PipelineResult(instance=merged, source=inst, params=params)

@@ -22,8 +22,14 @@ from .instances import (
     ValidationError,
     VectorSumInstance,
     WeightedGraph,
+    verify_witness,
 )
-from .reduce_sum_to_clique import build_alpha_instance, consistent_alpha_tuples, nodeweight_to_edgeweight
+from .reduce_sum_to_clique import (
+    build_alpha_instance,
+    consistent_alpha_tuples,
+    nodeweight_to_edgeweight,
+    strip_slot_witness,
+)
 
 DEFAULT_BUDGET = 20_000_000
 
@@ -265,12 +271,9 @@ def iter_kcliques(inst: CliqueInstance | WeightedGraph, budget: int = DEFAULT_BU
     yield from _kcliques(n, inst.edges, k, [0])
 
 
-def solve_kclique_bruteforce(
-    inst: CliqueInstance | WeightedGraph,
-    target: int | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> SolverReport:
-    """Exact k-clique search honoring a node- or edge-weight target when present.
+def solve_kclique_bruteforce(inst: CliqueInstance | WeightedGraph, budget: int = DEFAULT_BUDGET) -> SolverReport:
+    """Exact k-clique search honoring the node- or edge-weight target of a
+    weighted graph.
 
     Returns the lexicographically smallest clique that meets the target. The
     forward-adjacency search costs O(n + m) plus the work inside forward
@@ -287,7 +290,7 @@ def solve_kclique_bruteforce(
         _guard_clique_search(n, k, inst.edges, budget)
         accept: Callable[[tuple[int, ...]], bool] | None = None
         if isinstance(inst, WeightedGraph):
-            goal = inst.target if target is None else target
+            goal = inst.target
             if inst.node_weights is not None:
                 weights = inst.node_weights
 
@@ -304,8 +307,6 @@ def solve_kclique_bruteforce(
                             total += wmap[(chosen[a], chosen[b])]
                     return total == goal
 
-        elif target is not None:
-            raise ParameterError("unweighted instances take no weight target")
         cliques = _kcliques(n, inst.edges, k, counter)
         witness = next(cliques if accept is None else filter(accept, cliques), None)
     return SolverReport(
@@ -437,13 +438,13 @@ def detect_triangle(
 
 def _nw_pipeline(
     graph: WeightedGraph,
-    target: int | None,
     solve_unweighted: Callable[[CliqueInstance], SolverReport],
     d: int = 1,
 ) -> SolverReport:
-    """Shared engine: shift weights, square-trick edge weights per carry, strip
-    weights per slot-consistent alpha profile, then call the unweighted
-    backend on each alpha graph in turn and stop at the first hit.
+    """Shared engine: shift weights, square-trick edge weights per carry
+    (nodeweight_to_edgeweight), strip weights per slot-consistent alpha
+    profile, then call the unweighted backend on each alpha graph in turn,
+    stop at the first hit and lift it with strip_slot_witness.
 
     consistent_alpha_tuples skips only alphas whose graphs hold no k-clique
     and keeps present-mode order, so the witness is the one a search over
@@ -455,29 +456,21 @@ def _nw_pipeline(
     start = time.perf_counter()
     if graph.node_weights is None:
         raise ParameterError("node-weighted graph required")
-    k = graph.k
-    n = graph.n
-    t = graph.target if target is None else target
-    weights = graph.node_weights
-    shift = graph.weight_bound if any(w < 0 for w in weights) else 0
-    shifted = tuple(w + shift for w in weights)
-    t_shifted = t + k * shift
-    bound = max(shifted, default=0)
+    k, n = graph.k, graph.n
+    shift = graph.weight_bound if any(w < 0 for w in graph.node_weights) else 0
     stats: dict[str, Any] = {"shift": shift, "instances_generated": 0, "alphas": 0, "alpha_nodes": 0}
-    if not 0 <= t_shifted <= k * bound or k > n:
+    coll = None
+    if k <= n:
+        shifted = tuple(w + shift for w in graph.node_weights)
+        coll = nodeweight_to_edgeweight(
+            WeightedGraph(n=n, edges=graph.edges, k=k, node_weights=shifted, edge_weights=None,
+                          weight_bound=max(shifted, default=0), target=graph.target + k * shift),
+            d=d,
+        )
+    if coll is None or coll.params.get("range_pruned"):
         stats["range_pruned"] = True
         stats["wall_time_s"] = time.perf_counter() - start
         return SolverReport(False, None, stats)
-    shifted_graph = WeightedGraph(
-        n=n,
-        edges=graph.edges,
-        k=k,
-        node_weights=shifted,
-        edge_weights=None,
-        weight_bound=bound,
-        target=t_shifted,
-    )
-    coll = nodeweight_to_edgeweight(shifted_graph, t=t_shifted, d=d)
     stats["p"] = coll.params["p"]
     stats["d"] = d
     stats["carries"] = len(coll.items)
@@ -493,10 +486,9 @@ def _nw_pipeline(
             stats["instances_generated"] += 1
             report = solve_unweighted(g_alpha)
             if report.witness is not None:
-                lifted = tuple(sorted(v % n for v in report.witness))
-                if sum(weights[v] for v in lifted) != t:  # pragma: no cover - soundness guard
+                witness = strip_slot_witness(n, report.witness)
+                if not verify_witness(graph, witness):  # pragma: no cover - soundness guard
                     raise ValidationError("pipeline produced a non-verifying witness")
-                witness = lifted
                 break
         if witness is not None:
             break
@@ -505,12 +497,7 @@ def _nw_pipeline(
     return SolverReport(solvable=witness is not None, witness=witness, stats=stats)
 
 
-def solve_nw_triangle(
-    graph: WeightedGraph,
-    target: int | None = None,
-    backend: str = "degree-split",
-    d: int = 1,
-) -> SolverReport:
+def solve_nw_triangle(graph: WeightedGraph, backend: str = "degree-split", d: int = 1) -> SolverReport:
     """Exact node-weight triangle via the edge-weight and weight-removal chain,
     running detect_triangle on each slot-consistent alpha graph until one
     holds a triangle."""
@@ -520,24 +507,18 @@ def solve_nw_triangle(
     def backend_solve(g_alpha: CliqueInstance) -> SolverReport:
         return detect_triangle(g_alpha, backend=backend)
 
-    report = _nw_pipeline(graph, target, backend_solve, d=d)
+    report = _nw_pipeline(graph, backend_solve, d=d)
     report.stats["backend"] = backend
     return report
 
 
-def solve_nw_kclique(
-    graph: WeightedGraph,
-    target: int | None = None,
-    d: int = 1,
-    budget: int = DEFAULT_BUDGET,
-) -> SolverReport:
+def solve_nw_kclique(graph: WeightedGraph, d: int = 1) -> SolverReport:
     """Exact node-weight k-clique; k = 2 degenerates to an edge scan."""
     k = graph.k
     if graph.node_weights is None:
         raise ParameterError("node-weighted graph required")
     if k < 2:
         raise ParameterError(f"clique pipeline requires k >= 2, got k={k}")
-    t = graph.target if target is None else target
     if k == 2:
         start = time.perf_counter()
         weights = graph.node_weights
@@ -545,7 +526,7 @@ def solve_nw_kclique(
         scanned = 0
         for u, v in graph.edges:
             scanned += 1
-            if weights[u] + weights[v] == t:
+            if weights[u] + weights[v] == graph.target:
                 witness = (u, v)
                 break
         return SolverReport(
@@ -553,9 +534,4 @@ def solve_nw_kclique(
             witness=witness,
             stats={"edges_scanned": scanned, "wall_time_s": time.perf_counter() - start},
         )
-
-    def backend_solve(g_alpha: CliqueInstance) -> SolverReport:
-        return solve_kclique_bruteforce(g_alpha, budget=budget)
-
-    return _nw_pipeline(graph, t, backend_solve, d=d)
-
+    return _nw_pipeline(graph, solve_kclique_bruteforce, d=d)

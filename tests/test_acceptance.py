@@ -142,7 +142,7 @@ def _stage_squared_edges(rng):
         edges, weights, t = _random_nw_graph(rng, n, k, rng.randint(0, 500))
         g = make_nw_graph(n, edges, k, weights, t)
         d = rng.randint(1, 2)
-        coll = nodeweight_to_edgeweight(g, t=t, p=_pick_radix(k, max(weights), d), d=d)
+        coll = nodeweight_to_edgeweight(g, p=_pick_radix(k, max(weights), d), d=d)
         want = oracle_nw_kclique(n, edges, k, weights, t) is not None
         got = False
         for idx, item in enumerate(coll.items):
@@ -354,7 +354,7 @@ def test_04_squared_weights_nonnegative():
         edges, weights, t = _random_nw_graph(rng, n, k, rng.randint(0, 60))
         g = make_nw_graph(n, edges, k, weights, t)
         d = rng.randint(1, 2)
-        coll = nodeweight_to_edgeweight(g, t=t, p=_pick_radix(k, max(weights), d), d=d)
+        coll = nodeweight_to_edgeweight(g, p=_pick_radix(k, max(weights), d), d=d)
         edge_set = set(edges)
         cliques = [
             c for c in combinations(range(n), k)
@@ -394,7 +394,7 @@ def test_05_weight_and_count_accounting():
         inst = make_ksum(numbers, 2, t)
         res = smallksum_to_kclique(inst, f_exp=2, alpha_mode="full")
         ew = nodeweight_to_edgeweight(
-            ksum_as_nodeweight_clique(inst), t=t, p=res.params["p"], d=res.params["d"])
+            ksum_as_nodeweight_clique(inst), p=res.params["p"], d=res.params["d"])
         if res.params["s"] != 3 ** (res.params["d"] - 1):
             bad.append("carry count is not (k+1)^(d-1)")
         if res.g_nk != len(ew.items):
@@ -435,7 +435,7 @@ def test_05_weight_and_count_accounting():
         edges, weights, t = _random_nw_graph(rng, n, k, rng.randint(0, 500))
         d = rng.randint(1, 2)
         p = _pick_radix(k, max(weights), d)
-        coll = nodeweight_to_edgeweight(make_nw_graph(n, edges, k, weights, t), t=t, p=p, d=d)
+        coll = nodeweight_to_edgeweight(make_nw_graph(n, edges, k, weights, t), p=p, d=d)
         cap = 2 * k**3 * d * p**2
         for item in coll.items:
             if any(abs(w) > cap for _, _, w in item.instance.edge_weights):
@@ -451,7 +451,7 @@ def test_05_weight_and_count_accounting():
         inst = make_ksum(numbers, 3, t)
         res = smallksum_to_kclique(inst, f_exp=2)
         ew = nodeweight_to_edgeweight(
-            ksum_as_nodeweight_clique(inst), t=t, p=res.params["p"], d=res.params["d"])
+            ksum_as_nodeweight_clique(inst), p=res.params["p"], d=res.params["d"])
         total = 0
         for item in ew.items:
             alphas = list(present_alpha_tuples(item.instance, 3))

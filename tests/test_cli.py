@@ -431,6 +431,26 @@ def test_cli_solve_collection_checks_each_item_kind(tmp_path, capsys):
     assert "does not take a vectorsum instance" in capsys.readouterr().err
 
 
+_META = '{"meta":{"reduction":"x","source_digest":"d","params":{}}}'
+_KSUM_LINE = '{"type":"ksum","k":1,"numbers":["1"],"target":"1","range":["0","1"]'
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"meta":{}}', '{"meta":5}', '{"meta":{"reduction":5,"source_digest":"d"}}',
+     '{"meta":{"reduction":"x","source_digest":"d","params":[]}}',
+     _META + "\n[1,2]", _META + '\n"abc"', _META + "\n" + _KSUM_LINE + ',"provenance":5}'],
+    ids=["meta-empty", "meta-number", "reduction-number", "params-list", "item-list", "item-string",
+         "provenance-number"],
+)
+def test_cli_solve_malformed_collection_is_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text + "\n")
+    assert main(["solve", "--in", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_cli_reduce_from_to_lookup(tmp_path):
     inst_path = tmp_path / "a.json"
     main(["gen", "ksum", "--n", "5", "--k", "2", "--M", "9", "--seed", "2",
@@ -573,6 +593,29 @@ def test_cli_malformed_experiment_config_is_usage_error(tmp_path, capsys, config
     cfg_path.write_text(json.dumps(config))
     assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 2
     assert "bad experiment config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"chain": ["ksum_to_vectorsum"], "source": "clique"},
+        {"chain": ["ksum_to_vectorsum", "ksum_to_vectorsum"]},
+        {"chain": ["ksum_to_vectorsum"],
+         "source_instance": {"type": "graph", "k": 2, "n": 2, "edges": [[0, 1]], "target": "0"}},
+        {"chain": ["clique_to_vectorsum"], "source": "clique", "oracle": "ksum-mim"},
+        {"chain": [], "source": ["ksum"]},
+        {"chain": ["edgeweight_to_unweighted"], "source": "graph-edge", "k_range": [1, 1]},
+        {"chain": ["smallksum_to_kclique"], "m_range": [100, 200]},
+    ],
+    ids=["source-not-taken", "chain-does-not-compose", "source-instance-not-taken", "oracle-wrong-kind",
+         "source-not-a-name", "reduction-rejects-arity", "reduction-rejects-numbers"],
+)
+def test_cli_experiment_config_the_chain_cannot_run_is_usage_error(tmp_path, capsys, config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict({"trials": 3, "seed": 1}, **config)))
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 2
+    assert "bad experiment config" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_cli_experiment_byte_deterministic(tmp_path):

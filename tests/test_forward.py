@@ -307,12 +307,6 @@ def test_nodeweight_to_edgeweight_or_equivalence_random():
         assert got == src
 
 
-def test_nodeweight_arity_must_match():
-    g = make_nw_graph(3, complete_edges(3), 3, [1, 1, 1], target=3)
-    with pytest.raises(ParameterError):
-        fwd.nodeweight_to_edgeweight(g, k=2)
-
-
 # --- zero-sum weight guesses ---
 
 def test_alpha_tuples_full_frozen():
@@ -432,6 +426,40 @@ def test_consistent_alpha_tuples_drops_only_clique_free_alphas_random():
                 assert not has_clique, (trial, alpha)
                 seen["dropped"] += 1
         assert pos == len(kept), "kept alphas must be a subsequence of present mode"
+    assert min(seen.values()) > 0, seen
+
+
+def test_consistent_alpha_tuples_matches_slot_intersection_filter_random():
+    """The slot-consistent alphas are exactly the filtered-product alphas
+    where, for each of the k slots, the first endpoints of the buckets of its
+    pairs to higher slots and the second endpoints of the buckets of its
+    pairs from lower slots share a vertex."""
+    rng = random.Random(31)
+    seen = {"empty": 0, "dropped": 0, "kept": 0}
+    for trial in range(300):
+        lo = rng.randint(-6, 2)
+        g = _random_ew_graph(rng, lo, lo + rng.choice([0, 1, 4, 9]))
+        k = 2 + trial % 3
+        support = sorted({w for _, _, w in g.edge_weights})
+        free = comb(k, 2) - 1
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        seen["empty"] += not support
+        buckets = {w: [(u, v) for u, v, x in g.edge_weights if x == w] for w in support}
+        expected = []
+        for head in product(support, repeat=free):
+            alpha = head + (-sum(head),)
+            if alpha[-1] not in buckets:
+                continue
+            slots = [set(range(g.n)) for _ in range(k)]
+            for (i, j), w in zip(pairs, alpha):
+                slots[i] &= {u for u, _ in buckets[w]}
+                slots[j] &= {v for _, v in buckets[w]}
+            if all(slots):
+                expected.append(alpha)
+                seen["kept"] += 1
+            else:
+                seen["dropped"] += 1
+        assert list(fwd.consistent_alpha_tuples(g, k, budget=max(1, len(support) ** free))) == expected, trial
     assert min(seen.values()) > 0, seen
 
 
@@ -652,11 +680,11 @@ def _reference_pipeline(inst, f_exp, alpha_mode):
     if not 0 <= inst.target <= k * bound or k > n:
         params = {"p": p, "d": d, "f_exp": f_exp, "alpha_mode": alpha_mode, "g_nk": 0, "range_pruned": True}
         return CliqueInstance(n=0, edges=(), k=k), params, (), ()
-    ew = fwd.nodeweight_to_edgeweight(fwd.ksum_as_nodeweight_clique(inst), t=inst.target, p=p, d=d)
+    ew = fwd.nodeweight_to_edgeweight(fwd.ksum_as_nodeweight_clique(inst), p=p, d=d)
     items = tuple(
         item
         for carry in ew.items
-        for item in fwd.edgeweight_to_unweighted(carry.instance, alpha_mode=alpha_mode, budget=fwd.ALPHA_BUDGET).items
+        for item in fwd.edgeweight_to_unweighted(carry.instance, alpha_mode=alpha_mode).items
     )
     merged = fwd.merge_clique_instances(ReducedCollection("ref", "-", {}, items))
     sizes = tuple(item.instance.n for item in items)

@@ -163,12 +163,6 @@ def test_clique_brute_frozen_cases():
     assert not solve_kclique_bruteforce(c5).solvable
 
 
-def test_clique_brute_rejects_target_on_unweighted():
-    k4 = CliqueInstance(n=4, edges=complete_edges(4), k=3)
-    with pytest.raises(ParameterError):
-        solve_kclique_bruteforce(k4, target=0)
-
-
 def test_clique_brute_weighted_target():
     g6 = make_nw_graph(3, complete_edges(3), 3, [1, 2, 3], target=6)
     assert solve_kclique_bruteforce(g6).solvable
