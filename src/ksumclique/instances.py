@@ -300,6 +300,19 @@ class CliqueInstance(Instance):
         }
 
 
+def _check_weight_kinds(node_weights: object, edge_weights: object, bound: int) -> None:
+    if bound < 0:
+        raise ValidationError(f"weight bound must be >= 0, got {bound}")
+    if (node_weights is None) == (edge_weights is None):
+        raise ValidationError("exactly one of node_weights/edge_weights must be present")
+
+
+def _check_bound(kind: str, weights: Sequence[int], bound: int) -> None:
+    if max(map(abs, weights), default=0) > bound:
+        bad = next(x for x in weights if abs(x) > bound)
+        raise ValidationError(f"{kind} weight {bad} exceeds declared bound {bound}")
+
+
 @dataclass(frozen=True)
 class WeightedGraph(Instance):
     """A graph with exactly one weight kind plus the clique arity and target.
@@ -324,29 +337,49 @@ class WeightedGraph(Instance):
         if self.k < 1:
             raise ValidationError(f"arity k must be >= 1, got {self.k}")
         object.__setattr__(self, "edges", normalize_edges(self.n, self.edges))
-        if self.weight_bound < 0:
-            raise ValidationError(f"weight bound must be >= 0, got {self.weight_bound}")
-        if (self.node_weights is None) == (self.edge_weights is None):
-            raise ValidationError("exactly one of node_weights/edge_weights must be present")
-        m = self.weight_bound
-        if self.node_weights is not None:
-            w = tuple(int(x) for x in self.node_weights)
+        node_w, edge_w = self.node_weights, self.edge_weights
+        _check_weight_kinds(node_w, edge_w, self.weight_bound)
+        if node_w is not None:
+            w = tuple(int(x) for x in node_w)
             object.__setattr__(self, "node_weights", w)
             if len(w) != self.n:
                 raise ValidationError("node weight list length differs from n")
-            for x in w:
-                if abs(x) > m:
-                    raise ValidationError(f"node weight {x} exceeds declared bound {m}")
-        else:
-            assert self.edge_weights is not None
-            ew = tuple(sorted(((u, v, int(w)) if u < v else (v, u, int(w))) for u, v, w in self.edge_weights))
+            _check_bound("node", w, self.weight_bound)
+        elif edge_w is not None:
+            ew = tuple(sorted(((u, v, int(w)) if u < v else (v, u, int(w))) for u, v, w in edge_w))
             object.__setattr__(self, "edge_weights", ew)
-            keys = [(u, v) for u, v, _ in ew]
-            if keys != list(self.edges):
+            if [(u, v) for u, v, _ in ew] != list(self.edges):
                 raise ValidationError("edge weights must cover exactly the edge set")
-            for _, _, x in ew:
-                if abs(x) > m:
-                    raise ValidationError(f"edge weight {x} exceeds declared bound {m}")
+            _check_bound("edge", [x for _, _, x in ew], self.weight_bound)
+
+    def _reweighted(self, *, node_weights: Sequence[int] | None = None, edge_weights: Sequence[int] | None = None,
+                    weight_bound: int, target: int) -> WeightedGraph:
+        """This graph's n, edges and k with new int weights and target.
+
+        ``edge_weights`` holds one weight per edge of ``self.edges``, in that
+        order, so the triples come out sorted and cover the edge set by
+        construction, and the edges, normalized when this graph was built,
+        are not checked again. Only what new weights can break is checked:
+        the bound, one weight kind, the count and each magnitude. The result
+        equals, field for field, what the constructor builds from the same
+        values, and computes its own ``edges_by_weight``.
+        """
+        _check_weight_kinds(node_weights, edge_weights, weight_bound)
+        nw = ew = None
+        if node_weights is not None:
+            nw = tuple(node_weights)
+            if len(nw) != self.n:
+                raise ValidationError("node weight list length differs from n")
+            _check_bound("node", nw, weight_bound)
+        elif edge_weights is not None:
+            if len(edge_weights) != len(self.edges):
+                raise ValidationError("edge weight list length differs from the edge count")
+            _check_bound("edge", edge_weights, weight_bound)
+            ew = tuple((u, v, w) for (u, v), w in zip(self.edges, edge_weights))
+        graph = object.__new__(WeightedGraph)
+        graph.__dict__.update(n=self.n, edges=self.edges, k=self.k, node_weights=nw, edge_weights=ew,
+                              weight_bound=weight_bound, target=target)
+        return graph
 
     id_name = "vertex"
 

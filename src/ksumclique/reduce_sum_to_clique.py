@@ -195,15 +195,6 @@ def ksum_to_vectorsum(inst: KSumInstance, p: int, d: int) -> ReducedCollection:
     )
 
 
-def squaring_edge_weight(u_vec: tuple[int, ...], v_vec: tuple[int, ...], k: int) -> int:
-    """Per-coordinate u^2 + v^2 + 2(k-1)uv, summed; on any k vertices the
-    pairwise total telescopes to (k-1) * sum of squared coordinate sums."""
-    total = 0
-    for a, b in zip(u_vec, v_vec):
-        total += a * a + b * b + 2 * (k - 1) * a * b
-    return total
-
-
 def edge_weight_cap(k: int, d: int, p: int) -> int:
     """Declared magnitude cap 2k^3dp^2 on squaring-trick edge weights."""
     return 2 * k**3 * d * p**2
@@ -211,11 +202,16 @@ def edge_weight_cap(k: int, d: int, p: int) -> int:
 
 def nodeweight_to_edgeweight(g: WeightedGraph, p: int | None = None, d: int = 1) -> ReducedCollection:
     """Per feasible carry, reweight edges by the squaring trick on the mapped
-    node-weight vectors. A k-clique of node weight g.target in the source
-    exists iff some output graph has a zero-edge-weight k-clique.
+    node-weight vectors: edge (u, v) gets |f_u|^2 + |f_v|^2 + 2(k-1)<f_u, f_v>,
+    which on any k vertices sums to (k-1) * |sum of their f|^2. A k-clique of
+    node weight g.target in the source exists iff some output graph has a
+    zero-edge-weight k-clique.
 
     Every output shares one declared weight bound (the largest magnitude
     produced across carries) so downstream alpha enumeration ranges agree.
+    Each carry's weights are a list aligned with g.edges, and its graph is
+    g._reweighted with them, so the source's validated edges are not
+    normalized again.
     """
     if g.node_weights is None:
         raise ParameterError("node-weighted graph required")
@@ -242,27 +238,25 @@ def nodeweight_to_edgeweight(g: WeightedGraph, p: int | None = None, d: int = 1)
     ctx = carry_targets(goal, arity, radix, d)
     cap = edge_weight_cap(arity, d, radix)
     cross = 2 * (arity - 1)
-    per_carry: list[tuple[int, list[tuple[int, int, int]]]] = []
+    per_carry: list[tuple[int, list[int]]] = []
     achieved = 0
     skipped = []
     for i in range(ctx.s):
         if not ctx.is_feasible(i):
             skipped.append({"gamma": list(ctx.gammas[i]), "target": list(ctx.targets[i])})
             continue
-        # squaring_edge_weight regrouped: |f_u|^2 + |f_v|^2 + 2(k-1)<f_u, f_v>
         fvec = [map_f(w, ctx.targets[i], arity, radix, d) for w in weights]
         sq = [sum(map(mul, f, f)) for f in fvec]
-        ew = [(u, v, sq[u] + sq[v] + cross * sum(map(mul, fvec[u], fvec[v]))) for u, v in g.edges]
-        peak = max((abs(w) for _, _, w in ew), default=0)
+        ew = [sq[u] + sq[v] + cross * sum(map(mul, fvec[u], fvec[v])) for u, v in g.edges]
+        peak = max(map(abs, ew), default=0)
         if peak > cap:
-            bad = next(w for _, _, w in ew if abs(w) > cap)
+            bad = next(w for w in ew if abs(w) > cap)
             raise ValidationError(f"edge weight {bad} exceeds the cap {cap}")
         achieved = max(achieved, peak)
         per_carry.append((i, ew))
     items = tuple(
         ReducedItem(
-            WeightedGraph(n=g.n, edges=g.edges, k=arity, node_weights=None, edge_weights=tuple(ew),
-                          weight_bound=achieved, target=0),
+            g._reweighted(edge_weights=ew, weight_bound=achieved, target=0),
             {"gamma": list(ctx.gammas[i]), "target": list(ctx.targets[i])},
         )
         for i, ew in per_carry
@@ -315,6 +309,11 @@ def _zero_sum_alphas(
     a present last coordinate. One bitmask per slot is intersected with the
     matching endpoint mask of each chosen weight, and a branch where some
     slot's set is empty is cut (arc consistency, Mackworth 1977).
+
+    At the last free coordinate each weight in the window is tested together
+    with its forced partner in the same loop, and the full alpha is yielded
+    there: the forced pair (k-1, k) shares slot k with the pair (k-2, k)
+    before it, so both tests read the slot sets the DFS holds at that point.
     ``on_window`` is called with the size of each window at the last free
     coordinate when entered, and with 1 for the one empty head of k = 2.
     """
@@ -324,22 +323,31 @@ def _zero_sum_alphas(
     pairs = [(i - 1, j - 1) for i, j in slot_pairs(k)]
     last = len(pairs) - 1
     lo, hi = support[0], support[-1]
+    if last == 0:
+        if on_window is not None:
+            on_window(1)
+        if 0 in ends:  # a bucket's endpoint masks are never empty
+            yield (0,)
+        return
 
     def extend(idx: int, head: tuple[int, ...], total: int, slots: list[int]) -> Iterator[tuple[int, ...]]:
         i, j = pairs[idx]
-        if idx == last:
-            fit = ends.get(-total)
-            if fit is not None and slots[i] & fit[0] and slots[j] & fit[1]:
-                yield head + (-total,)
-            return
         rest = last - idx  # coordinates after this one, the forced one included
         start = bisect.bisect_left(support, -total - rest * hi)
         stop = bisect.bisect_right(support, -total - rest * lo)
-        if rest == 1 and on_window is not None:
-            on_window(stop - start)
+        if rest == 1:
+            if on_window is not None:
+                on_window(stop - start)
+            forced_first = slots[k - 2]
+            for x in support[start:stop]:
+                fit = ends.get(-total - x)
+                if fit is None:
+                    continue  # the forced last coordinate is no present weight
+                first, second = ends[x]
+                if slots[i] & first and forced_first & fit[0] and slots[j] & second & fit[1]:
+                    yield head + (x, -total - x)
+            return
         for x in support[start:stop]:
-            if rest == 1 and -total - x not in ends:
-                continue  # the forced last coordinate is no present weight
             first, second = ends[x]
             a = slots[i] & first
             b = slots[j] & second
@@ -349,8 +357,6 @@ def _zero_sum_alphas(
                 narrowed[j] = b
                 yield from extend(idx + 1, head + (x,), total + x, narrowed)
 
-    if last == 0 and on_window is not None:
-        on_window(1)
     yield from extend(0, (), 0, [-1] * k)
 
 

@@ -444,7 +444,9 @@ def _nw_pipeline(
     """Shared engine: shift weights, square-trick edge weights per carry
     (nodeweight_to_edgeweight), strip weights per slot-consistent alpha
     profile, then call the unweighted backend on each alpha graph in turn,
-    stop at the first hit and lift it with strip_slot_witness.
+    stop at the first hit and lift it with strip_slot_witness. The shifted
+    graph and every carry graph are reweighted copies of the input
+    (WeightedGraph._reweighted), so its edges are normalized only once.
 
     consistent_alpha_tuples skips only alphas whose graphs hold no k-clique
     and keeps present-mode order, so the witness is the one a search over
@@ -463,8 +465,8 @@ def _nw_pipeline(
     if k <= n:
         shifted = tuple(w + shift for w in graph.node_weights)
         coll = nodeweight_to_edgeweight(
-            WeightedGraph(n=n, edges=graph.edges, k=k, node_weights=shifted, edge_weights=None,
-                          weight_bound=max(shifted, default=0), target=graph.target + k * shift),
+            graph._reweighted(node_weights=shifted, weight_bound=max(shifted, default=0),
+                              target=graph.target + k * shift),
             d=d,
         )
     if coll is None or coll.params.get("range_pruned"):

@@ -27,6 +27,7 @@ from util import (
     oracle_kclique,
     oracle_ksum,
     oracle_vectorsum,
+    squaring_edge_weight,
 )
 
 
@@ -209,7 +210,7 @@ def test_squaring_single_edge_worked_example():
 
 
 def test_squaring_zero_vectors_give_zero_weights():
-    assert fwd.squaring_edge_weight((0, 0), (0, 0), 3) == 0
+    assert squaring_edge_weight((0, 0), (0, 0), 3) == 0
 
 
 def test_squaring_pairwise_identity_random():
@@ -220,7 +221,7 @@ def test_squaring_pairwise_identity_random():
         d = rng.randint(1, 4)
         vecs = [tuple(rng.randint(-9, 9) for _ in range(d)) for _ in range(k)]
         total = sum(
-            fwd.squaring_edge_weight(vecs[a], vecs[b], k)
+            squaring_edge_weight(vecs[a], vecs[b], k)
             for a, b in combinations(range(k), 2)
         )
         assert total == (k - 1) * sum(sum(col) ** 2 for col in zip(*vecs))
@@ -236,7 +237,7 @@ def test_edge_weight_cap_formula_and_bound():
         cap = fwd.edge_weight_cap(k, d, p)
         u = tuple(rng.randint(-k * p, k * p) for _ in range(d))
         v = tuple(rng.randint(-k * p, k * p) for _ in range(d))
-        assert abs(fwd.squaring_edge_weight(u, v, k)) <= cap
+        assert abs(squaring_edge_weight(u, v, k)) <= cap
 
 
 def test_nodeweight_to_edgeweight_matches_per_edge_squaring_random():
@@ -265,7 +266,7 @@ def test_nodeweight_to_edgeweight_matches_per_edge_squaring_random():
         for i in range(ctx.s):
             if ctx.is_feasible(i):
                 f = [fwd.map_f(w, ctx.targets[i], k, p, d) for w in weights]
-                want.append(tuple((u, v, fwd.squaring_edge_weight(f[u], f[v], k)) for u, v in g.edges))
+                want.append(tuple((u, v, squaring_edge_weight(f[u], f[v], k)) for u, v in g.edges))
         assert [item.instance.edge_weights for item in coll.items] == want
         bound = max((abs(w) for ew in want for _, _, w in ew), default=0)
         assert all(item.instance.weight_bound == bound for item in coll.items)

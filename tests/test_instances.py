@@ -1,8 +1,11 @@
 """Instance types, witness checking, normalization, and the wire format."""
 
 import json
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksumclique import (
     CliqueInstance,
@@ -108,6 +111,57 @@ def test_weighted_graph_edge_weights_must_cover_edges():
     with pytest.raises(ValidationError):
         WeightedGraph(n=3, edges=((0, 1), (1, 2)), k=2, node_weights=None,
                       edge_weights=((0, 1, 5),), weight_bound=5, target=0)
+
+
+@st.composite
+def _reweighting(draw):
+    """A validated graph of either weight kind, and new weights of either
+    kind for it, negative ones included, with a bound that holds them."""
+    n = draw(st.integers(0, 7))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), unique=True)) if n > 1 else []
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    weight = st.integers(-40, 40)
+    if draw(st.booleans()):
+        g = make_nw_graph(n, edges, draw(st.integers(1, 4)), draw(st.lists(weight, min_size=n, max_size=n)),
+                          target=draw(weight))
+    else:
+        g = make_ew_graph(n, edges, draw(st.integers(1, 4)),
+                          draw(st.lists(weight, min_size=len(edges), max_size=len(edges))), target=draw(weight))
+    kind = draw(st.sampled_from(["node_weights", "edge_weights"]))
+    count = n if kind == "node_weights" else len(edges)
+    weights = draw(st.lists(weight, min_size=count, max_size=count))
+    bound = max(map(abs, weights), default=0) + draw(st.integers(0, 3))
+    return g, kind, weights, bound, draw(weight)
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(_reweighting())
+def test_reweighted_equals_the_validating_constructor(case):
+    g, kind, weights, bound, target = case
+    if g.edge_weights is not None:
+        g.edges_by_weight  # a cache on the source must not leak into the copy
+    new = tuple(weights) if kind == "node_weights" else tuple((u, v, w) for (u, v), w in zip(g.edges, weights))
+    ref = WeightedGraph(n=g.n, edges=g.edges, k=g.k, **{"node_weights": None, "edge_weights": None, kind: new},
+                        weight_bound=bound, target=target)
+    got = g._reweighted(**{kind: weights}, weight_bound=bound, target=target)
+    assert got == ref and hash(got) == hash(ref)
+    assert serialize_instance(got) == serialize_instance(ref)
+    assert instance_digest(got) == instance_digest(ref)
+    if kind == "edge_weights":
+        assert got.edges_by_weight == ref.edges_by_weight
+
+    def reweight(**kwargs):
+        return g._reweighted(**{"weight_bound": bound, "target": target, **kwargs})
+
+    bad = [{kind: weights + [0]}, {"node_weights": [0] * g.n, "edge_weights": [0] * g.m}, {},
+           {kind: weights, "weight_bound": -1}]
+    if weights:
+        over = weights.copy()
+        over[len(over) // 2] = -bound - 1
+        bad += [{kind: weights[:-1]}, {kind: over}]
+    for kwargs in bad:
+        with pytest.raises(ValidationError):
+            reweight(**kwargs)
 
 
 def test_verify_witness_ksum_true_and_false():

@@ -502,22 +502,75 @@ FROZEN_NW = (
 )
 
 
+# (alphas, alpha_nodes) of the slot-consistent pipeline at d = 1 then d = 2,
+# for the same graphs, recorded before the forced last coordinate was tested
+# inside the window loop of the last free coordinate.
+FROZEN_NW_COUNTS = (
+    (1, 483, 1, 52),
+    (0, 95, 0, 101),
+    (1, 1099, 1, 578),
+    (1, 68, 1, 180),
+    (1, 520, 2, 381),
+    (1, 325, 1, 275),
+    (1, 40, 1, 188),
+    (0, 55, 0, 196),
+    (1, 501, 2, 461),
+    (0, 522, 1, 282),
+    (1, 207, 1, 450),
+    (1, 293, 1, 147),
+    (0, 47, 0, 167),
+    (1, 446, 2, 161),
+    (1, 92, 1, 238),
+    (1, 257, 1, 22),
+    (0, 359, 0, 350),
+    (0, 318, 0, 437),
+    (0, 16, 0, 35),
+    (1, 92, 1, 133),
+    (1, 35, 1, 1432),
+    (1, 105, 1, 98),
+    (1, 312, 2, 686),
+    (1, 46, 2, 347),
+    (2, 96, 0, 561),
+    (1, 367, 2, 1169),
+    (0, 170, 0, 306),
+    (0, 46, 0, 1005),
+    (1, 1046, 1, 591),
+    (2, 912, 1, 464),
+    (6, 7, 6, 21),
+    (2, 54, 4, 31),
+    (8, 27, 2, 145),
+    (6, 7, 6, 27),
+    (1, 4, 1, 4),
+    (1, 1, 1, 1),
+    (15, 15, 15, 15),
+    (8, 14, 14, 20),
+    (6, 6, 6, 6),
+    (1, 86, 4, 193),
+    (1, 24, 1, 24),
+    (1, 140, 2, 193),
+)
+
+
 def test_nw_pipeline_frozen_witnesses():
     """Pruning alphas whose graphs hold no clique keeps the first alpha that
-    holds one, so witnesses stay frozen and alpha counts never grow."""
-    for i, frozen in enumerate(FROZEN_NW):
+    holds one, so witnesses stay frozen and alpha counts never grow past the
+    present-mode ones; the slot-consistent counts themselves are frozen."""
+    for i, (frozen, counts) in enumerate(zip(FROZEN_NW, FROZEN_NW_COUNTS, strict=True)):
         g = _frozen_nw_graph(i)
-        if g.k == 3:
-            for d, (witness, alphas) in ((1, frozen[:2]), (2, frozen[2:])):
-                for backend in ("naive-mm", "degree-split"):
-                    rep = solve_nw_triangle(g, backend=backend, d=d)
-                    assert rep.witness == witness, (i, backend, d)
-                    assert rep.stats["alphas"] <= alphas, (i, backend, d)
-        else:
-            witness, alphas = frozen
-            rep = solve_nw_kclique(g)
-            assert rep.witness == witness, i
-            assert rep.stats["alphas"] <= alphas, i
+        for d in (1, 2):
+            if g.k == 3:
+                reps = [solve_nw_triangle(g, backend=backend, d=d) for backend in ("naive-mm", "degree-split")]
+            else:
+                reps = [solve_nw_kclique(g, d=d)]
+            for rep in reps:
+                assert (rep.stats["alphas"], rep.stats["alpha_nodes"]) == counts[2 * d - 2:2 * d], (i, d)
+                if g.k == 3 or d == 1:
+                    witness, alphas = frozen[2 * d - 2:2 * d]
+                    assert rep.witness == witness, (i, d)
+                    assert rep.stats["alphas"] <= alphas, (i, d)
+                else:  # no present-mode run was frozen for k = 4 at d = 2
+                    assert rep.solvable == (frozen[0] is not None), i
+                    assert rep.witness is None or verify_witness(g, rep.witness), i
 
 
 def _capacity_graph(seed, n, k, big_m, density):

@@ -75,6 +75,15 @@ def oracle_lindep(q, vectors, k, target):
     return None
 
 
+def squaring_edge_weight(u_vec, v_vec, k):
+    """Per-coordinate u^2 + v^2 + 2(k-1)uv, summed; on any k vertices the
+    pairwise total telescopes to (k-1) * sum of squared coordinate sums."""
+    total = 0
+    for a, b in zip(u_vec, v_vec):
+        total += a * a + b * b + 2 * (k - 1) * a * b
+    return total
+
+
 def complete_edges(n):
     return tuple(combinations(range(n), 2))
 
