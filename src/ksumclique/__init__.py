@@ -74,7 +74,6 @@ from .fieldapps import (
 from .solvers import (
     SolverReport,
     detect_triangle,
-    iter_kcliques,
     solve_kclique_bruteforce,
     solve_ksum_bruteforce,
     solve_ksum_mim,

@@ -131,14 +131,12 @@ class Instance:
     """
 
     kind: str
+    holds: Callable[[tuple[int, ...]], bool]
     id_name = "index"
 
     @property
     def size(self) -> int:
         return self.n
-
-    def holds(self, ws: tuple[int, ...]) -> bool:
-        raise ValidationError(f"cannot verify witness for {type(self).__name__}")
 
 
 @dataclass(frozen=True)
@@ -594,13 +592,12 @@ def _parse_graph(obj: dict[str, Any]) -> CliqueInstance | WeightedGraph:
 
 
 def _parsers() -> dict[str, Callable[[dict[str, Any]], Instance]]:
-    from . import fieldapps, sumfree  # local import to avoid a cycle
+    from . import fieldapps  # local import to avoid a cycle
 
     return {
         "ksum": _parse_ksum,
         "vectorsum": _parse_vectorsum,
         "graph": _parse_graph,
-        "sumfree": sumfree.parse_sumfree_dict,
         "targetsum": fieldapps.parse_targetsum_dict,
         "lindep": fieldapps.parse_lindep_dict,
     }

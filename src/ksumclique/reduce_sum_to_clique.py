@@ -109,6 +109,12 @@ class CarryContext:
         return all(0 <= c <= cap for c in self.targets[index])
 
 
+def _check_radix(p: int, k: int) -> None:
+    """k digits below p sum without carrying only when p > k."""
+    if p <= k:
+        raise ParameterError(f"radix must exceed the arity, got p={p} <= k={k}")
+
+
 def carry_targets(t: int, k: int, p: int, d: int) -> CarryContext:
     """Enumerate carry tuples in lexicographic order with their digit targets.
 
@@ -116,8 +122,7 @@ def carry_targets(t: int, k: int, p: int, d: int) -> CarryContext:
     beyond p^d), carry tuple c yields target entries v[1]+c_1*p at the bottom,
     v[j]-c_{j-1}+c_j*p in the middle and v[d]-c_{d-1} at the top.
     """
-    if p <= k:
-        raise ParameterError(f"radix must exceed the arity, got p={p} <= k={k}")
+    _check_radix(p, k)
     if d < 1:
         raise ParameterError(f"digit count must be >= 1, got {d}")
     if not 0 <= t <= k * (p**d - 1):
@@ -164,6 +169,7 @@ def ksum_to_vectorsum(inst: KSumInstance, p: int, d: int) -> ReducedCollection:
     bound = _achieved_bound(inst)
     if p**d < inst.k * bound + 1:
         raise ParameterError(f"p^d = {p**d} < k*M+1 = {inst.k * bound + 1}")
+    _check_radix(p, inst.k)
     if not 0 <= inst.target <= inst.k * bound:
         return ReducedCollection(
             reduction="ksum_to_vectorsum",
@@ -224,9 +230,10 @@ def nodeweight_to_edgeweight(g: WeightedGraph, p: int | None = None, d: int = 1)
         raise ParameterError("node weights must be nonnegative; shift the instance first")
     if d < 1:
         raise ParameterError(f"digit count must be >= 1, got {d}")
-    radix = choose_radix(arity, bound, d) if p is None else max(p, arity + 1)
+    radix = choose_radix(arity, bound, d) if p is None else p
     if radix**d < arity * bound + 1:
         raise ParameterError(f"p^d = {radix**d} < k*M+1 = {arity * bound + 1}")
+    _check_radix(radix, arity)
     if not 0 <= goal <= arity * bound:
         # no k node weights can reach the target: empty emission, OR preserved
         return ReducedCollection(

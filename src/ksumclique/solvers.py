@@ -8,7 +8,6 @@ smallest witness; the other exact solvers return a deterministic one.
 from __future__ import annotations
 
 import math
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, combinations, compress, count, islice
@@ -46,14 +45,11 @@ class SolverReport:
         if self.solvable != (self.witness is not None):
             raise ValidationError("witness must be present exactly when solvable")
 
-    def to_json_dict(self, include_timing: bool = False) -> dict[str, Any]:
-        stats = dict(self.stats)
-        if not include_timing:
-            stats.pop("wall_time_s", None)
+    def to_json_dict(self) -> dict[str, Any]:
         return {
             "solvable": self.solvable,
             "witness": list(self.witness) if self.witness is not None else None,
-            "stats": stats,
+            "stats": dict(self.stats),
         }
 
 
@@ -64,7 +60,6 @@ def _guard_combinations(n: int, k: int, budget: int) -> None:
 
 def solve_ksum_bruteforce(inst: KSumInstance, budget: int = DEFAULT_BUDGET) -> SolverReport:
     """Enumerate index k-subsets in lexicographic order; first hit wins."""
-    start = time.perf_counter()
     n, k, t = inst.n, inst.k, inst.target
     candidates = 0
     witness = None
@@ -82,7 +77,7 @@ def solve_ksum_bruteforce(inst: KSumInstance, budget: int = DEFAULT_BUDGET) -> S
     return SolverReport(
         solvable=witness is not None,
         witness=witness,
-        stats={"candidates": candidates, "wall_time_s": time.perf_counter() - start},
+        stats={"candidates": candidates},
     )
 
 
@@ -132,13 +127,12 @@ def solve_ksum_mim(inst: KSumInstance, budget: int = DEFAULT_BUDGET) -> SolverRe
     distinct left sums in the set when the search stops. For k = 1 the single
     probe is the empty right half, which every left half can join.
     """
-    start = time.perf_counter()
     n, k, t = inst.n, inst.k, inst.target
     numbers = inst.numbers
     a = (k + 1) // 2
     b = k // 2
     if k > n:
-        return SolverReport(False, None, {"table_size": 0, "probes": 0, "wall_time_s": time.perf_counter() - start})
+        return SolverReport(False, None, {"table_size": 0, "probes": 0})
     _guard_combinations(n, a, budget)
     witness = None
     if b == 0:
@@ -170,14 +164,13 @@ def solve_ksum_mim(inst: KSumInstance, budget: int = DEFAULT_BUDGET) -> SolverRe
     return SolverReport(
         solvable=witness is not None,
         witness=witness,
-        stats={"table_size": len(table), "probes": probes, "wall_time_s": time.perf_counter() - start},
+        stats={"table_size": len(table), "probes": probes},
     )
 
 
 def solve_vectorsum_bruteforce(inst: VectorSumInstance, budget: int = DEFAULT_BUDGET) -> SolverReport:
     """Lexicographic subset scan; a target outside the k-fold entry range
     short-circuits to unsolvable with zero candidates examined."""
-    start = time.perf_counter()
     n, k, dim = inst.n, inst.k, inst.dim
     candidates = 0
     witness = None
@@ -198,11 +191,7 @@ def solve_vectorsum_bruteforce(inst: VectorSumInstance, budget: int = DEFAULT_BU
     return SolverReport(
         solvable=witness is not None,
         witness=witness,
-        stats={
-            "candidates": candidates,
-            "range_pruned": inst.trivially_unsolvable,
-            "wall_time_s": time.perf_counter() - start,
-        },
+        stats={"candidates": candidates, "range_pruned": inst.trivially_unsolvable},
     )
 
 
@@ -258,19 +247,6 @@ def _guard_clique_search(n: int, k: int, edges: tuple[tuple[int, int], ...], bud
         raise ResourceBudgetError(f"k-clique search on n={n}, k={k} exceeds the work budget {budget}")
 
 
-def iter_kcliques(inst: CliqueInstance | WeightedGraph, budget: int = DEFAULT_BUDGET) -> Iterator[tuple[int, ...]]:
-    """Every k-clique (as a sorted vertex tuple) in lexicographic order.
-
-    The search walks forward adjacency, so it costs O(n + m) plus the work
-    inside forward neighbourhoods.
-    """
-    n, k = inst.n, inst.k
-    if k > n:
-        return
-    _guard_clique_search(n, k, inst.edges, budget)
-    yield from _kcliques(n, inst.edges, k, [0])
-
-
 def solve_kclique_bruteforce(inst: CliqueInstance | WeightedGraph, budget: int = DEFAULT_BUDGET) -> SolverReport:
     """Exact k-clique search honoring the node- or edge-weight target of a
     weighted graph.
@@ -282,7 +258,6 @@ def solve_kclique_bruteforce(inst: CliqueInstance | WeightedGraph, budget: int =
     the counter depends on the search's shortcuts. The guard bounds the work
     by min(C(n,k), n * maxdeg^(k-1)).
     """
-    start = time.perf_counter()
     n, k = inst.n, inst.k
     witness = None
     counter = [0]
@@ -312,7 +287,7 @@ def solve_kclique_bruteforce(inst: CliqueInstance | WeightedGraph, budget: int =
     return SolverReport(
         solvable=witness is not None,
         witness=witness,
-        stats={"nodes_expanded": counter[0], "wall_time_s": time.perf_counter() - start},
+        stats={"nodes_expanded": counter[0]},
     )
 
 
@@ -358,7 +333,7 @@ def detect_triangle(
     backend: str = "degree-split",
     delta: int | None = None,
 ) -> SolverReport:
-    """Exact triangle detection with two cross-checkable backends.
+    """Exact triangle detection (k = 3 only) with two cross-checkable backends.
 
     naive-mm intersects the boolean square of the adjacency structure with the
     adjacency itself. degree-split enumerates neighbor pairs of vertices of
@@ -371,7 +346,8 @@ def detect_triangle(
     vertices add no pair and never join the core, so witnesses and counters
     are those of a scan over every vertex.
     """
-    start = time.perf_counter()
+    if inst.k != 3:
+        raise ParameterError(f"triangle detection requires k=3, got k={inst.k}")
     n, m = inst.n, inst.m
     masks = _adjacency_masks(n, inst.edges)
     witness: tuple[int, int, int] | None = None
@@ -428,7 +404,6 @@ def detect_triangle(
                 witness = tuple(sorted(core[i] for i in found))
     else:
         raise ParameterError(f"unknown triangle backend {backend!r}")
-    stats["wall_time_s"] = time.perf_counter() - start
     return SolverReport(solvable=witness is not None, witness=witness, stats=stats)
 
 
@@ -455,7 +430,6 @@ def _nw_pipeline(
     `alpha_nodes` counts the search heads tried, summed over carries, which
     ALPHA_BUDGET bounds per carry.
     """
-    start = time.perf_counter()
     if graph.node_weights is None:
         raise ParameterError("node-weighted graph required")
     k, n = graph.k, graph.n
@@ -471,7 +445,6 @@ def _nw_pipeline(
         )
     if coll is None or coll.params.get("range_pruned"):
         stats["range_pruned"] = True
-        stats["wall_time_s"] = time.perf_counter() - start
         return SolverReport(False, None, stats)
     stats["p"] = coll.params["p"]
     stats["d"] = d
@@ -495,7 +468,6 @@ def _nw_pipeline(
         if witness is not None:
             break
     stats["alpha_nodes"] = nodes[0]
-    stats["wall_time_s"] = time.perf_counter() - start
     return SolverReport(solvable=witness is not None, witness=witness, stats=stats)
 
 
@@ -522,7 +494,6 @@ def solve_nw_kclique(graph: WeightedGraph, d: int = 1) -> SolverReport:
     if k < 2:
         raise ParameterError(f"clique pipeline requires k >= 2, got k={k}")
     if k == 2:
-        start = time.perf_counter()
         weights = graph.node_weights
         witness = None
         scanned = 0
@@ -534,6 +505,6 @@ def solve_nw_kclique(graph: WeightedGraph, d: int = 1) -> SolverReport:
         return SolverReport(
             solvable=witness is not None,
             witness=witness,
-            stats={"edges_scanned": scanned, "wall_time_s": time.perf_counter() - start},
+            stats={"edges_scanned": scanned},
         )
     return _nw_pipeline(graph, solve_kclique_bruteforce, d=d)

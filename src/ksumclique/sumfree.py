@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Any, Iterable
+from typing import Iterable
 
-from .instances import Instance, ValidationError, _as_int, _as_int_list
+from .instances import ValidationError
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class SumFreeParams:
 
 
 @dataclass(frozen=True)
-class SumFreeSet(Instance):
+class SumFreeSet:
     """Sorted distinct elements certified k-sum-free, with their construction params.
 
     The certified arity k may be smaller than params.k: every set is trivially
@@ -65,30 +65,6 @@ class SumFreeSet(Instance):
                 raise ValidationError(f"element {x} outside [0, base^m)")
             if sum(d * d for d in digits_of(x, p.base, p.m)) != p.r:
                 raise ValidationError(f"element {x} is not in the norm-{p.r} class")
-
-    kind = "sumfree"
-
-    @property
-    def n(self) -> int:
-        return len(self.elements)
-
-    def to_json_dict(self) -> dict[str, Any]:
-        p = self.params
-        return {
-            "type": "sumfree",
-            "k": self.k,
-            "elements": [str(x) for x in self.elements],
-            "params": {"k": p.k, "m": p.m, "b": p.b, "base": p.base, "r": p.r},
-        }
-
-
-def parse_sumfree_dict(obj: dict[str, Any]) -> SumFreeSet:
-    p = obj["params"]
-    if not isinstance(p, dict):
-        raise ValidationError(f"params must be a JSON object, got {type(p).__name__}")
-    params = SumFreeParams(**{key: _as_int(p[key], f"params {key}") for key in ("k", "m", "b", "base", "r")})
-    elements = _as_int_list(obj["elements"], "elements", "element")
-    return SumFreeSet(k=_as_int(obj["k"], "k"), elements=elements, params=params)
 
 
 def digits_of(x: int, base: int, m: int) -> tuple[int, ...]:

@@ -23,6 +23,7 @@ from ksumclique import (
     verify_witness,
 )
 from ksumclique.cli import (
+    KIND_SOLVERS,
     REDUCTIONS,
     SOLVERS,
     ExperimentConfig,
@@ -41,7 +42,7 @@ from util import make_ksum, oracle_kclique
 # --- generators ---
 
 def test_gen_ksum_plant_is_solvable():
-    inst = gen_random_ksum(4, 2, 10, solvable_bias="plant", seed=1)
+    inst = gen_random_ksum(4, 2, 10, plant=True, seed=1)
     assert solve_ksum_bruteforce(inst).solvable
 
 
@@ -52,8 +53,8 @@ def test_gen_ksum_zero_bound_all_zero():
 
 
 def test_gen_ksum_seed_determinism():
-    a = gen_random_ksum(9, 3, 100, solvable_bias="plant", seed=77)
-    b = gen_random_ksum(9, 3, 100, solvable_bias="plant", seed=77)
+    a = gen_random_ksum(9, 3, 100, plant=True, seed=77)
+    b = gen_random_ksum(9, 3, 100, plant=True, seed=77)
     assert a == b
 
 
@@ -218,16 +219,16 @@ def test_lindep_lift_pads_a_reused_source_index():
 # one planted-solvable source per two-sided reduction, small enough for the
 # brute-force oracles on every reduced item
 LIFT_SOURCES = {
-    "ksum_to_vectorsum": gen_random_ksum(6, 3, 20, solvable_bias="plant", seed=1),
+    "ksum_to_vectorsum": gen_random_ksum(6, 3, 20, plant=True, seed=1),
     "nodeweight_to_edgeweight": gen_random_graph(6, 0.5, 3, plant_clique=True, weights="node", big_m=5, seed=2),
     "edgeweight_to_unweighted": gen_random_graph(5, 0.5, 3, plant_clique=True, weights="edge", big_m=1, seed=3),
-    "smallksum_to_kclique": gen_random_ksum(6, 2, 30, solvable_bias="plant", seed=4),
+    "smallksum_to_kclique": gen_random_ksum(6, 2, 30, plant=True, seed=4),
     "clique_to_vectorsum": gen_random_graph(4, 0.5, 2, plant_clique=True, seed=5),
     "vectorsum_to_ksum": VectorSumInstance(k=2, dim=2, vectors=((1, 2), (0, 1), (2, 0), (1, 1)), target=(3, 1),
                                            entry_bounds=(0, 2)),
     "kclique_to_ksum": gen_random_graph(4, 0.5, 2, plant_clique=True, seed=6),
     "targetsum_to_ksum": TargetSumInstance(q=7, elements=(1, 5, 3, 6), k=2, target=1),
-    "ksum_to_targetsum": gen_random_ksum(6, 3, 20, solvable_bias="plant", seed=7),
+    "ksum_to_targetsum": gen_random_ksum(6, 3, 20, plant=True, seed=7),
     "lindep_to_vectorsum": LinDepInstance(q=3, n=2, vectors=((1, 0), (0, 1), (1, 1), (2, 1)), k=2, target=(2, 2)),
 }
 
@@ -351,6 +352,55 @@ def test_cli_solver_wrong_kind_is_usage_error(tmp_path, capsys, solver, instance
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("solver", ["triangle-naive-mm", "triangle-degree-split"])
+def test_cli_triangle_solver_rejects_k_other_than_3(tmp_path, capsys, solver, k):
+    # K4 minus the edge (2, 3): two triangles, no 4-clique
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"type": "graph", "k": k, "n": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3]]}))
+    assert main(["solve", "--in", str(path), "--solver", solver, "--out", str(tmp_path / "r.json")]) == 2
+    assert "triangle detection requires k=3" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+# One seeded instance of each kind that KIND_SOLVERS lists, all with k = 3 so
+# that the triangle solvers take the clique one.
+KIND_INSTANCES = {
+    "ksum": gen_random_ksum(8, 3, 20, plant=True, seed=1),
+    "vectorsum": VectorSumInstance(k=3, dim=2, vectors=((0, 1), (2, 0), (1, 1), (2, 2), (0, 2)), target=(3, 3),
+                                   entry_bounds=(0, 2)),
+    "clique": gen_random_graph(9, 0.5, 3, seed=2),
+    "graph-node": gen_random_graph(9, 0.5, 3, plant_clique=True, weights="node", big_m=6, seed=3),
+    "graph-edge": gen_random_graph(8, 0.5, 3, plant_clique=True, weights="edge", big_m=4, seed=4),
+    "targetsum": TargetSumInstance(q=7, elements=(1, 5, 2, 6, 3), k=3, target=4),
+    "lindep": LinDepInstance(q=3, n=2, vectors=((1, 0), (0, 1), (1, 1), (2, 1)), k=3, target=(1, 2)),
+}
+SOLVER_KINDS = [(name, kind) for name in SOLVERS for kind, names in KIND_SOLVERS.items() if name in ("auto",) + names]
+
+
+def test_every_solver_takes_some_kind():
+    assert {name for name, _ in SOLVER_KINDS} == set(SOLVERS)
+    assert {kind: inst.kind for kind, inst in KIND_INSTANCES.items()} == {kind: kind for kind in KIND_SOLVERS}
+
+
+@pytest.mark.parametrize("solver, kind", SOLVER_KINDS, ids=lambda v: v)
+def test_solver_reports_are_deterministic(solver, kind):
+    first, second = (SOLVERS[solver](KIND_INSTANCES[kind]) for _ in range(2))
+    assert first.to_json_dict() == second.to_json_dict()
+    assert first.stats == second.stats
+
+
+def test_cli_solve_timing_adds_only_the_wall_time(tmp_path):
+    path, plain, timed = tmp_path / "inst.json", tmp_path / "plain.json", tmp_path / "timed.json"
+    path.write_text(json.dumps(KSUM_FILE))
+    assert main(["solve", "--in", str(path), "--out", str(plain)]) == 0
+    assert main(["solve", "--in", str(path), "--timing", "--out", str(timed)]) == 0
+    got = json.loads(timed.read_text())
+    wall_time_s = got["stats"].pop("wall_time_s")
+    assert isinstance(wall_time_s, float) and wall_time_s >= 0
+    assert got == json.loads(plain.read_text())
+
+
 def test_cli_gen_solve_verify_round_trip(tmp_path):
     inst_path = tmp_path / "a.json"
     rc = main(["gen", "ksum", "--n", "6", "--k", "2", "--M", "30", "--plant",
@@ -392,7 +442,7 @@ def test_cli_solve_exit_one_on_unsolvable(tmp_path):
 
 def test_cli_solve_reduced_collection_reports_first_solvable_item(tmp_path):
     inst_path, red_path, out_path = tmp_path / "a.json", tmp_path / "red.jsonl", tmp_path / "r.json"
-    inst = gen_random_ksum(7, 3, 40, solvable_bias="plant", seed=3)
+    inst = gen_random_ksum(7, 3, 40, plant=True, seed=3)
     inst_path.write_bytes(serialize_instance(inst))
     assert main(["reduce", "--in", str(inst_path), "--via", "ksum_to_vectorsum", "--d", "2", "--out", str(red_path)]) == 0
     coll = parse_collection(red_path.read_bytes())
@@ -425,7 +475,7 @@ def test_cli_solve_collection_without_solvable_item(tmp_path):
 
 def test_cli_solve_collection_checks_each_item_kind(tmp_path, capsys):
     inst_path, red_path = tmp_path / "a.json", tmp_path / "red.jsonl"
-    inst_path.write_bytes(serialize_instance(gen_random_ksum(6, 3, 20, solvable_bias="plant", seed=1)))
+    inst_path.write_bytes(serialize_instance(gen_random_ksum(6, 3, 20, plant=True, seed=1)))
     assert main(["reduce", "--in", str(inst_path), "--via", "ksum_to_vectorsum", "--out", str(red_path)]) == 0
     assert main(["solve", "--in", str(red_path), "--solver", "ksum-mim"]) == 2
     assert "does not take a vectorsum instance" in capsys.readouterr().err
@@ -550,6 +600,26 @@ def test_cli_reduce_zero_digit_count_is_usage_error(tmp_path, capsys, via, insta
     assert main(["reduce", "--in", str(inst_path), "--via", via, "--p", "5", "--d", "0", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "digit count must be >= 1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["0", "5"])
+@pytest.mark.parametrize(
+    "via, instance",
+    [
+        ("ksum_to_vectorsum", {"type": "ksum", "k": 3, "numbers": ["0", "0", "0"], "range": ["0", "0"]}),
+        ("nodeweight_to_edgeweight", dict(GRAPH_FILE, node_weights=["0", "0", "0"], weight_bound="0")),
+    ],
+)
+def test_cli_reduce_radix_at_most_k_is_usage_error(tmp_path, capsys, via, instance, target):
+    # all-zero weights fit any radix, so only the p > k check stops p = k = 3,
+    # both for a reachable target and for one the range check prunes
+    instance = dict(instance, target=target)
+    inst_path = tmp_path / "zero.json"
+    inst_path.write_text(json.dumps(instance))
+    out = tmp_path / "red.jsonl"
+    assert main(["reduce", "--in", str(inst_path), "--via", via, "--p", "3", "--out", str(out)]) == 2
+    assert "radix must exceed the arity, got p=3 <= k=3" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -219,19 +219,6 @@ def test_parse_error_carries_position():
         pytest.fail("expected ParseError")
 
 
-@pytest.mark.parametrize(
-    "elements, r",
-    [("1", "1"), (["1"], 1.5), (["1.0"], "1")],
-    ids=["elements-string", "norm-float", "element-float-string"],
-)
-def test_parse_sumfree_takes_only_integer_lists(elements, r):
-    params = {"k": 3, "m": 1, "b": 2, "base": 3, "r": r}
-    good = {"type": "sumfree", "k": 3, "elements": ["1"], "params": dict(params, r=1)}
-    assert parse_instance(json.dumps(good)).elements == (1,)
-    with pytest.raises(ValidationError):
-        parse_instance(json.dumps({"type": "sumfree", "k": 3, "elements": elements, "params": params}))
-
-
 def test_parse_unknown_type():
     with pytest.raises(ValidationError):
         parse_instance(b'{"type":"mystery"}')

@@ -15,7 +15,6 @@ from ksumclique import (
     SolverReport,
     ValidationError,
     detect_triangle,
-    iter_kcliques,
     solve_kclique_bruteforce,
     solve_ksum_bruteforce,
     solve_ksum_mim,
@@ -25,6 +24,7 @@ from ksumclique import (
     verify_witness,
 )
 from ksumclique import reduce_sum_to_clique as fwd
+from ksumclique.solvers import _kcliques
 
 from util import (
     complete_edges,
@@ -45,12 +45,6 @@ def test_report_invariant():
         SolverReport(solvable=True, witness=None)
     with pytest.raises(ValidationError):
         SolverReport(solvable=False, witness=(0,))
-
-
-def test_report_timing_is_opt_in():
-    rep = solve_ksum_bruteforce(make_ksum([1, 2], 2, 3))
-    assert "wall_time_s" not in rep.to_json_dict()["stats"]
-    assert "wall_time_s" in rep.to_json_dict(include_timing=True)["stats"]
 
 
 def test_brute_frozen_cases():
@@ -232,15 +226,15 @@ def test_kclique_search_matches_combinations_random():
             g = make_ew_graph(n, edges, k, weights, target=t)
             want = oracle_ew_kclique(n, edges, k, weights, t)
         assert solve_kclique_bruteforce(g).witness == want
-        assert list(iter_kcliques(g)) == _cliques_by_combinations(n, edges, k)
+        assert list(_kcliques(g.n, g.edges, k, [0])) == _cliques_by_combinations(n, edges, k)
 
 
-def test_iter_kcliques_enumerates_all():
+def test_kcliques_enumerates_all():
     g = CliqueInstance(n=5, edges=complete_edges(5), k=3)
-    assert sum(1 for _ in iter_kcliques(g)) == comb(5, 3)
-    got = set(iter_kcliques(g))
+    assert sum(1 for _ in _kcliques(g.n, g.edges, g.k, [0])) == comb(5, 3)
+    got = set(_kcliques(g.n, g.edges, g.k, [0]))
     assert got == set(combinations(range(5), 3))
-    assert list(iter_kcliques(CliqueInstance(n=2, edges=((0, 1),), k=3))) == []
+    assert list(_kcliques(2, ((0, 1),), 3, [0])) == []
 
 
 def test_clique_budget_guard():
@@ -263,7 +257,7 @@ def test_sparse_graph_beats_naive_combination_count():
     rep = solve_kclique_bruteforce(g, budget=200_000)
     assert rep.witness == (n - 3, n - 2, n - 1)
     assert rep.stats["nodes_expanded"] == (n - 2) + 1 + 2  # top level, vertex n - 2, vertex n - 1 and the clique
-    assert list(iter_kcliques(g, budget=200_000)) == [(n - 3, n - 2, n - 1)]
+    assert list(_kcliques(g.n, g.edges, g.k, [0])) == [(n - 3, n - 2, n - 1)]
 
 
 def test_detect_triangle_frozen_cases():
@@ -330,7 +324,7 @@ def test_detect_triangle_sparse_partite_frozen(row):
         detect_triangle(g, backend="degree-split"),
         detect_triangle(g, backend="degree-split", delta=2),
     ]
-    got = [(rep.witness, {k: v for k, v in rep.stats.items() if k not in ("wall_time_s", "backend")}) for rep in reports]
+    got = [(rep.witness, {k: v for k, v in rep.stats.items() if k != "backend"}) for rep in reports]
     assert got == expected
 
 
