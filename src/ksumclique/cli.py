@@ -118,6 +118,8 @@ def gen_random_graph(
         raise ParameterError(f"edge probability {edge_prob} outside [0,1]")
     if k > n:
         raise ParameterError(f"need n >= k, got n={n}, k={k}")
+    if weights != "none" and big_m < 0:
+        raise ParameterError(f"need M >= 0, got {big_m}")
     rng = random.Random(seed)
     edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < edge_prob}
     planted: list[int] = []
@@ -179,22 +181,30 @@ def _single_item_collection(name: str, source: Any, inst: Any, params: dict[str,
     return ReducedCollection(name, params=params, items=(ReducedItem(inst, {}),), source=source, decode=decode)
 
 
+def _int_param(params: dict[str, Any], key: str, default: int | None = None) -> int | None:
+    """An integer reduction parameter, or default when absent; anything
+    else is the caller's usage error."""
+    value = params.get(key)
+    if value is None:
+        return default
+    try:
+        return _as_int(value, key)
+    except ValidationError as exc:
+        raise ParameterError(str(exc)) from None
+
+
 def _reduce_ksum_to_vectorsum(inst: KSumInstance, params: dict[str, Any]) -> ReducedCollection:
-    d = int(params.get("d", 1))
-    p = params.get("p")
-    p = fwd.choose_radix(inst.k, max(inst.bounds[1], 0), d) if p is None else int(p)
-    return fwd.ksum_to_vectorsum(inst, p, d)
+    d = _int_param(params, "d", 1)
+    p = _int_param(params, "p")
+    return fwd.ksum_to_vectorsum(inst, fwd.choose_radix(inst.k, max(inst.bounds[1], 0), d) if p is None else p, d)
 
 
 def _reduce_nodeweight_to_edgeweight(inst: WeightedGraph, params: dict[str, Any]) -> ReducedCollection:
-    p = params.get("p")
-    d = int(params.get("d", 1))
-    return fwd.nodeweight_to_edgeweight(inst, p=None if p is None else int(p), d=d)
+    return fwd.nodeweight_to_edgeweight(inst, p=_int_param(params, "p"), d=_int_param(params, "d", 1))
 
 
 def _reduce_smallksum_to_kclique(inst: KSumInstance, params: dict[str, Any]) -> ReducedCollection:
-    f_exp = int(params.get("f_exp", 2))
-    result = fwd.smallksum_to_kclique(inst, f_exp, alpha_mode=params.get("alpha_mode", "present"))
+    result = fwd.smallksum_to_kclique(inst, _int_param(params, "f_exp", 2), alpha_mode=params.get("alpha_mode", "present"))
     return _single_item_collection("smallksum_to_kclique", inst, result.instance, dict(result.params),
                                    decode=lambda _, w: fwd.lift_pipeline_witness(result, w))
 
@@ -229,7 +239,7 @@ REDUCTIONS: dict[str, ReductionSpec] = {
                       _single_item_collection("vectorsum_to_ksum", inst, bwd.vectorsum_to_ksum(inst), {})),
         ReductionSpec("kclique_to_ksum", "clique", "ksum", "iff", _reduce_kclique_to_ksum),
         ReductionSpec("ksum_mod_reduce", "ksum", "ksum", "completeness", lambda inst, params:
-                      modprime.ksum_mod_reduce(inst, int(params.get("confidence", 100)), int(params.get("seed", 0)))),
+                      modprime.ksum_mod_reduce(inst, _int_param(params, "confidence", 100), _int_param(params, "seed", 0))),
         ReductionSpec("targetsum_to_ksum", "targetsum", "ksum", "iff", lambda inst, params:
                       fieldapps.targetsum_to_ksum(inst)),
         ReductionSpec("ksum_to_targetsum", "ksum", "targetsum", "iff", _reduce_ksum_to_targetsum),
@@ -301,6 +311,8 @@ class ExperimentConfig:
         for what, (lo, hi) in (("n_range", self.n_range), ("k_range", self.k_range), ("m_range", self.m_range)):
             if lo > hi:
                 raise ParameterError(f"{what} low {lo} exceeds high {hi}")
+            if lo < 0:
+                raise ParameterError(f"{what} low {lo} is negative")
         for name in self.chain:
             if not isinstance(name, str) or name not in REDUCTIONS:
                 raise ParameterError(f"unknown reduction {name!r} in chain")

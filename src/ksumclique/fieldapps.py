@@ -10,7 +10,7 @@ vector v then leaves plain integer vector sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Any, Iterable, Sequence
 
 from .instances import (
@@ -29,7 +29,7 @@ from .instances import (
     verify_witness,
 )
 from .modprime import is_prime
-from .solvers import SolverReport, _guard_combinations
+from .solvers import DEFAULT_BUDGET, SolverReport, _first_subset
 
 LINDEP_BUDGET = 2_000_000
 
@@ -253,33 +253,16 @@ def span_contains(q: int, vectors: Sequence[Sequence[int]], target: Sequence[int
     return not any(_reduce_against([c % q for c in target], basis, q))
 
 
-def solve_targetsum_bruteforce(inst: TargetSumInstance, budget: int = 20_000_000):
+def solve_targetsum_bruteforce(inst: TargetSumInstance, budget: int = DEFAULT_BUDGET) -> SolverReport:
     """Exact mod-q oracle: lexicographically first k distinct indices whose
     sum hits the target."""
-    _guard_combinations(inst.r, inst.k, budget)
-    witness = None
-    candidates = 0
-    for combo in combinations(range(inst.r), inst.k):
-        candidates += 1
-        if sum(inst.elements[i] for i in combo) % inst.q == inst.target:
-            witness = combo
-            break
-    return SolverReport(witness is not None, witness, {"candidates": candidates})
+    return _first_subset(inst.elements, inst.k, lambda xs: sum(xs) % inst.q, inst.target, budget)
 
 
-def solve_lindep_bruteforce(inst: LinDepInstance, budget: int = 2_000_000):
+def solve_lindep_bruteforce(inst: LinDepInstance, budget: int = 2_000_000) -> SolverReport:
     """Exact span oracle: first k distinct indices whose vectors span the
     target over F_q, by Gaussian elimination per subset."""
-    _guard_combinations(inst.r, inst.k, budget)
-    witness = None
-    candidates = 0
-    if inst.k <= inst.r:
-        for combo in combinations(range(inst.r), inst.k):
-            candidates += 1
-            if span_contains(inst.q, [inst.vectors[i] for i in combo], inst.target):
-                witness = combo
-                break
-    return SolverReport(witness is not None, witness, {"candidates": candidates})
+    return _first_subset(inst.vectors, inst.k, lambda vs: span_contains(inst.q, vs, inst.target), True, budget)
 
 
 def lift_lindep_witness(

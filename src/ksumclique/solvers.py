@@ -11,7 +11,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, combinations, compress, count, islice
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .instances import (
     CliqueInstance,
@@ -58,27 +58,31 @@ def _guard_combinations(n: int, k: int, budget: int) -> None:
         raise ResourceBudgetError(f"C({n},{k}) exceeds the work budget {budget}")
 
 
+def _first_match(flags: Iterable[bool]) -> int | None:
+    """Position of the first true flag, scanned at C level."""
+    return next(compress(count(), flags), None)
+
+
+def _first_subset(items: Sequence[Any], k: int, key: Callable[[tuple[Any, ...]], Any], goal: Any,
+                  budget: int) -> SolverReport:
+    """The one brute-force scan: the lexicographically first k-subset of
+    items whose key equals goal, as an index tuple. The keys are compared
+    at C level with goal.__eq__, so key must return goal's type (a foreign
+    type would give a truthy NotImplemented). `candidates` counts the
+    subsets examined up to the hit, all C(n, k) when none hits."""
+    n = len(items)
+    if k > n:
+        return SolverReport(False, None, {"candidates": 0})
+    _guard_combinations(n, k, budget)
+    pos = _first_match(map(goal.__eq__, map(key, combinations(items, k))))
+    if pos is None:
+        return SolverReport(False, None, {"candidates": math.comb(n, k)})
+    return SolverReport(True, next(islice(combinations(range(n), k), pos, None)), {"candidates": pos + 1})
+
+
 def solve_ksum_bruteforce(inst: KSumInstance, budget: int = DEFAULT_BUDGET) -> SolverReport:
     """Enumerate index k-subsets in lexicographic order; first hit wins."""
-    n, k, t = inst.n, inst.k, inst.target
-    candidates = 0
-    witness = None
-    if k <= n:
-        _guard_combinations(n, k, budget)
-        numbers = inst.numbers
-        for combo in combinations(range(n), k):
-            candidates += 1
-            s = 0
-            for i in combo:
-                s += numbers[i]
-            if s == t:
-                witness = combo
-                break
-    return SolverReport(
-        solvable=witness is not None,
-        witness=witness,
-        stats={"candidates": candidates},
-    )
+    return _first_subset(inst.numbers, inst.k, sum, inst.target, budget)
 
 
 def _colex_sums(numbers: tuple[int, ...], m: int) -> list[int]:
@@ -90,11 +94,6 @@ def _colex_sums(numbers: tuple[int, ...], m: int) -> list[int]:
         for j in range(size - 1, len(numbers)):
             sums.extend(map(numbers[j].__add__, prev[:math.comb(j, size - 1)]))
     return sums
-
-
-def _first_match(flags: Iterable[bool]) -> int | None:
-    """Position of the first true flag, scanned at C level."""
-    return next(compress(count(), flags), None)
 
 
 def _first_left(numbers: tuple[int, ...], a: int, need: int, stop: int) -> tuple[int, ...]:
@@ -171,28 +170,12 @@ def solve_ksum_mim(inst: KSumInstance, budget: int = DEFAULT_BUDGET) -> SolverRe
 def solve_vectorsum_bruteforce(inst: VectorSumInstance, budget: int = DEFAULT_BUDGET) -> SolverReport:
     """Lexicographic subset scan; a target outside the k-fold entry range
     short-circuits to unsolvable with zero candidates examined."""
-    n, k, dim = inst.n, inst.k, inst.dim
-    candidates = 0
-    witness = None
-    if not inst.trivially_unsolvable and k <= n:
-        _guard_combinations(n, k, budget)
-        vectors = inst.vectors
-        target = inst.target
-        for combo in combinations(range(n), k):
-            candidates += 1
-            total = [0] * dim
-            for i in combo:
-                v = vectors[i]
-                for j in range(dim):
-                    total[j] += v[j]
-            if tuple(total) == target:
-                witness = combo
-                break
-    return SolverReport(
-        solvable=witness is not None,
-        witness=witness,
-        stats={"candidates": candidates, "range_pruned": inst.trivially_unsolvable},
-    )
+    if inst.trivially_unsolvable:
+        report = SolverReport(False, None, {"candidates": 0})
+    else:
+        report = _first_subset(inst.vectors, inst.k, lambda vs: tuple(map(sum, zip(*vs))), inst.target, budget)
+    report.stats["range_pruned"] = inst.trivially_unsolvable
+    return report
 
 
 def _kcliques(n: int, edges: tuple[tuple[int, int], ...], k: int, counter: list[int]) -> Iterator[tuple[int, ...]]:
@@ -251,7 +234,8 @@ def solve_kclique_bruteforce(inst: CliqueInstance | WeightedGraph, budget: int =
     """Exact k-clique search honoring the node- or edge-weight target of a
     weighted graph.
 
-    Returns the lexicographically smallest clique that meets the target. The
+    Returns the lexicographically smallest clique that meets the target: the
+    weights of its parts, its vertices or its vertex pairs, sum to it. The
     forward-adjacency search costs O(n + m) plus the work inside forward
     neighbourhoods, while ``nodes_expanded`` counts the nodes of a plain
     backtrack over all vertices in sorted order, so neither the witness nor
@@ -263,27 +247,15 @@ def solve_kclique_bruteforce(inst: CliqueInstance | WeightedGraph, budget: int =
     counter = [0]
     if k <= n:
         _guard_clique_search(n, k, inst.edges, budget)
-        accept: Callable[[tuple[int, ...]], bool] | None = None
-        if isinstance(inst, WeightedGraph):
-            goal = inst.target
-            if inst.node_weights is not None:
-                weights = inst.node_weights
-
-                def accept(chosen: tuple[int, ...]) -> bool:
-                    return sum(weights[v] for v in chosen) == goal
-
-            else:
-                wmap = inst.edge_weight_map()
-
-                def accept(chosen: tuple[int, ...]) -> bool:
-                    total = 0
-                    for a in range(len(chosen)):
-                        for b in range(a + 1, len(chosen)):
-                            total += wmap[(chosen[a], chosen[b])]
-                    return total == goal
-
         cliques = _kcliques(n, inst.edges, k, counter)
-        witness = next(cliques if accept is None else filter(accept, cliques), None)
+        if isinstance(inst, WeightedGraph):
+            if inst.node_weights is not None:
+                weight, parts = inst.node_weights.__getitem__, tuple
+            else:
+                weight, parts = inst.edge_weight_map().__getitem__, lambda c: combinations(c, 2)
+            goal = inst.target
+            cliques = filter(lambda c: sum(map(weight, parts(c))) == goal, cliques)
+        witness = next(cliques, None)
     return SolverReport(
         solvable=witness is not None,
         witness=witness,

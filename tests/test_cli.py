@@ -646,6 +646,14 @@ def test_cli_subsetsum_mode_unsolvable_exit(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("weights", ["node", "edge"])
+def test_cli_gen_negative_weight_bound_is_usage_error(tmp_path, capsys, weights):
+    out = tmp_path / "g.json"
+    assert main(["gen", "graph", "--n", "5", "--k", "3", "--weights", weights, "--M", "-1", "--out", str(out)]) == 2
+    assert "need M >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_unknown_reduction_is_usage_error(tmp_path):
     inst_path = tmp_path / "a.json"
     main(["gen", "ksum", "--n", "4", "--k", "2", "--M", "5", "--seed", "0",
@@ -655,8 +663,18 @@ def test_cli_unknown_reduction_is_usage_error(tmp_path):
 
 @pytest.mark.parametrize(
     "config",
-    [{"trials": "x"}, {"n_range": 5}, {"n_range": [6, 4]}, {"params": [1]}, [1, 2], {"report": 5}],
-    ids=["trials-string", "range-scalar", "range-reversed", "params-list", "top-level-list", "report-number"],
+    [{"trials": "x"}, {"n_range": 5}, {"n_range": [6, 4]}, {"params": [1]}, [1, 2], {"report": 5},
+     {"chain": ["ksum_to_vectorsum"], "params": {"d": "x"}},
+     {"chain": ["ksum_to_vectorsum"], "params": {"d": [1]}},
+     {"chain": ["ksum_to_vectorsum"], "params": {"p": "x"}},
+     {"chain": ["nodeweight_to_edgeweight"], "source": "graph-node", "params": {"p": "x"}},
+     {"chain": ["smallksum_to_kclique"], "params": {"f_exp": "x"}},
+     {"chain": ["ksum_mod_reduce"], "params": {"confidence": "x"}},
+     {"chain": ["ksum_mod_reduce"], "params": {"seed": [1]}},
+     {"n_range": [-5, -1]}, {"k_range": [-3, -1]}, {"source": "targetsum", "m_range": [-3, -3]}],
+    ids=["trials-string", "range-scalar", "range-reversed", "params-list", "top-level-list", "report-number",
+         "param-d-string", "param-d-list", "param-p-string", "param-p-string-nodeweight", "param-f-exp-string",
+         "param-confidence-string", "param-seed-list", "n-range-negative", "k-range-negative", "m-range-negative"],
 )
 def test_cli_malformed_experiment_config_is_usage_error(tmp_path, capsys, config):
     cfg_path = tmp_path / "cfg.json"

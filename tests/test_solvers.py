@@ -10,16 +10,20 @@ import pytest
 from ksumclique import (
     CliqueInstance,
     KSumInstance,
+    LinDepInstance,
     ParameterError,
     ResourceBudgetError,
     SolverReport,
+    TargetSumInstance,
     ValidationError,
     detect_triangle,
     solve_kclique_bruteforce,
     solve_ksum_bruteforce,
     solve_ksum_mim,
+    solve_lindep_bruteforce,
     solve_nw_kclique,
     solve_nw_triangle,
+    solve_targetsum_bruteforce,
     solve_vectorsum_bruteforce,
     verify_witness,
 )
@@ -148,6 +152,85 @@ def test_vectorsum_range_prune_short_circuits():
     assert not rep.solvable
     assert rep.stats["range_pruned"] is True
     assert rep.stats["candidates"] == 0
+
+
+def _reference_subset_scan(inst, size, k):
+    """First k-subset of range(size) that inst holds, and how many subsets
+    were examined up to it."""
+    examined = 0
+    for combo in combinations(range(size), k):
+        examined += 1
+        if inst.holds(combo):
+            return combo, examined
+    return None, examined
+
+
+def _reference_clique_scan(g):
+    """First k-clique that g holds, and the nodes of a plain backtrack over
+    all vertices in sorted order up to it: one per prefix vertex, one per
+    clique."""
+    edge_set = set(g.edges)
+    nodes = 0
+
+    def extend(partial, cand):
+        nonlocal nodes
+        need = g.k - len(partial)
+        if need == 0:
+            nodes += 1
+            yield partial
+            return
+        for idx in range(len(cand) - need + 1):
+            nodes += 1
+            v = cand[idx]
+            yield from extend(partial + (v,), [w for w in cand[idx + 1:] if (v, w) in edge_set])
+
+    witness = next(filter(g.holds, extend((), list(range(g.n)))), None)
+    return witness, nodes
+
+
+def _random_subset_instances(rng):
+    """One seeded instance for each of the four subset oracles, with its
+    item count: empty inputs, k > n, out-of-range vector targets and
+    unsolvable draws all come up."""
+    n, k, big_m = rng.randint(0, 7), rng.randint(1, 4), rng.randint(0, 6)
+    numbers = [rng.randint(-big_m, big_m) for _ in range(n)]
+    yield solve_ksum_bruteforce, make_ksum(numbers, k, rng.randint(-k * big_m - 1, k * big_m + 1)), n
+    dim = rng.randint(1, 3)
+    vectors = [tuple(rng.randint(0, big_m) for _ in range(dim)) for _ in range(n)]
+    target = tuple(rng.randint(0, k * big_m + 2) for _ in range(dim))
+    yield solve_vectorsum_bruteforce, make_vectorsum(vectors, k, target, lo=0, hi=big_m), n
+    q = big_m + 2
+    elements = tuple(rng.randrange(q) for _ in range(n))
+    yield solve_targetsum_bruteforce, TargetSumInstance(q=q, elements=elements, k=k, target=rng.randrange(q)), n
+    q = rng.choice([2, 3, 5])
+    vectors = tuple(tuple(rng.randrange(q) for _ in range(dim)) for _ in range(n))
+    target = tuple(rng.randrange(q) for _ in range(dim))
+    yield solve_lindep_bruteforce, LinDepInstance(q=q, n=dim, vectors=vectors, k=k, target=target), n
+
+
+def test_brute_oracles_match_a_plain_reference_scan():
+    rng = random.Random(1313)
+    seen = set()
+    for _ in range(300):
+        for solve, inst, n in _random_subset_instances(rng):
+            pruned = getattr(inst, "trivially_unsolvable", False)
+            witness, examined = (None, 0) if pruned or inst.k > n else _reference_subset_scan(inst, n, inst.k)
+            rep = solve(inst)
+            assert (rep.witness, rep.stats["candidates"]) == (witness, examined)
+            seen.add("pruned" if pruned else "empty" if n == 0 else "k>n" if inst.k > n else witness is not None)
+            if inst.k <= n and not pruned:
+                with pytest.raises(ResourceBudgetError):
+                    solve(inst, budget=comb(n, inst.k) - 1)
+                assert solve(inst, budget=comb(n, inst.k)).to_json_dict() == rep.to_json_dict()
+        n, k = rng.randint(0, 8), rng.randint(1, 4)
+        edges = tuple(e for e in complete_edges(n) if rng.random() < rng.random())
+        for g in (make_nw_graph(n, edges, k, [rng.randint(-3, 3) for _ in range(n)], target=rng.randint(-4, 4)),
+                  make_ew_graph(n, edges, k, [rng.randint(-2, 2) for _ in edges], target=rng.randint(-3, 3))):
+            rep = solve_kclique_bruteforce(g)
+            assert (rep.witness, rep.stats["nodes_expanded"]) == _reference_clique_scan(g)
+            seen.add(("node" if g.node_weights is not None else "edge", rep.solvable))
+    assert seen == {"pruned", "k>n", "empty", True, False,
+                    ("node", True), ("node", False), ("edge", True), ("edge", False)}
 
 
 def test_clique_brute_frozen_cases():
