@@ -82,6 +82,8 @@ def gen_random_ksum(
 ) -> KSumInstance:
     """Uniform numbers in [0, M]; plant mode overwrites a random k-subset so
     it hits the target."""
+    if k < 1:
+        raise ParameterError(f"arity k must be >= 1, got {k}")
     if n < k:
         raise ParameterError(f"need n >= k, got n={n}, k={k}")
     if big_m < 0:

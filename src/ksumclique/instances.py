@@ -12,6 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Any, Callable, Iterable, Sequence
 
 
@@ -69,7 +70,10 @@ def _as_pair(value: Any, what: str) -> tuple[int, int]:
 
 
 def _as_int_list(value: Any, what: str, item: str) -> tuple[int, ...]:
-    return tuple(_as_int(x, item) for x in _as_list(value, what))
+    values = _as_list(value, what)
+    if set(map(type, values)) <= {int}:  # the common case, checked at C level
+        return tuple(values)
+    return tuple(_as_int(x, item) for x in values)
 
 
 def _as_endpoints(e: Any, size: int, shape: str) -> tuple[int, int]:
@@ -79,7 +83,11 @@ def _as_endpoints(e: Any, size: int, shape: str) -> tuple[int, int]:
 
 
 def _as_edges(value: Any) -> list[tuple[int, int]]:
-    return [_as_endpoints(e, 2, "an edge must be a list of two integers") for e in _as_list(value, "edges")]
+    edges = _as_list(value, "edges")
+    if (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}
+            and set(map(type, chain.from_iterable(edges))) <= {int}):
+        return list(map(tuple, edges))  # the common case, checked at C level
+    return [_as_endpoints(e, 2, "an edge must be a list of two integers") for e in edges]
 
 
 def _as_weighted_edges(value: Any) -> list[tuple[int, int, int]]:

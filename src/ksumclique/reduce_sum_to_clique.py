@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, product
 from operator import mul
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .instances import (
     CliqueInstance,
@@ -299,34 +299,65 @@ def alpha_tuples_full(bound: int, k: int, budget: int = ALPHA_BUDGET) -> Iterato
             yield head + (last,)
 
 
+def _set_bits(mask: int) -> list[int]:
+    """Positions of the set bits of a nonnegative mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _union(tables: Sequence[int], vertices: int) -> int:
+    """OR of tables[v] over the set bits v of a nonnegative vertex mask."""
+    out = 0
+    while vertices:
+        low = vertices & -vertices
+        out |= tables[low.bit_length() - 1]
+        vertices ^= low
+    return out
+
+
 def _zero_sum_alphas(
     k: int,
     ends: dict[int, tuple[int, int]],
     on_window: Callable[[int], None] | None = None,
+    by_vertex: tuple[Sequence[int], Sequence[int]] = ((), ()),
 ) -> Iterator[tuple[int, ...]]:
     """Zero-sum alphas over the weights of ``ends`` whose every slot can
     still hold a vertex.
 
     ``ends`` maps each support weight, ascending, to the (first-endpoint,
     second-endpoint) vertex bitmask of its bucket; a mask of -1 cuts nothing.
-    A DFS fixes the slot pairs in order. Each coordinate is drawn from the
+    A DFS fixes the slot pairs in order. Each coordinate ranges over the
     bisect window of weights that leave the rest of the head plus the forced
     last coordinate a sum in [min, max] of the support, so the alphas come in
     the lexicographic order of product(support, repeat=C(k,2)-1) filtered to
     a present last coordinate. One bitmask per slot is intersected with the
-    matching endpoint mask of each chosen weight, and a branch where some
-    slot's set is empty is cut (arc consistency, Mackworth 1977).
+    matching endpoint mask of each chosen weight, and no weight that would
+    empty a slot's set is tried (arc consistency, Mackworth 1977).
 
-    At the last free coordinate each weight in the window is tested together
-    with its forced partner in the same loop, and the full alpha is yielded
-    there: the forced pair (k-1, k) shares slot k with the pair (k-2, k)
-    before it, so both tests read the slot sets the DFS holds at that point.
-    ``on_window`` is called with the size of each window at the last free
-    coordinate when entered, and with 1 for the one empty head of k = 2.
+    ``by_vertex`` holds, per vertex, the support-index bitmask of the buckets
+    with an edge that starts (first table) or ends (second table) there. At
+    pair (i, j) the window's index bits are ANDed with the OR of the first
+    table over slot i and of the second table over slot j, and only the bits
+    left are visited, in ascending order. A slot at -1 cuts nothing and reads
+    no table, so while both slots are -1 (always, when every mask is -1) the
+    window is scanned plainly.
+
+    At the last free coordinate each candidate is tested with its forced
+    partner, and the full alpha is yielded there: the forced pair (k-1, k)
+    shares slot k with the pair (k-2, k) before it, so the test reads the
+    slot sets the DFS holds at that point. ``on_window`` is called with the
+    full size of each window at the last free coordinate when entered, and
+    with 1 for the one empty head of k = 2.
     """
     support = list(ends)
     if not support:
         return
+    masks = list(ends.values())
+    starts_at, ends_at = by_vertex
     pairs = [(i - 1, j - 1) for i, j in slot_pairs(k)]
     last = len(pairs) - 1
     lo, hi = support[0], support[-1]
@@ -342,27 +373,34 @@ def _zero_sum_alphas(
         rest = last - idx  # coordinates after this one, the forced one included
         start = bisect.bisect_left(support, -total - rest * hi)
         stop = bisect.bisect_right(support, -total - rest * lo)
+        at_i, at_j = slots[i], slots[j]
+        picks: Iterable[int]
+        if at_i == -1 and at_j == -1:
+            picks = range(start, stop)
+        else:
+            window = (1 << stop) - (1 << start)
+            if at_i != -1:
+                window &= _union(starts_at, at_i)
+            if at_j != -1:
+                window &= _union(ends_at, at_j)
+            picks = _set_bits(window)
         if rest == 1:
             if on_window is not None:
                 on_window(stop - start)
             forced_first = slots[k - 2]
-            for x in support[start:stop]:
+            for r in picks:
+                x = support[r]
                 fit = ends.get(-total - x)
-                if fit is None:
-                    continue  # the forced last coordinate is no present weight
-                first, second = ends[x]
-                if slots[i] & first and forced_first & fit[0] and slots[j] & second & fit[1]:
+                if fit is not None and forced_first & fit[0] and at_j & masks[r][1] & fit[1]:
                     yield head + (x, -total - x)
             return
-        for x in support[start:stop]:
-            first, second = ends[x]
-            a = slots[i] & first
-            b = slots[j] & second
-            if a and b:
-                narrowed = slots.copy()
-                narrowed[i] = a
-                narrowed[j] = b
-                yield from extend(idx + 1, head + (x,), total + x, narrowed)
+        for r in picks:
+            x = support[r]
+            first, second = masks[r]
+            narrowed = slots.copy()
+            narrowed[i] = at_i & first
+            narrowed[j] = at_j & second
+            yield from extend(idx + 1, head + (x,), total + x, narrowed)
 
     yield from extend(0, (), 0, [-1] * k)
 
@@ -404,8 +442,11 @@ def consistent_alpha_tuples(
     first endpoint of an edge in bucket alpha_ij for every j > i and the
     second endpoint of one in bucket alpha_hi for every h < i, so
     _zero_sum_alphas runs with each bucket's endpoint sets as its masks. The
-    output is the subsequence of present_alpha_tuples that keeps every alpha
-    whose graph has a k-clique, in the same order.
+    same pass over the buckets builds, per vertex, the support-index masks of
+    the buckets it starts and ends an edge in, so each coordinate visits only
+    the weights its two slots can still hold. The output is the subsequence
+    of present_alpha_tuples that keeps every alpha whose graph has a
+    k-clique, in the same order.
 
     The budget bounds the heads met per call: each bisect window at the last
     free coordinate counts in full when entered, and k = 2 has one empty
@@ -417,11 +458,15 @@ def consistent_alpha_tuples(
     if k < 2:
         raise ParameterError("alpha enumeration needs k >= 2")
     ends: dict[int, tuple[int, int]] = {}
-    for w, edges in g.edges_by_weight.items():
+    starts_at, ends_at = [0] * g.n, [0] * g.n
+    for r, (w, edges) in enumerate(g.edges_by_weight.items()):
+        bit = 1 << r
         first = second = 0
         for u, v in edges:
             first |= 1 << u
             second |= 1 << v
+            starts_at[u] |= bit
+            ends_at[v] |= bit
         ends[w] = (first, second)
     nodes = [0] if counter is None else counter
     base = nodes[0]
@@ -431,7 +476,7 @@ def consistent_alpha_tuples(
         if nodes[0] - base > budget:
             raise ResourceBudgetError(f"alpha search needs more than {budget} heads")
 
-    yield from _zero_sum_alphas(k, ends, try_heads)
+    yield from _zero_sum_alphas(k, ends, try_heads, (starts_at, ends_at))
 
 
 def _alpha_union(k: int, n: int, pieces: Iterable[tuple[WeightedGraph, tuple[int, ...]]]) -> CliqueInstance:

@@ -654,6 +654,16 @@ def test_cli_gen_negative_weight_bound_is_usage_error(tmp_path, capsys, weights)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n, k", [(-1, -2), (3, 0)])
+def test_cli_gen_ksum_arity_below_one_is_usage_error(tmp_path, capsys, n, k):
+    out = tmp_path / "k.json"
+    assert main(["gen", "ksum", "--n", str(n), "--k", str(k), "--M", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"arity k must be >= 1, got {k}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_unknown_reduction_is_usage_error(tmp_path):
     inst_path = tmp_path / "a.json"
     main(["gen", "ksum", "--n", "4", "--k", "2", "--M", "5", "--seed", "0",

@@ -6,6 +6,8 @@ from itertools import combinations, product
 from math import comb, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksumclique import (
     CliqueInstance,
@@ -430,38 +432,106 @@ def test_consistent_alpha_tuples_drops_only_clique_free_alphas_random():
     assert min(seen.values()) > 0, seen
 
 
+def _slot_consistent_reference(g, k):
+    """Brute force over product(support, repeat=C(k,2)-1): the alphas with a
+    present forced coordinate where, for each of the k slots, the first
+    endpoints of the buckets of its pairs to higher slots and the second
+    endpoints of the buckets of its pairs from lower slots share a vertex;
+    the heads the search must count (for each prefix before the last free
+    coordinate whose every coordinate lies in its bisect window and whose slot
+    sets stay nonempty, the size of the last free coordinate's window; 1 for
+    the one empty head of k = 2); and the last prefix whose window is not
+    empty."""
+    support = sorted({w for _, _, w in g.edge_weights})
+    if not support:
+        return [], 0, None
+    buckets = {w: [(u, v) for u, v, x in g.edge_weights if x == w] for w in support}
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    free = len(pairs) - 1
+    lo, hi = support[0], support[-1]
+
+    def slots_nonempty(coords):
+        slots = [set(range(g.n)) for _ in range(k)]
+        for (i, j), w in zip(pairs, coords):
+            slots[i] &= {u for u, _ in buckets[w]}
+            slots[j] &= {v for _, v in buckets[w]}
+        return all(slots)
+
+    alphas = [h + (-sum(h),) for h in product(support, repeat=free)
+              if -sum(h) in buckets and slots_nonempty(h + (-sum(h),))]
+    if free == 0:
+        return alphas, 1, ()
+    heads, last_prefix = 0, None
+    for prefix in product(support, repeat=free - 1):
+        total = 0
+        for idx, x in enumerate(prefix):
+            rest = free - idx  # coordinates after this one, the forced one included
+            if not -total - rest * hi <= x <= -total - rest * lo:
+                break
+            total += x
+        else:
+            if slots_nonempty(prefix):
+                window = sum(-total - hi <= x <= -total - lo for x in support)
+                heads += window
+                if window:
+                    last_prefix = prefix
+    return alphas, heads, last_prefix
+
+
+def _check_against_slot_consistent_reference(g, k):
+    """The search yields the reference alphas in order and counts exactly the
+    reference heads; a budget of one head fewer raises only after yielding
+    every alpha of the prefixes before the last counted window."""
+    expected, heads, last_prefix = _slot_consistent_reference(g, k)
+    counter = [3]
+    assert list(fwd.consistent_alpha_tuples(g, k, budget=heads, counter=counter)) == expected
+    assert counter == [3 + heads]
+    got: list[tuple[int, ...]] = []
+    if heads:
+        with pytest.raises(ResourceBudgetError):
+            for alpha in fwd.consistent_alpha_tuples(g, k, budget=heads - 1):
+                got.append(alpha)
+        width = len(last_prefix)
+        assert got == [alpha for alpha in expected if alpha[:width] < last_prefix]
+    return expected, got
+
+
 def test_consistent_alpha_tuples_matches_slot_intersection_filter_random():
-    """The slot-consistent alphas are exactly the filtered-product alphas
-    where, for each of the k slots, the first endpoints of the buckets of its
-    pairs to higher slots and the second endpoints of the buckets of its
-    pairs from lower slots share a vertex."""
+    """Alphas, head count and budget edge against the brute-force reference,
+    k = 2-5; fewer distinct weights at k = 5 keep the reference's product small."""
     rng = random.Random(31)
-    seen = {"empty": 0, "dropped": 0, "kept": 0}
-    for trial in range(300):
-        lo = rng.randint(-6, 2)
-        g = _random_ew_graph(rng, lo, lo + rng.choice([0, 1, 4, 9]))
-        k = 2 + trial % 3
+    seen = {"empty": 0, "dropped": 0, "yielded_before_raise": 0, **{f"kept_k{k}": 0 for k in range(2, 6)}}
+    for trial in range(400):
+        k = 2 + trial % 4
+        spread = rng.choice([0, 1, 2] if k == 5 else [0, 1, 4, 9])
+        lo = rng.randint(-spread - 1, 1)
+        g = _random_ew_graph(rng, lo, lo + spread)
         support = sorted({w for _, _, w in g.edge_weights})
-        free = comb(k, 2) - 1
-        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        present = [h for h in product(support, repeat=comb(k, 2) - 1) if -sum(h) in support]
+        expected, before_raise = _check_against_slot_consistent_reference(g, k)
         seen["empty"] += not support
-        buckets = {w: [(u, v) for u, v, x in g.edge_weights if x == w] for w in support}
-        expected = []
-        for head in product(support, repeat=free):
-            alpha = head + (-sum(head),)
-            if alpha[-1] not in buckets:
-                continue
-            slots = [set(range(g.n)) for _ in range(k)]
-            for (i, j), w in zip(pairs, alpha):
-                slots[i] &= {u for u, _ in buckets[w]}
-                slots[j] &= {v for _, v in buckets[w]}
-            if all(slots):
-                expected.append(alpha)
-                seen["kept"] += 1
-            else:
-                seen["dropped"] += 1
-        assert list(fwd.consistent_alpha_tuples(g, k, budget=max(1, len(support) ** free))) == expected, trial
+        seen["dropped"] += len(present) - len(expected)
+        seen[f"kept_k{k}"] += len(expected)
+        seen["yielded_before_raise"] += len(before_raise)
     assert min(seen.values()) > 0, seen
+
+
+@st.composite
+def _alpha_search_case(draw):
+    """An edge-weighted graph on up to 6 vertices, negative weights allowed,
+    and k in 2-5; at k = 5 at most three distinct weights."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(0, 6))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), unique=True)) if n > 1 else []
+    lo = draw(st.integers(-5, 3))
+    weight = st.integers(lo, lo + (2 if k == 5 else 6))
+    return make_ew_graph(n, edges, 3, draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))), k
+
+
+@settings(max_examples=200, derandomize=True, database=None)
+@given(_alpha_search_case())
+def test_consistent_alpha_tuples_matches_the_reference_property(case):
+    _check_against_slot_consistent_reference(*case)
 
 
 def test_consistent_alpha_tuples_budget_counts_heads():

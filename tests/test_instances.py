@@ -224,6 +224,39 @@ def test_parse_unknown_type():
         parse_instance(b'{"type":"mystery"}')
 
 
+def test_parse_all_int_lists_equal_mixed_ones():
+    """Plain-int lists parse to the same instance as decimal strings do."""
+    clique = {"type": "graph", "k": 2, "n": 4, "edges": [[0, 2], [1, 3]], "partition": [1, 1, 2, 2],
+              "node_weights": None, "edge_weights": None}
+    weighted = {**clique, "partition": None, "node_weights": [5, 0, 7, 2], "weight_bound": "7", "target": "9"}
+    empty = {**clique, "n": 0, "k": 1, "edges": [], "partition": []}
+    for plain, mixed in [(clique, {**clique, "partition": [1, "1", 2, "2"]}),
+                         (weighted, {**weighted, "node_weights": ["5", 0, 7, "2"]})]:
+        assert parse_instance(json.dumps(plain)) == parse_instance(json.dumps(mixed))
+    assert parse_instance(json.dumps(clique)) == CliqueInstance(n=4, edges=((0, 2), (1, 3)), k=2, partition=(1, 1, 2, 2))
+    assert parse_instance(json.dumps(empty)) == CliqueInstance(n=0, edges=(), k=1, partition=())
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("edges", [[0, 1], [1, True]], "an edge must be a list of two integers, got [1, True]"),
+        ("edges", [[0, 1], [1, 2, 3]], "an edge must be a list of two integers, got [1, 2, 3]"),
+        ("edges", [[0, 1], [1, "2"]], "an edge must be a list of two integers, got [1, '2']"),
+        ("edges", [[0, 1], 3], "an edge must be a list of two integers, got 3"),
+        ("node_weights", [1, 2, True], "node weight must be an integer, got bool"),
+        ("node_weights", [1, 2, 2.5], "node weight must be an integer or decimal string, got float"),
+        ("node_weights", [1, "x", 3], "node weight is not a decimal integer: 'x'"),
+    ],
+)
+def test_parse_rejects_one_bad_list_entry(field, value, message):
+    obj = {"type": "graph", "k": 2, "n": 3, "edges": [[0, 1], [1, 2]], "node_weights": [1, 2, 3],
+           "edge_weights": None, "weight_bound": "3", "target": "3", field: value}
+    with pytest.raises(ValidationError) as exc:
+        parse_instance(json.dumps(obj))
+    assert str(exc.value) == message
+
+
 ROUND_TRIP_FIXTURES = [
     make_ksum([1, 3, 2, 2], 2, 4),
     KSumInstance(k=3, numbers=(-5, 0, 5), target=0, bounds=(-5, 5)),
