@@ -40,7 +40,6 @@ from .reduce_sum_to_clique import (
     edgeweight_to_unweighted,
     ksum_to_vectorsum,
     lift_pipeline_witness,
-    map_f,
     merge_clique_instances,
     nodeweight_to_edgeweight,
     smallksum_to_kclique,

@@ -16,7 +16,6 @@ import bisect
 import math
 from dataclasses import dataclass
 from itertools import chain, product
-from operator import mul
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .instances import (
@@ -120,13 +119,16 @@ def carry_targets(t: int, k: int, p: int, d: int) -> CarryContext:
 
     With v the d-digit expansion of t (the top digit absorbing any overflow
     beyond p^d), carry tuple c yields target entries v[1]+c_1*p at the bottom,
-    v[j]-c_{j-1}+c_j*p in the middle and v[d]-c_{d-1} at the top.
+    v[j]-c_{j-1}+c_j*p in the middle and v[d]-c_{d-1} at the top. More than
+    ALPHA_BUDGET carry tuples raise ResourceBudgetError before any is built.
     """
     _check_radix(p, k)
     if d < 1:
         raise ParameterError(f"digit count must be >= 1, got {d}")
     if not 0 <= t <= k * (p**d - 1):
         raise ParameterError(f"target {t} outside [0, k(p^d - 1)]")
+    if (k + 1) ** (d - 1) > ALPHA_BUDGET:
+        raise ResourceBudgetError(f"{k + 1}^{d - 1} carry tuples exceed the work budget {ALPHA_BUDGET}")
     top, low = divmod(t, p ** (d - 1))
     v = base_p_digits(low, p, d - 1) + (top,) if d > 1 else (t,)
     gammas = []
@@ -139,18 +141,6 @@ def carry_targets(t: int, k: int, p: int, d: int) -> CarryContext:
         gammas.append(gamma)
         targets.append(tuple(tg))
     return CarryContext(t=t, k=k, p=p, d=d, gammas=tuple(gammas), targets=tuple(targets))
-
-
-def map_f(x: int, t_gamma: tuple[int, ...], k: int, p: int, d: int) -> tuple[int, ...]:
-    """k times the digit vector of x, minus the carry target."""
-    if len(t_gamma) != d:
-        raise ValidationError(f"carry target has {len(t_gamma)} entries, expected {d}")
-    digits = base_p_digits(x, p, d)
-    out = tuple(k * a - c for a, c in zip(digits, t_gamma))
-    for entry in out:
-        if abs(entry) > k * p:
-            raise ValidationError(f"mapped entry {entry} outside [-kp, kp]")
-    return out
 
 
 def _achieved_bound(inst: KSumInstance) -> int:
@@ -208,10 +198,22 @@ def edge_weight_cap(k: int, d: int, p: int) -> int:
 
 def nodeweight_to_edgeweight(g: WeightedGraph, p: int | None = None, d: int = 1) -> ReducedCollection:
     """Per feasible carry, reweight edges by the squaring trick on the mapped
-    node-weight vectors: edge (u, v) gets |f_u|^2 + |f_v|^2 + 2(k-1)<f_u, f_v>,
+    node-weight vectors f_u = k*a_u - T (a_u the d base-p digits of w_u, T the
+    carry's digit target): edge (u, v) gets |f_u|^2 + |f_v|^2 + 2(k-1)<f_u, f_v>,
     which on any k vertices sums to (k-1) * |sum of their f|^2. A k-clique of
     node weight g.target in the source exists iff some output graph has a
     zero-edge-weight k-clique.
+
+    Expanded, that weight is 2k^2(k-1)<a_u, a_v> + h(u) + h(v), where the
+    vertex term h(u) = k^2|a_u|^2 - 2k^2<a_u, T> + k|T|^2 alone depends on the
+    carry. So the digit columns, k^2|a_u|^2 and the edge term are computed
+    once per graph, and each carry costs one pass over the vertices (h) and
+    one over the edges, with no per-vertex digit tuple. The radix check
+    (p^d >= k*M + 1, weights >= 0) makes every weight representable in d
+    digits, and a feasible target has entries in [0, k(p-1)], so every entry
+    of f lies in [-k(p-1), k(p-1)] and |weight| <= 2k^3d(p-1)^2: the cap
+    2k^3dp^2 is checked, with the first offending weight in edge order, but
+    cannot be hit.
 
     Every output shares one declared weight bound (the largest magnitude
     produced across carries) so downstream alpha enumeration ranges agree.
@@ -226,7 +228,7 @@ def nodeweight_to_edgeweight(g: WeightedGraph, p: int | None = None, d: int = 1)
         raise ParameterError("arity must be >= 2: single vertices carry no edge weight")
     weights = g.node_weights
     bound = max(weights, default=0)
-    if any(w < 0 for w in weights):
+    if min(weights, default=0) < 0:
         raise ParameterError("node weights must be nonnegative; shift the instance first")
     if d < 1:
         raise ParameterError(f"digit count must be >= 1, got {d}")
@@ -244,17 +246,33 @@ def nodeweight_to_edgeweight(g: WeightedGraph, p: int | None = None, d: int = 1)
         )
     ctx = carry_targets(goal, arity, radix, d)
     cap = edge_weight_cap(arity, d, radix)
-    cross = 2 * (arity - 1)
+    k2, edges = arity * arity, g.edges
+    cross = 2 * (arity - 1) * k2
+    cols = []  # cols[j][u]: digit j of w_u
+    rest = weights
+    for _ in range(d):
+        cols.append([w % radix for w in rest])
+        rest = [w // radix for w in rest]
+    norms = [0] * g.n  # k^2 |a_u|^2
+    dots = [0] * len(edges)  # 2k^2(k-1) <a_u, a_v>
+    for col in cols:
+        norms = [s + k2 * a * a for s, a in zip(norms, col)]
+        scaled = [cross * a for a in col]
+        dots = [s + scaled[u] * col[v] for s, (u, v) in zip(dots, edges)]
     per_carry: list[tuple[int, list[int]]] = []
     achieved = 0
     skipped = []
     for i in range(ctx.s):
+        target = ctx.targets[i]
         if not ctx.is_feasible(i):
-            skipped.append({"gamma": list(ctx.gammas[i]), "target": list(ctx.targets[i])})
+            skipped.append({"gamma": list(ctx.gammas[i]), "target": list(target)})
             continue
-        fvec = [map_f(w, ctx.targets[i], arity, radix, d) for w in weights]
-        sq = [sum(map(mul, f, f)) for f in fvec]
-        ew = [sq[u] + sq[v] + cross * sum(map(mul, fvec[u], fvec[v])) for u, v in g.edges]
+        half = arity * sum(c * c for c in target)
+        node = [s + half for s in norms]  # h(u), once its carry potential is subtracted
+        for col, c in zip(cols, target):
+            c *= 2 * k2
+            node = [s - c * a for s, a in zip(node, col)]
+        ew = [s + node[u] + node[v] for s, (u, v) in zip(dots, edges)]
         peak = max(map(abs, ew), default=0)
         if peak > cap:
             bad = next(w for w in ew if abs(w) > cap)

@@ -1,7 +1,10 @@
 """Command-line surface: generators, reduce/solve/verify plumbing, the
 experiment harness, and the per-k subset-sum sweep."""
 
+import hashlib
 import json
+import random
+import time
 from math import isqrt
 from pathlib import Path
 
@@ -28,6 +31,7 @@ from ksumclique.cli import (
     SOLVERS,
     ExperimentConfig,
     ReductionSpec,
+    _gen_source,
     _single_item_collection,
     gen_random_graph,
     gen_random_ksum,
@@ -264,6 +268,26 @@ def test_experiment_lindep_trials_pass():
     )
     report = run_equivalence_experiment(cfg)
     assert report["passes"] == 400, report["failures"][:2]
+
+
+@pytest.mark.parametrize(
+    "chain, params",
+    [
+        (("nodeweight_to_edgeweight",), {}),
+        (("nodeweight_to_edgeweight",), {"d": 2}),
+        (("nodeweight_to_edgeweight", "edgeweight_to_unweighted"), {"alpha_mode": "present"}),
+    ],
+)
+def test_experiment_graph_node_trials_pass_with_edgeless_sources(chain, params):
+    # n from 2 draws edgeless sources, whose squaring trick has no edge to weight
+    cfg = ExperimentConfig(
+        trials=60, seed=16, n_range=(2, 5), k_range=(2, 3), m_range=(0, 6),
+        chain=chain, source="graph-node", params=params,
+    )
+    sources = [_gen_source(cfg, random.Random(f"{cfg.seed}:{trial}")) for trial in range(cfg.trials)]
+    assert any(not g.edges for g in sources)
+    report = run_equivalence_experiment(cfg)
+    assert report["passes"] == report["trials"], report["failures"][:2]
 
 
 # --- subcommand plumbing ---
@@ -621,6 +645,35 @@ def test_cli_reduce_radix_at_most_k_is_usage_error(tmp_path, capsys, via, instan
     assert main(["reduce", "--in", str(inst_path), "--via", via, "--p", "3", "--out", str(out)]) == 2
     assert "radix must exceed the arity, got p=3 <= k=3" in capsys.readouterr().err
     assert not out.exists()
+
+
+FIVE_NUMBER_3SUM = {"type": "ksum", "k": 3, "numbers": ["1", "2", "3", "4", "5"], "target": "9", "range": ["0", "5"]}
+
+
+def test_cli_reduce_carry_count_over_the_budget_is_usage_error(tmp_path, capsys):
+    # (k+1)^(d-1) = 4^11 carry tuples exceed ALPHA_BUDGET: refused before any is built
+    inst_path = tmp_path / "k.json"
+    inst_path.write_text(json.dumps(FIVE_NUMBER_3SUM))
+    out = tmp_path / "red.jsonl"
+    start = time.perf_counter()
+    assert main(["reduce", "--in", str(inst_path), "--via", "ksum_to_vectorsum", "--p", "5", "--d", "12",
+                 "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 10
+    err = capsys.readouterr().err
+    assert "4^11 carry tuples exceed the work budget 200000" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_reduce_carry_count_within_the_budget_is_unchanged(tmp_path):
+    # 4^8 = 65,536 carry tuples; the digest is of the output before the budget existed
+    inst_path = tmp_path / "k.json"
+    inst_path.write_text(json.dumps(FIVE_NUMBER_3SUM))
+    out = tmp_path / "red.jsonl"
+    assert main(["reduce", "--in", str(inst_path), "--via", "ksum_to_vectorsum", "--p", "5", "--d", "9",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "28044463ed25857f236f1ff274a9eeb1652884a939d88eb28c0418a8abf503ab"
+    )
 
 
 def test_cli_subsetsum_mode_huge_numbers(tmp_path):

@@ -6,15 +6,19 @@ from itertools import combinations, product
 from math import comb, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ksumclique import (
     CliqueInstance,
     KSumInstance,
     ParameterError,
+    ReducedCollection,
+    ReducedItem,
     ResourceBudgetError,
     ValidationError,
+    WeightedGraph,
+    serialize_collection,
     solve_kclique_bruteforce,
     solve_ksum_bruteforce,
     verify_witness,
@@ -26,6 +30,7 @@ from util import (
     make_ew_graph,
     make_ksum,
     make_nw_graph,
+    map_f,
     oracle_kclique,
     oracle_ksum,
     oracle_vectorsum,
@@ -99,15 +104,15 @@ def test_carry_targets_recompose_random():
 # --- per-number digit vectors ---
 
 def test_map_f_worked_pair():
-    a = fwd.map_f(1, (1, 1), 2, 3, 2)
-    b = fwd.map_f(3, (1, 1), 2, 3, 2)
+    a = map_f(1, (1, 1), 2, 3, 2)
+    b = map_f(3, (1, 1), 2, 3, 2)
     assert a == (1, -1)
     assert b == (-1, 1)
     assert tuple(x + y for x, y in zip(a, b)) == (0, 0)  # matches 1+3=4
 
 
 def test_map_f_zero_fixed_point():
-    assert fwd.map_f(0, (0, 0, 0), 4, 5, 3) == (0, 0, 0)
+    assert map_f(0, (0, 0, 0), 4, 5, 3) == (0, 0, 0)
 
 
 def test_map_f_cancellation_iff_sum_hits_target():
@@ -124,7 +129,7 @@ def test_map_f_cancellation_iff_sum_hits_target():
         ctx = fwd.carry_targets(t, k, p, d)
         cancels = False
         for gi in filter(ctx.is_feasible, range(ctx.s)):
-            vecs = [fwd.map_f(x, ctx.targets[gi], k, p, d) for x in nums]
+            vecs = [map_f(x, ctx.targets[gi], k, p, d) for x in nums]
             if all(sum(col) == 0 for col in zip(*vecs)):
                 cancels = True
         assert cancels == (sum(nums) == t)
@@ -267,7 +272,7 @@ def test_nodeweight_to_edgeweight_matches_per_edge_squaring_random():
         want = []
         for i in range(ctx.s):
             if ctx.is_feasible(i):
-                f = [fwd.map_f(w, ctx.targets[i], k, p, d) for w in weights]
+                f = [map_f(w, ctx.targets[i], k, p, d) for w in weights]
                 want.append(tuple((u, v, squaring_edge_weight(f[u], f[v], k)) for u, v in g.edges))
         assert [item.instance.edge_weights for item in coll.items] == want
         bound = max((abs(w) for ew in want for _, _, w in ew), default=0)
@@ -282,6 +287,106 @@ def test_nodeweight_to_edgeweight_uniform_bound_and_params():
     assert len(bounds) == 1  # carries share one declared bound
     assert coll.params["s"] == 3
     assert coll.params["d"] == 2
+
+
+def _squaring_reference(g, p, d):
+    """nodeweight_to_edgeweight spelled out: the same input checks, one map_f
+    per vertex and carry, one squaring sum per edge and carry, and graphs
+    built by the validating constructor."""
+    k, t, weights = g.k, g.target, g.node_weights
+    if k < 2:
+        raise ParameterError("arity must be >= 2: single vertices carry no edge weight")
+    bound = max(weights, default=0)
+    if min(weights, default=0) < 0:
+        raise ParameterError("node weights must be nonnegative; shift the instance first")
+    if d < 1:
+        raise ParameterError(f"digit count must be >= 1, got {d}")
+    p = fwd.choose_radix(k, bound, d) if p is None else p
+    if p**d < k * bound + 1:
+        raise ParameterError(f"p^d = {p**d} < k*M+1 = {k * bound + 1}")
+    if p <= k:
+        raise ParameterError(f"radix must exceed the arity, got p={p} <= k={k}")
+    params = {"t": str(t), "p": p, "d": d}
+    if not 0 <= t <= k * bound:
+        params.update(s=0, skipped=[], range_pruned=True)
+        return ReducedCollection("nodeweight_to_edgeweight", params=params, source=g)
+    ctx = fwd.carry_targets(t, k, p, d)
+    kept, skipped = [], []
+    for gamma, target in zip(ctx.gammas, ctx.targets):
+        provenance = {"gamma": list(gamma), "target": list(target)}
+        if not all(0 <= c <= k * (p - 1) for c in target):
+            skipped.append(provenance)
+            continue
+        f = [map_f(w, target, k, p, d) for w in weights]
+        kept.append((provenance, [(u, v, squaring_edge_weight(f[u], f[v], k)) for u, v in g.edges]))
+    achieved = max((abs(w) for _, ew in kept for _, _, w in ew), default=0)
+    items = tuple(
+        ReducedItem(WeightedGraph(n=g.n, edges=g.edges, k=k, node_weights=None, edge_weights=tuple(ew),
+                                  weight_bound=achieved, target=0), provenance)
+        for provenance, ew in kept
+    )
+    params.update(s=ctx.s, weight_cap=str(fwd.edge_weight_cap(k, d, p)), skipped=skipped)
+    return ReducedCollection("nodeweight_to_edgeweight", params=params, items=items, source=g)
+
+
+def _outcome(reduce, g, p, d):
+    """The collection, or the type and message of the error raised."""
+    try:
+        return reduce(g, p, d)
+    except (ParameterError, ResourceBudgetError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _squaring_case(draw):
+    """A node-weighted graph (n 0-7, any edge set, k 2-5, target in range or
+    just outside it), a digit count 1-3 and no radix, a fitting one, or any
+    small one."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(0, 7))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), unique=True)) if n > 1 else []
+    weights = draw(st.lists(st.integers(0, draw(st.sampled_from([0, 3, 30, 300]))), min_size=n, max_size=n))
+    target = draw(st.integers(-1, k * max(weights, default=0) + 1))
+    d = draw(st.integers(1, 3))
+    p = draw(st.sampled_from(["none", "fitting", "any"]))
+    if p == "none":
+        p = None
+    elif p == "fitting":
+        p = fwd.choose_radix(k, max(weights, default=0), d) + draw(st.integers(0, 3))
+    else:
+        p = draw(st.integers(2, 40))
+    return make_nw_graph(n, sorted(edges), k, weights, target), p, d
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(_squaring_case())
+@example((make_nw_graph(0, [], 3, [], target=0), None, 2))  # no vertices
+@example((make_nw_graph(4, [], 3, [5, 1, 7, 2], target=10), None, 2))  # no edges
+@example((make_nw_graph(3, [(0, 1), (1, 2)], 2, [4, 9, 2], target=19), None, 1))  # range-pruned
+@example((make_nw_graph(2, [(0, 1)], 2, [1, 3], target=4), 3, 2))  # one skipped carry
+@example((make_nw_graph(2, [(0, 1)], 3, [0, 2], target=3), None, 1))  # the bound is a negative weight
+@example((make_nw_graph(3, complete_edges(3), 3, [1, 2, 3], target=6), 3, 2))  # radix at most k
+@example((make_nw_graph(3, complete_edges(3), 3, [1, 2, 30], target=6), 5, 2))  # p^d < kM + 1
+def test_nodeweight_to_edgeweight_matches_the_squaring_reference_property(case):
+    g, p, d = case
+    want = _outcome(_squaring_reference, g, p, d)
+    got = _outcome(fwd.nodeweight_to_edgeweight, g, p, d)
+    assert got == want
+    if isinstance(got, ReducedCollection):
+        assert serialize_collection(got) == serialize_collection(want)
+        radix = got.params["p"]
+        assert all(it.instance.weight_bound <= 2 * g.k**3 * d * (radix - 1) ** 2 for it in got.items)
+
+
+def test_carry_targets_over_the_budget_raise_before_enumerating(monkeypatch):
+    monkeypatch.setattr(fwd, "ALPHA_BUDGET", 16)
+    assert fwd.carry_targets(7, 3, 5, 3).s == 16  # (k+1)^(d-1) = 16 carries fit
+    inst = make_ksum([1, 2, 3, 4, 5], 3, 9)
+    g = fwd.ksum_as_nodeweight_clique(inst)
+    for reduce in (lambda: fwd.carry_targets(7, 3, 5, 4), lambda: fwd.ksum_to_vectorsum(inst, 5, 4),
+                   lambda: fwd.nodeweight_to_edgeweight(g, p=5, d=4)):
+        with pytest.raises(ResourceBudgetError, match=r"4\^3 carry tuples exceed the work budget 16"):
+            reduce()
 
 
 def test_nodeweight_to_edgeweight_or_equivalence_random():

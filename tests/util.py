@@ -75,6 +75,19 @@ def oracle_lindep(q, vectors, k, target):
     return None
 
 
+def map_f(x, t_gamma, k, p, d):
+    """k times the d base-p digits of x (least significant first), minus the
+    carry target, with every range check spelled out."""
+    if len(t_gamma) != d:
+        raise ValueError(f"carry target has {len(t_gamma)} entries, expected {d}")
+    if not 0 <= x < p**d:
+        raise ValueError(f"{x} not representable in {d} base-{p} digits")
+    out = tuple(k * (x // p**j % p) - c for j, c in enumerate(t_gamma))
+    if any(abs(entry) > k * p for entry in out):
+        raise ValueError(f"mapped vector {out} outside [-kp, kp]")
+    return out
+
+
 def squaring_edge_weight(u_vec, v_vec, k):
     """Per-coordinate u^2 + v^2 + 2(k-1)uv, summed; on any k vertices the
     pairwise total telescopes to (k-1) * sum of squared coordinate sums."""
