@@ -53,7 +53,6 @@ from .reduce_clique_to_sum import (
     vectorsum_to_ksum,
 )
 from .modprime import (
-    PrimeReductionParams,
     is_prime,
     ksum_mod_reduce,
     prime_range_bound,

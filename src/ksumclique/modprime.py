@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .instances import (
     KSumInstance,
@@ -77,24 +76,6 @@ def random_prime_in(lo: int, hi: int, rng: random.Random) -> int:
     )
 
 
-@dataclass(frozen=True)
-class PrimeReductionParams:
-    """Draw record: confidence knob, the sampled prime, its range and the seed."""
-
-    confidence: int
-    prime: int
-    bound: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.confidence < 1:
-            raise ParameterError(f"confidence must be >= 1, got {self.confidence}")
-        if not 2 <= self.prime <= self.bound:
-            raise ParameterError(f"prime {self.prime} outside [2,{self.bound}]")
-        if not is_prime(self.prime):
-            raise ParameterError(f"{self.prime} is not prime")
-
-
 def prime_range_bound(n: int, k: int, big_m: int, confidence: int) -> int:
     """Upper end of the prime range: confidence * n^k * ceil(log2 n) *
     ceil(log2 kM), floored at 2 so tiny instances stay drawable."""
@@ -113,6 +94,8 @@ def ksum_mod_reduce(inst: KSumInstance, confidence: int, seed: int) -> ReducedCo
     """
     if inst.n < inst.k:
         raise ParameterError(f"need n >= k, got n={inst.n}, k={inst.k}")
+    if confidence < 1:
+        raise ParameterError(f"confidence must be >= 1, got {confidence}")
     lo, hi = inst.bounds
     big_m = max(abs(lo), abs(hi), 1)
     bound = prime_range_bound(inst.n, inst.k, big_m, confidence)
@@ -129,16 +112,9 @@ def ksum_mod_reduce(inst: KSumInstance, confidence: int, seed: int) -> ReducedCo
             bounds=(0, p - 1),
         )
         items.append(ReducedItem(out, {"offset": i, "target": str(base_target + i * p)}))
-    draw = PrimeReductionParams(confidence=confidence, prime=p, bound=bound, seed=seed)
     return ReducedCollection(
         reduction="ksum_mod_reduce",
         source=inst,
-        params={
-            "prime": str(draw.prime),
-            "bound": str(draw.bound),
-            "confidence": draw.confidence,
-            "seed": draw.seed,
-            "algorithm": "mt19937",
-        },
+        params={"prime": str(p), "bound": str(bound), "confidence": confidence, "seed": seed, "algorithm": "mt19937"},
         items=tuple(items),
     )

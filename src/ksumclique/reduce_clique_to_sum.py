@@ -154,14 +154,9 @@ def clique_to_vectorsum(g: CliqueInstance, encoding: CliqueEncoding | None = Non
 
 
 def pack_uniform(vec: Iterable[int], p: int) -> int:
-    total = 0
-    scale = 1
-    for c in vec:
-        if not 0 <= c < p:
-            raise ValidationError(f"coordinate {c} outside the radix [0,{p})")
-        total += c * scale
-        scale *= p
-    return total
+    """pack_mixed with radix p on every coordinate."""
+    coords = tuple(vec)
+    return pack_mixed(coords, (p,) * len(coords))
 
 
 def pack_mixed(vec: Iterable[int], radices: Iterable[int]) -> int:

@@ -107,6 +107,10 @@ class CarryContext:
         cap = self.k * (self.p - 1)
         return all(0 <= c <= cap for c in self.targets[index])
 
+    def provenance(self, index: int) -> dict[str, list[int]]:
+        """The {"gamma", "target"} record of one carry, as items and skip lists hold it."""
+        return {"gamma": list(self.gammas[index]), "target": list(self.targets[index])}
+
 
 def _check_radix(p: int, k: int) -> None:
     """k digits below p sum without carrying only when p > k."""
@@ -150,45 +154,42 @@ def _achieved_bound(inst: KSumInstance) -> int:
     return max(inst.numbers, default=0)
 
 
+def _carry_stage(t: int, k: int, bound: int, p: int, d: int) -> tuple[CarryContext, list[int], list[dict]] | None:
+    """The front both carry reductions share, for numbers in [0, bound]: the
+    checks d >= 1, p^d >= k*bound + 1 and p > k, in that order; then None when
+    no k numbers reach t, else the carry context, its feasible carry indices
+    and the provenance of each skipped carry, both in carry order."""
+    if d < 1:
+        raise ParameterError(f"digit count must be >= 1, got {d}")
+    if p**d < k * bound + 1:
+        raise ParameterError(f"p^d = {p**d} < k*M+1 = {k * bound + 1}")
+    _check_radix(p, k)
+    if not 0 <= t <= k * bound:
+        return None
+    ctx = carry_targets(t, k, p, d)
+    feasible = [i for i in range(ctx.s) if ctx.is_feasible(i)]
+    return ctx, feasible, [ctx.provenance(i) for i in range(ctx.s) if not ctx.is_feasible(i)]
+
+
 def ksum_to_vectorsum(inst: KSumInstance, p: int, d: int) -> ReducedCollection:
     """One digit-vector instance per feasible carry target; skipped carries are
     recorded in the collection params. The source is solvable iff some emitted
     instance is; a target no k numbers can reach emits an empty collection."""
-    if d < 1:
+    if d < 1:  # reported before negative numbers
         raise ParameterError(f"digit count must be >= 1, got {d}")
-    bound = _achieved_bound(inst)
-    if p**d < inst.k * bound + 1:
-        raise ParameterError(f"p^d = {p**d} < k*M+1 = {inst.k * bound + 1}")
-    _check_radix(p, inst.k)
-    if not 0 <= inst.target <= inst.k * bound:
-        return ReducedCollection(
-            reduction="ksum_to_vectorsum",
-            source=inst,
-            params={"p": p, "d": d, "s": 0, "skipped": [], "range_pruned": True},
-            items=(),
-        )
-    ctx = carry_targets(inst.target, inst.k, p, d)
+    stage = _carry_stage(inst.target, inst.k, _achieved_bound(inst), p, d)
+    if stage is None:
+        params = {"p": p, "d": d, "s": 0, "skipped": [], "range_pruned": True}
+        return ReducedCollection(reduction="ksum_to_vectorsum", source=inst, params=params, items=())
+    ctx, feasible, skipped = stage
     vectors = tuple(base_p_digits(x, p, d) for x in inst.numbers)
-    items = []
-    skipped = []
-    for i in range(ctx.s):
-        if not ctx.is_feasible(i):
-            skipped.append({"gamma": list(ctx.gammas[i]), "target": list(ctx.targets[i])})
-            continue
-        out = VectorSumInstance(
-            k=inst.k,
-            dim=d,
-            vectors=vectors,
-            target=ctx.targets[i],
-            entry_bounds=(0, p - 1),
-        )
-        items.append(ReducedItem(out, {"gamma": list(ctx.gammas[i]), "target": list(ctx.targets[i])}))
-    return ReducedCollection(
-        reduction="ksum_to_vectorsum",
-        source=inst,
-        params={"p": p, "d": d, "s": ctx.s, "skipped": skipped},
-        items=tuple(items),
+    items = tuple(
+        ReducedItem(VectorSumInstance(k=inst.k, dim=d, vectors=vectors, target=ctx.targets[i], entry_bounds=(0, p - 1)),
+                    ctx.provenance(i))
+        for i in feasible
     )
+    params = {"p": p, "d": d, "s": ctx.s, "skipped": skipped}
+    return ReducedCollection(reduction="ksum_to_vectorsum", source=inst, params=params, items=items)
 
 
 def edge_weight_cap(k: int, d: int, p: int) -> int:
@@ -230,21 +231,13 @@ def nodeweight_to_edgeweight(g: WeightedGraph, p: int | None = None, d: int = 1)
     bound = max(weights, default=0)
     if min(weights, default=0) < 0:
         raise ParameterError("node weights must be nonnegative; shift the instance first")
-    if d < 1:
-        raise ParameterError(f"digit count must be >= 1, got {d}")
-    radix = choose_radix(arity, bound, d) if p is None else p
-    if radix**d < arity * bound + 1:
-        raise ParameterError(f"p^d = {radix**d} < k*M+1 = {arity * bound + 1}")
-    _check_radix(radix, arity)
-    if not 0 <= goal <= arity * bound:
+    radix = choose_radix(arity, bound, d) if p is None else p  # either checks d >= 1 first
+    stage = _carry_stage(goal, arity, bound, radix, d)
+    if stage is None:
         # no k node weights can reach the target: empty emission, OR preserved
-        return ReducedCollection(
-            reduction="nodeweight_to_edgeweight",
-            source=g,
-            params={"t": str(goal), "p": radix, "d": d, "s": 0, "skipped": [], "range_pruned": True},
-            items=(),
-        )
-    ctx = carry_targets(goal, arity, radix, d)
+        params = {"t": str(goal), "p": radix, "d": d, "s": 0, "skipped": [], "range_pruned": True}
+        return ReducedCollection(reduction="nodeweight_to_edgeweight", source=g, params=params, items=())
+    ctx, feasible, skipped = stage
     cap = edge_weight_cap(arity, d, radix)
     k2, edges = arity * arity, g.edges
     cross = 2 * (arity - 1) * k2
@@ -261,12 +254,8 @@ def nodeweight_to_edgeweight(g: WeightedGraph, p: int | None = None, d: int = 1)
         dots = [s + scaled[u] * col[v] for s, (u, v) in zip(dots, edges)]
     per_carry: list[tuple[int, list[int]]] = []
     achieved = 0
-    skipped = []
-    for i in range(ctx.s):
+    for i in feasible:
         target = ctx.targets[i]
-        if not ctx.is_feasible(i):
-            skipped.append({"gamma": list(ctx.gammas[i]), "target": list(target)})
-            continue
         half = arity * sum(c * c for c in target)
         node = [s + half for s in norms]  # h(u), once its carry potential is subtracted
         for col, c in zip(cols, target):
@@ -280,18 +269,11 @@ def nodeweight_to_edgeweight(g: WeightedGraph, p: int | None = None, d: int = 1)
         achieved = max(achieved, peak)
         per_carry.append((i, ew))
     items = tuple(
-        ReducedItem(
-            g._reweighted(edge_weights=ew, weight_bound=achieved, target=0),
-            {"gamma": list(ctx.gammas[i]), "target": list(ctx.targets[i])},
-        )
+        ReducedItem(g._reweighted(edge_weights=ew, weight_bound=achieved, target=0), ctx.provenance(i))
         for i, ew in per_carry
     )
-    return ReducedCollection(
-        reduction="nodeweight_to_edgeweight",
-        source=g,
-        params={"t": str(goal), "p": radix, "d": d, "s": ctx.s, "weight_cap": str(cap), "skipped": skipped},
-        items=items,
-    )
+    params = {"t": str(goal), "p": radix, "d": d, "s": ctx.s, "weight_cap": str(cap), "skipped": skipped}
+    return ReducedCollection(reduction="nodeweight_to_edgeweight", source=g, params=params, items=items)
 
 
 def slot_pairs(k: int) -> list[tuple[int, int]]:
@@ -622,8 +604,16 @@ def pipeline_dimension(n: int) -> int:
 
 
 def pipeline_radix(n: int, k: int, bound: int, f_exp: int, d: int) -> int:
-    """The radix choose_radix gives with the pipeline's floor ceil(k * 2^f * log2 n)."""
-    return choose_radix(k, bound, d, floor=math.ceil(k * 2**f_exp * math.log2(max(n, 2))))
+    """The radix choose_radix gives with the pipeline's floor ceil(k * 2^f * log2 n).
+
+    The floor is the float k * log2 n scaled by 2^f, which is exact; an f that
+    overflows the float raises ParameterError.
+    """
+    try:
+        floor = math.ceil(math.ldexp(k * math.log2(max(n, 2)), f_exp))
+    except OverflowError:
+        raise ParameterError(f"f exponent {f_exp} overflows the radix floor k * 2^f * log2 n") from None
+    return choose_radix(k, bound, d, floor=floor)
 
 
 @dataclass(frozen=True)

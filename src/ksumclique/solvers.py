@@ -24,6 +24,7 @@ from .instances import (
     verify_witness,
 )
 from .reduce_sum_to_clique import (
+    _set_bits,
     build_alpha_instance,
     consistent_alpha_tuples,
     nodeweight_to_edgeweight,
@@ -275,13 +276,6 @@ def _adjacency_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     return masks
 
 
-def _mask_bits(mask: int) -> Iterable[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _naive_mm_triangle(masks: list[int], order: Iterable[int], counter: list[int]) -> tuple[int, int, int] | None:
     """Boolean-square scan: common neighborhoods of adjacent pairs, ascending.
 
@@ -289,7 +283,7 @@ def _naive_mm_triangle(masks: list[int], order: Iterable[int], counter: list[int
     the others contribute no pair."""
     for u in order:
         above_u = masks[u] >> (u + 1)
-        for dv in _mask_bits(above_u):
+        for dv in _set_bits(above_u):
             v = u + 1 + dv
             counter[0] += 1
             common = masks[u] & masks[v]
@@ -338,7 +332,7 @@ def detect_triangle(
         for v in touched:
             if degrees[v] >= d:
                 continue
-            neigh = list(_mask_bits(masks[v]))
+            neigh = _set_bits(masks[v])
             for i in range(len(neigh)):
                 a = neigh[i]
                 for j in range(i + 1, len(neigh)):
@@ -358,22 +352,14 @@ def detect_triangle(
         if low_pairs > m * d or d * len(core) > 2 * m:
             raise ValidationError(f"degree split broke its bounds: {low_pairs} pairs, core {len(core)}, m={m}, delta={d}")
         if witness is None and core:
-            index = {v: i for i, v in enumerate(core)}
-            core_masks = [0] * len(core)
-            for i, v in enumerate(core):
-                rest = masks[v]
-                acc = 0
-                for w in _mask_bits(rest):
-                    j = index.get(w)
-                    if j is not None:
-                        acc |= 1 << j
-                core_masks[i] = acc
+            # the core rows keep only core neighbours, so naive-mm on them sees
+            # the core's induced subgraph under its own vertex ids
+            keep = sum(1 << v for v in core)
+            for v in core:
+                masks[v] &= keep
             counter = [0]
-            order = [i for i, mask in enumerate(core_masks) if mask >> (i + 1)]
-            found = _naive_mm_triangle(core_masks, order, counter)
+            witness = _naive_mm_triangle(masks, [v for v in core if masks[v] >> (v + 1)], counter)
             stats["core_pairs_checked"] = counter[0]
-            if found is not None:
-                witness = tuple(sorted(core[i] for i in found))
     else:
         raise ParameterError(f"unknown triangle backend {backend!r}")
     return SolverReport(solvable=witness is not None, witness=witness, stats=stats)

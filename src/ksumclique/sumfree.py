@@ -207,27 +207,17 @@ def greedy_sumfree_elements(n: int, k: int) -> tuple[int, ...]:
 
 
 def _greedy_admissible(chosen: list[int], chosen_set: set[int], x: int, k: int) -> bool:
-    """Would chosen + {x} stay k-sum-free? Only equations involving x need checking."""
-    pool = chosen + [x]
+    """Would chosen + {x} stay k-sum-free? Only equations x_1 + ... + x_{k-1} =
+    (k-1) * x_k that involve x need checking, as multisets: x on the left with
+    the other k-2 left terms from chosen + {x} and x_k looked up, or x as x_k
+    with the whole left side from chosen and its last term looked up. x is not
+    in chosen, so an equation of the second kind is never trivial."""
     pool_set = chosen_set | {x}
-    if k == 3:
-        for a in pool:  # left side contains x: {a, x} with x_k looked up
-            q, rem = divmod(a + x, 2)
-            if rem == 0 and q in pool_set and not (a == q and x == q):
-                return False
-        for a in chosen:  # x_k = x with a whole-old-set left side
-            if (2 * x - a) in chosen_set:
-                return False
-        return True
-    # k == 4: triples summing to 3*x_k
-    for a in pool:
-        for c in pool:
-            q, rem = divmod(a + c + x, 3)
-            if rem == 0 and q in pool_set and not (a == q and c == q and x == q):
-                return False
-    for a in chosen:
-        for c in chosen:
-            third = 3 * x - a - c  # x_k = x with a whole-old-set left side
-            if third in chosen_set and not (a == x and c == x and third == x):
-                return False
+    for rest in combinations_with_replacement(chosen + [x], k - 2):
+        q, rem = divmod(x + sum(rest), k - 1)
+        if rem == 0 and q in pool_set and any(y != q for y in rest):  # all equal to q forces x = q
+            return False
+    for rest in combinations_with_replacement(chosen, k - 2):
+        if (k - 1) * x - sum(rest) in chosen_set:
+            return False
     return True

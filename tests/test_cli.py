@@ -699,6 +699,28 @@ def test_cli_subsetsum_mode_unsolvable_exit(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("command", ["reduce", "subsetsum-mode", "experiment"])
+def test_cli_f_exponent_overflowing_the_radix_floor_is_usage_error(tmp_path, capsys, command):
+    # k * 2^f * log2 n overflows a float at f = 1100; that is bad input, not "unsolvable"
+    inst_path = tmp_path / "k.json"
+    inst_path.write_bytes(serialize_instance(make_ksum([1, 2, 3], 3, 6)))
+    if command == "reduce":
+        argv = ["reduce", "--via", "smallksum_to_kclique", "--f-exponent", "1100", "--in", str(inst_path),
+                "--out", str(tmp_path / "out.jsonl")]
+    elif command == "subsetsum-mode":
+        argv = ["subsetsum-mode", "--in", str(inst_path), "--f-exponent", "1100", "--report", str(tmp_path / "r.jsonl")]
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"trials": 3, "seed": 1, "chain": ["smallksum_to_kclique"],
+                                        "params": {"f_exp": 1100}}))
+        argv = ["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "f exponent 1100 overflows the radix floor" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["k.json"] + (["cfg.json"] if command == "experiment" else []))
+
+
 @pytest.mark.parametrize("weights", ["node", "edge"])
 def test_cli_gen_negative_weight_bound_is_usage_error(tmp_path, capsys, weights):
     out = tmp_path / "g.json"

@@ -17,6 +17,7 @@ from ksumclique import (
     ReducedItem,
     ResourceBudgetError,
     ValidationError,
+    VectorSumInstance,
     WeightedGraph,
     serialize_collection,
     solve_kclique_bruteforce,
@@ -376,6 +377,74 @@ def test_nodeweight_to_edgeweight_matches_the_squaring_reference_property(case):
         assert serialize_collection(got) == serialize_collection(want)
         radix = got.params["p"]
         assert all(it.instance.weight_bound <= 2 * g.k**3 * d * (radix - 1) ** 2 for it in got.items)
+
+
+def _vectorsum_reference(inst, p, d):
+    """ksum_to_vectorsum spelled out: the same input checks in the same order,
+    digits by repeated division, and every carry of carry_targets kept when
+    its target entries lie in [0, k(p-1)], skipped otherwise."""
+    k, t, numbers = inst.k, inst.target, inst.numbers
+    if d < 1:
+        raise ParameterError(f"digit count must be >= 1, got {d}")
+    if min(numbers, default=0) < 0:
+        raise ParameterError("numbers must be nonnegative; shift the instance first")
+    bound = max(numbers, default=0)
+    if p**d < k * bound + 1:
+        raise ParameterError(f"p^d = {p**d} < k*M+1 = {k * bound + 1}")
+    if p <= k:
+        raise ParameterError(f"radix must exceed the arity, got p={p} <= k={k}")
+    params = {"p": p, "d": d}
+    if not 0 <= t <= k * bound:
+        params.update(s=0, skipped=[], range_pruned=True)
+        return ReducedCollection("ksum_to_vectorsum", params=params, source=inst)
+    ctx = fwd.carry_targets(t, k, p, d)
+    vectors = tuple(tuple(x // p**j % p for j in range(d)) for x in numbers)
+    kept, skipped = [], []
+    for gamma, target in zip(ctx.gammas, ctx.targets):
+        provenance = {"gamma": list(gamma), "target": list(target)}
+        if all(0 <= c <= k * (p - 1) for c in target):
+            out = VectorSumInstance(k=k, dim=d, vectors=vectors, target=target, entry_bounds=(0, p - 1))
+            kept.append(ReducedItem(out, provenance))
+        else:
+            skipped.append(provenance)
+    params.update(s=ctx.s, skipped=skipped)
+    return ReducedCollection("ksum_to_vectorsum", params=params, items=tuple(kept), source=inst)
+
+
+@st.composite
+def _vectorsum_case(draw):
+    """A k-SUM instance (k 1-5, 0-6 numbers, some negative on request, target
+    in range or just outside it), a digit count -1..3 and a fitting radix or
+    any small one."""
+    k = draw(st.integers(1, 5))
+    hi = draw(st.sampled_from([0, 3, 30, 300]))
+    numbers = draw(st.lists(st.integers(draw(st.sampled_from([0, -2])), hi), max_size=6))
+    bound = max([0, *numbers])
+    target = draw(st.integers(-1, k * bound + 1))
+    d = draw(st.integers(-1, 3))
+    if d >= 1 and draw(st.booleans()):
+        p = fwd.choose_radix(k, bound, d) + draw(st.integers(0, 3))
+    else:
+        p = draw(st.integers(0, 40))
+    return make_ksum(numbers, k, target), p, d
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(_vectorsum_case())
+@example((make_ksum([], 3, 0), 4, 2))  # no numbers
+@example((make_ksum([4, 9, 2], 2, 19), 10, 2))  # range-pruned
+@example((make_ksum([1, 3, 2, 2], 2, 4), 3, 2))  # one skipped carry
+@example((make_ksum([-1, 5], 2, 4), 11, 0))  # d < 1 is reported before negative numbers
+@example((make_ksum([-1, 5], 2, 4), 11, 1))  # negative numbers
+@example((make_ksum([1, 2, 3], 3, 6), 3, 2))  # radix at most k
+@example((make_ksum([1, 2, 30], 3, 6), 5, 2))  # p^d < kM + 1
+def test_ksum_to_vectorsum_matches_the_carry_reference_property(case):
+    inst, p, d = case
+    want = _outcome(_vectorsum_reference, inst, p, d)
+    got = _outcome(fwd.ksum_to_vectorsum, inst, p, d)
+    assert got == want
+    if isinstance(got, ReducedCollection):
+        assert serialize_collection(got) == serialize_collection(want)
 
 
 def test_carry_targets_over_the_budget_raise_before_enumerating(monkeypatch):

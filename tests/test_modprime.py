@@ -13,7 +13,6 @@ from ksumclique import (
     random_prime_in,
     solve_ksum_bruteforce,
 )
-from ksumclique.modprime import PrimeReductionParams
 
 from util import make_ksum, oracle_ksum
 
@@ -86,11 +85,13 @@ def test_prime_range_bound_monotone_in_confidence():
     assert bounds[0] >= 2
 
 
-def test_params_validate_prime_membership():
-    with pytest.raises(ParameterError):
-        PrimeReductionParams(confidence=1, prime=9, bound=20, seed=0)
-    with pytest.raises(ParameterError):
-        PrimeReductionParams(confidence=1, prime=23, bound=20, seed=0)
+@pytest.mark.parametrize("confidence", [0, -1])
+def test_mod_reduce_rejects_confidence_below_one(confidence):
+    with pytest.raises(ParameterError, match=rf"^confidence must be >= 1, got {confidence}$"):
+        ksum_mod_reduce(make_ksum([3, 8, 5], 2, 11), confidence=confidence, seed=0)
+    # too few numbers is reported first
+    with pytest.raises(ParameterError, match=r"^need n >= k, got n=1, k=2$"):
+        ksum_mod_reduce(make_ksum([3], 2, 6), confidence=confidence, seed=0)
 
 
 def test_mod_reduce_frozen_completeness_example():

@@ -443,6 +443,60 @@ def test_degree_split_counters_respect_bounds():
         assert delta * rep.stats["core_size"] <= 2 * m
 
 
+def _degree_split_reference(g, delta):
+    """The degree split on adjacency sets, with the core re-indexed: each
+    vertex below the threshold checks its neighbour pairs in order, then a
+    boolean-square scan runs on the core's own graph over indices 0..|core|-1
+    and the first triangle found maps back through the core's vertex list."""
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    m = len(g.edges)
+    d = delta if delta is not None else max(1, isqrt(m) + (isqrt(m) ** 2 < m))
+    touched = [v for v in range(g.n) if adj[v]]
+    witness, low_pairs = None, 0
+    for v in touched:
+        if len(adj[v]) >= d:
+            continue
+        for a, b in combinations(sorted(adj[v]), 2):
+            low_pairs += 1
+            if b in adj[a]:
+                witness = tuple(sorted((v, a, b)))
+                break
+        if witness is not None:
+            break
+    core = [v for v in touched if len(adj[v]) >= d]
+    stats = {"delta": d, "low_pairs": low_pairs, "core_size": len(core)}
+    if witness is None and core:
+        index = {v: i for i, v in enumerate(core)}
+        core_adj = [{index[w] for w in adj[v] if w in index} for v in core]
+        checked = 0
+        for i, j in ((i, j) for i in range(len(core)) for j in sorted(core_adj[i]) if j > i):
+            checked += 1
+            above = [w for w in core_adj[i] & core_adj[j] if w > j]
+            if above:
+                witness = (core[i], core[j], core[min(above)])
+                break
+        stats["core_pairs_checked"] = checked
+    return witness, stats
+
+
+def test_degree_split_matches_the_reindexed_core_reference():
+    rng = random.Random(17)
+    graphs = [CliqueInstance(n=0, edges=(), k=3), CliqueInstance(n=9, edges=(), k=3)]
+    for _ in range(300):
+        n = rng.randint(0, 40)
+        prob = rng.choice([0.05, 0.1, 0.2, 0.4, 0.7, 1.0])
+        graphs.append(CliqueInstance(n=n, edges=tuple(e for e in complete_edges(n) if rng.random() < prob), k=3))
+    for g in graphs:
+        for delta in (None, 1, 2, 3, 4, 5):
+            rep = detect_triangle(g, backend="degree-split", delta=delta)
+            want_witness, want_stats = _degree_split_reference(g, delta)
+            assert rep.witness == want_witness
+            assert {k: v for k, v in rep.stats.items() if k != "backend"} == want_stats
+
+
 def test_detect_triangle_rejects_unknown_backend():
     k3 = CliqueInstance(n=3, edges=complete_edges(3), k=3)
     with pytest.raises(ParameterError):

@@ -15,6 +15,7 @@ from ksumclique import (
     s_r_elements,
     verify_sumfree,
 )
+from ksumclique.sumfree import _greedy_admissible
 
 
 def brute_norm_class(m, b, base, r):
@@ -128,6 +129,28 @@ def test_greedy_certifies_for_all_supported_arities():
         assert len(elems) == 12
         assert verify_sumfree(elems, k)
     assert greedy_sumfree_elements(5, 2) == (0, 1, 2, 3, 4)
+
+
+def _greedy_reference(n, k):
+    """Smallest-first greedy that certifies every candidate set in full."""
+    chosen, x = [], 0
+    while len(chosen) < n:
+        if verify_sumfree(chosen + [x], k):
+            chosen.append(x)
+        x += 1
+    return tuple(chosen)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_greedy_matches_the_full_certification_reference(k):
+    want = _greedy_reference(24, k)
+    assert [greedy_sumfree_elements(n, k) for n in range(1, 25)] == [want[:n] for n in range(1, 25)]
+    # the admissibility test alone, on sum-free subsets and candidates below their maximum too
+    rng = random.Random(k)
+    for _ in range(300):
+        chosen = sorted(rng.sample(want[:12], rng.randint(0, 12)))
+        x = rng.choice([y for y in range(want[11] + 10) if y not in chosen])
+        assert _greedy_admissible(chosen, set(chosen), x, k) == verify_sumfree(chosen + [x], k)
 
 
 def test_greedy_rejects_unsupported_arity():
