@@ -208,20 +208,19 @@ def lindep_to_vectorsum(inst: LinDepInstance, budget: int = LINDEP_BUDGET) -> Re
         items.append(ReducedItem(out, {"overshoot": list(v)}))
 
     def decode(index: int, witness: tuple[int, ...]) -> list[int]:
-        used = {i for _, i in lift_lindep_witness(inst, coll, index, witness)}
+        used = {i for _, i in _lift_item(inst, items[index].instance, witness)}
         # one source vector may appear under two scalars; the span only grows
         # with more vectors, so the lowest unused indices pad the set to k
         # (hence r >= k above)
         return sorted(used) + [i for i in range(r) if i not in used][: k - len(used)]
 
-    coll = ReducedCollection(
+    return ReducedCollection(
         reduction="lindep_to_vectorsum",
         source=inst,
         params={"q": str(q), "r": r, "expansion": "scalar-times-vector"},
         items=tuple(items),
         decode=decode,
     )
-    return coll
 
 
 def decode_expanded_index(inst: LinDepInstance, e: int) -> tuple[int, int]:
@@ -273,9 +272,14 @@ def lift_lindep_witness(
 ) -> tuple[tuple[int, int], ...]:
     """Decode a verified reduced witness to k (scalar, index) pairs whose F_q
     combination equals the target."""
-    item = coll.items[item_index]
+    return _lift_item(inst, coll.items[item_index].instance, witness)
+
+
+def _lift_item(inst: LinDepInstance, item: VectorSumInstance, witness: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """lift_lindep_witness given the item's instance, so that the
+    collection's decode need not hold (and cycle back to) the collection."""
     idxs = tuple(sorted(witness))
-    if not verify_witness(item.instance, idxs):
+    if not verify_witness(item, idxs):
         raise MalformedWitnessError("witness does not verify in the reduced instance")
     pairs = tuple(decode_expanded_index(inst, e) for e in idxs)
     combo = [0] * inst.n

@@ -344,14 +344,16 @@ def _zero_sum_alphas(
     table over slot i and of the second table over slot j, and only the bits
     left are visited, in ascending order. A slot at -1 cuts nothing and reads
     no table, so while both slots are -1 (always, when every mask is -1) the
-    window is scanned plainly.
+    window is a plain range.
 
-    At the last free coordinate each candidate is tested with its forced
-    partner, and the full alpha is yielded there: the forced pair (k-1, k)
-    shares slot k with the pair (k-2, k) before it, so the test reads the
-    slot sets the DFS holds at that point. ``on_window`` is called with the
-    full size of each window at the last free coordinate when entered, and
-    with 1 for the one empty head of k = 2.
+    The DFS recurses down to the pair (k-2, k-1) (1-based), whose loop runs
+    the last free pair (k-2, k) and the forced pair (k-1, k) inline, with no
+    generator, slot copy or head tuple per head: each candidate of the last
+    free window is tested against its forced partner's bucket on slots k-1
+    and k, and the full alpha is yielded there. ``on_window`` is called with
+    the full size of each last free window when entered, and with 1 for the
+    one empty head of k = 2. The search drops the recursion's reference to
+    itself when it ends or is closed, so reference counting frees its tables.
     """
     support = list(ends)
     if not support:
@@ -384,25 +386,56 @@ def _zero_sum_alphas(
             if at_j != -1:
                 window &= _union(ends_at, at_j)
             picks = _set_bits(window)
-        if rest == 1:
-            if on_window is not None:
-                on_window(stop - start)
-            forced_first = slots[k - 2]
+        if rest > 2:
             for r in picks:
                 x = support[r]
-                fit = ends.get(-total - x)
-                if fit is not None and forced_first & fit[0] and at_j & masks[r][1] & fit[1]:
-                    yield head + (x, -total - x)
+                first, second = masks[r]
+                narrowed = slots.copy()
+                narrowed[i] = at_i & first
+                narrowed[j] = at_j & second
+                yield from extend(idx + 1, head + (x,), total + x, narrowed)
             return
+        # (i, j) = (k-2, k-1) 1-based: run the last free pair (i, k) and the
+        # forced pair (j, k) inline, with _union and _set_bits unrolled
+        at_k = slots[k - 1]
+        ends_k = -1 if at_k == -1 else _union(ends_at, at_k)
         for r in picks:
             x = support[r]
             first, second = masks[r]
-            narrowed = slots.copy()
-            narrowed[i] = at_i & first
-            narrowed[j] = at_j & second
-            yield from extend(idx + 1, head + (x,), total + x, narrowed)
+            sub = total + x
+            start = bisect.bisect_left(support, -sub - hi)
+            stop = bisect.bisect_right(support, -sub - lo)
+            if on_window is not None:
+                on_window(stop - start)
+            at_first, at_second = at_i & first, at_j & second
+            if at_first == -1 and at_k == -1:
+                for q in range(start, stop):
+                    y = support[q]
+                    fit = ends.get(-sub - y)
+                    if fit is not None and at_second & fit[0] and at_k & masks[q][1] & fit[1]:
+                        yield head + (x, y, -sub - y)
+                continue
+            window = ((1 << stop) - (1 << start)) & ends_k
+            if at_first != -1:
+                starts = 0
+                while at_first:
+                    low = at_first & -at_first
+                    starts |= starts_at[low.bit_length() - 1]
+                    at_first ^= low
+                window &= starts
+            while window:
+                low = window & -window
+                q = low.bit_length() - 1
+                window ^= low
+                y = support[q]
+                fit = ends.get(-sub - y)
+                if fit is not None and at_second & fit[0] and at_k & masks[q][1] & fit[1]:
+                    yield head + (x, y, -sub - y)
 
-    yield from extend(0, (), 0, [-1] * k)
+    try:
+        yield from extend(0, (), 0, [-1] * k)
+    finally:
+        del extend  # extend refers to itself; without this the cycle keeps every table alive until the cyclic GC
 
 
 def present_alpha_tuples(g: WeightedGraph, k: int, budget: int = ALPHA_BUDGET) -> Iterator[tuple[int, ...]]:

@@ -188,7 +188,9 @@ def _kcliques(n: int, edges: tuple[tuple[int, int], ...], k: int, counter: list[
     levels keep the candidates in the chosen vertex's forward set. counter[0]
     counts the nodes of a plain backtrack over all vertices: one per prefix
     vertex, one per clique. Top-level vertices with too few higher neighbours
-    are counted in bulk, never visited.
+    are counted in bulk, never visited. The search drops the nested
+    recursion's reference to itself when it ends or is closed, so reference
+    counting frees ``fsets`` at once.
     """
     forward: dict[int, list[int]] = {}
     for u, v in edges:
@@ -207,19 +209,22 @@ def _kcliques(n: int, edges: tuple[tuple[int, int], ...], k: int, counter: list[
             fv = fsets.get(cand[idx], ())
             yield from extend(partial + (cand[idx],), [w for w in cand[idx + 1 :] if w in fv])
 
-    if k == 1:
-        yield from extend((), list(range(n)))
-        return
-    top = n - k + 1
-    counted = 0
-    for v, fwd in forward.items():
-        if v >= top:
-            break
-        if len(fwd) >= k - 1:
-            counter[0] += v + 1 - counted
-            counted = v + 1
-            yield from extend((v,), fwd)
-    counter[0] += top - counted
+    try:
+        if k == 1:
+            yield from extend((), list(range(n)))
+            return
+        top = n - k + 1
+        counted = 0
+        for v, fwd in forward.items():
+            if v >= top:
+                break
+            if len(fwd) >= k - 1:
+                counter[0] += v + 1 - counted
+                counted = v + 1
+                yield from extend((v,), fwd)
+        counter[0] += top - counted
+    finally:
+        del extend  # extend refers to itself; without this the cycle keeps fsets alive until the cyclic GC
 
 
 def _guard_clique_search(n: int, k: int, edges: tuple[tuple[int, int], ...], budget: int) -> None:

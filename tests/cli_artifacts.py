@@ -70,6 +70,10 @@ def _steps_for_seed(seed: int) -> list[list[str]]:
          "--plant", "--seed", s, "--out", "nw4.json"],
         ["gen", "graph", "--n", "6", "--k", "3", "--weights", "edge", "--M", "2", "--plant", "--seed", s,
          "--out", "ew.json"],
+        ["gen", "graph", "--n", "9", "--k", "5", "--weights", "node", "--M", "5", "--edge-prob", "0.8",
+         "--plant", "--seed", s, "--out", "nw5.json"],
+        ["gen", "graph", "--n", "6", "--k", "4", "--weights", "edge", "--M", "1", "--plant", "--seed", s,
+         "--out", "ew4.json"],
         ["reduce", "--in", "k.json", "--via", "ksum_to_vectorsum", "--out", "k.vs.jsonl"],
         ["reduce", "--in", "k.json", "--via", "ksum_to_vectorsum", "--d", "2", "--out", "k.vs2.jsonl"],
         ["reduce", "--in", "k.json", "--from", "ksum", "--to", "vectorsum", "--p", "13", "--d", "2"],
@@ -83,6 +87,8 @@ def _steps_for_seed(seed: int) -> list[list[str]]:
         ["reduce", "--in", "ew.json", "--via", "edgeweight_to_unweighted", "--out", "ew.full.jsonl"],
         ["reduce", "--in", "ew.json", "--via", "edgeweight_to_unweighted", "--alpha-mode", "present",
          "--out", "ew.present.jsonl"],
+        ["reduce", "--in", "ew4.json", "--via", "edgeweight_to_unweighted", "--alpha-mode", "present",
+         "--out", "ew4.present.jsonl"],
         ["reduce", "--in", "g.json", "--via", "clique_to_vectorsum", "--out", "g.vs.jsonl"],
         ["reduce", "--in", "g2.json", "--via", "kclique_to_ksum", "--out", "g2.ks.jsonl"],
         ["reduce", "--in", "g2.json", "--via", "kclique_to_ksum", "--radix-mode", "mixed", "--out", "g2.ksm.jsonl"],
@@ -104,6 +110,7 @@ def _steps_for_seed(seed: int) -> list[list[str]]:
         ["solve", "--in", "nw2.json", "--solver", "nw-triangle"],
         ["solve", "--in", "nw2.json", "--solver", "nw-clique"],
         ["solve", "--in", "nw4.json", "--solver", "nw-clique"],
+        ["solve", "--in", "nw5.json", "--solver", "nw-clique"],
         ["solve", "--in", "far.json", "--solver", "nw-triangle"],
         ["solve", "--in", "neg.json", "--solver", "nw-triangle"],
         ["solve", "--in", "neg.json", "--solver", "nw-clique"],
@@ -114,6 +121,7 @@ def _steps_for_seed(seed: int) -> list[list[str]]:
         ["solve", "--in", "k.vs.jsonl"],
         ["solve", "--in", "nw.ew.jsonl"],
         ["solve", "--in", "ew.present.jsonl"],
+        ["solve", "--in", "ew4.present.jsonl"],
         ["solve", "--in", "g2.ks.jsonl", "--solver", "ksum-mim"],
         ["solve", "--in", "ld.vs.jsonl"],
         ["verify", "--in", "k.json", "--witness", "0,1,2"],

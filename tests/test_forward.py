@@ -36,6 +36,7 @@ from util import (
     oracle_ksum,
     oracle_vectorsum,
     squaring_edge_weight,
+    zero_sum_alphas,
 )
 
 
@@ -718,6 +719,58 @@ def test_consistent_alpha_tuples_budget_counts_heads():
         list(fwd.consistent_alpha_tuples(g, 3, budget=1))
     tri = make_ew_graph(3, complete_edges(3), 3, [1, -1, 0])
     assert list(fwd.consistent_alpha_tuples(tri, 3)) == [(1, -1, 0)]
+
+
+@st.composite
+def _zero_sum_search_case(draw):
+    """k in 2-5 and up to six support weights (three at k = 5), each bucket
+    one to four edges on up to six vertices. The masks are all -1, as present
+    mode passes them, or the buckets' endpoint sets with their per-vertex
+    tables, as consistent mode builds them. The head budget may be none."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 6))
+    support = sorted(draw(st.sets(st.integers(-6, 6), max_size=3 if k == 5 else 6)))
+    plain = draw(st.booleans())
+    ends, starts_at, ends_at = {}, [0] * n, [0] * n
+    vertex = st.integers(0, n - 1)
+    for r, w in enumerate(support):
+        first = second = 0
+        for u, v in draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=4)):
+            first, second = first | 1 << u, second | 1 << v
+            starts_at[u] |= 1 << r
+            ends_at[v] |= 1 << r
+        ends[w] = (-1, -1) if plain else (first, second)
+    return k, ends, ((), ()) if plain else (starts_at, ends_at), draw(st.none() | st.integers(0, 40))
+
+
+def _run_alpha_search(search, k, ends, by_vertex, budget):
+    """The alphas a search yields, its on_window sizes in order, and whether
+    it raised once the sizes passed the budget."""
+    alphas, windows = [], []
+
+    def on_window(size):
+        windows.append(size)
+        if budget is not None and sum(windows) > budget:
+            raise ResourceBudgetError("over budget")
+
+    try:
+        for alpha in search(k, ends, on_window, by_vertex):
+            alphas.append(alpha)
+    except ResourceBudgetError:
+        return alphas, windows, True
+    return alphas, windows, False
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(_zero_sum_search_case())
+def test_zero_sum_alphas_matches_the_recursive_reference_property(case):
+    """Running the last free coordinate inline keeps the alphas, their order,
+    every on_window call and the raise point of the one-generator-per-head
+    search."""
+    k, ends, by_vertex, _ = case
+    got = _run_alpha_search(fwd._zero_sum_alphas, *case)
+    assert got == _run_alpha_search(zero_sum_alphas, *case)
+    assert list(fwd._zero_sum_alphas(k, ends, by_vertex=by_vertex)) == list(zero_sum_alphas(k, ends, None, by_vertex))
 
 
 def _rescan_alpha_instance(g, k, alpha):

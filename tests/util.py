@@ -5,6 +5,7 @@ package's own search or algebra paths. Frozen expected values in the test
 modules were produced by these oracles.
 """
 
+import bisect
 from itertools import combinations, product
 
 from ksumclique import CliqueInstance, KSumInstance, VectorSumInstance, WeightedGraph
@@ -86,6 +87,72 @@ def map_f(x, t_gamma, k, p, d):
     if any(abs(entry) > k * p for entry in out):
         raise ValueError(f"mapped vector {out} outside [-kp, kp]")
     return out
+
+
+def zero_sum_alphas(k, ends, on_window=None, by_vertex=((), ())):
+    """The slot-consistent alpha DFS as one recursive generator per
+    coordinate, the last free one included: each head enters its own
+    generator, which reports its bisect window to on_window and tests each
+    candidate with its forced partner. Same arguments and outputs as the
+    package's _zero_sum_alphas."""
+    def bits_of(mask):
+        return [b for b in range(mask.bit_length()) if mask >> b & 1]
+
+    def union(tables, vertices):
+        out = 0
+        for v in bits_of(vertices):
+            out |= tables[v]
+        return out
+
+    support = list(ends)
+    if not support:
+        return
+    masks = list(ends.values())
+    starts_at, ends_at = by_vertex
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    last = len(pairs) - 1
+    lo, hi = support[0], support[-1]
+    if last == 0:
+        if on_window is not None:
+            on_window(1)
+        if 0 in ends:
+            yield (0,)
+        return
+
+    def extend(idx, head, total, slots):
+        i, j = pairs[idx]
+        rest = last - idx
+        start = bisect.bisect_left(support, -total - rest * hi)
+        stop = bisect.bisect_right(support, -total - rest * lo)
+        at_i, at_j = slots[i], slots[j]
+        if at_i == -1 and at_j == -1:
+            picks = range(start, stop)
+        else:
+            window = (1 << stop) - (1 << start)
+            if at_i != -1:
+                window &= union(starts_at, at_i)
+            if at_j != -1:
+                window &= union(ends_at, at_j)
+            picks = bits_of(window)
+        if rest == 1:
+            if on_window is not None:
+                on_window(stop - start)
+            forced_first = slots[k - 2]
+            for r in picks:
+                x = support[r]
+                fit = ends.get(-total - x)
+                if fit is not None and forced_first & fit[0] and at_j & masks[r][1] & fit[1]:
+                    yield head + (x, -total - x)
+            return
+        for r in picks:
+            x = support[r]
+            first, second = masks[r]
+            narrowed = slots.copy()
+            narrowed[i] = at_i & first
+            narrowed[j] = at_j & second
+            yield from extend(idx + 1, head + (x,), total + x, narrowed)
+
+    yield from extend(0, (), 0, [-1] * k)
 
 
 def squaring_edge_weight(u_vec, v_vec, k):
