@@ -135,12 +135,10 @@ def gen_random_graph(
         return CliqueInstance(n=n, edges=edge_list, k=k)
     if weights == "node":
         node_w = [rng.randint(0, big_m) for _ in range(n)]
+        t = rng.randint(0, k * big_m) if target is None else target
         if plant_clique:
-            t = rng.randint(0, k * big_m) if target is None else target
             for v, val in zip(planted, _constrained_sum_sample(rng, k, 0, big_m, t)):
                 node_w[v] = val
-        else:
-            t = rng.randint(0, k * big_m) if target is None else target
         return WeightedGraph(
             n=n, edges=edge_list, k=k,
             node_weights=tuple(node_w), edge_weights=None,
@@ -208,7 +206,7 @@ def _reduce_nodeweight_to_edgeweight(inst: WeightedGraph, params: dict[str, Any]
 def _reduce_smallksum_to_kclique(inst: KSumInstance, params: dict[str, Any]) -> ReducedCollection:
     result = fwd.smallksum_to_kclique(inst, _int_param(params, "f_exp", 2), alpha_mode=params.get("alpha_mode", "present"))
     return _single_item_collection("smallksum_to_kclique", inst, result.instance, dict(result.params),
-                                   decode=lambda _, w: fwd.lift_pipeline_witness(result, w))
+                                   decode=lambda _, w: fwd.strip_slot_witness(inst.n, w))
 
 
 def _reduce_clique_to_vectorsum(inst: CliqueInstance, params: dict[str, Any]) -> ReducedCollection:

@@ -28,7 +28,7 @@ from .instances import (
     _as_list,
     verify_witness,
 )
-from .modprime import is_prime
+from .modprime import _offset_items, is_prime
 from .solvers import DEFAULT_BUDGET, SolverReport, _first_subset
 
 LINDEP_BUDGET = 2_000_000
@@ -148,20 +148,11 @@ def parse_lindep_dict(obj: dict[str, Any]) -> LinDepInstance:
 def targetsum_to_ksum(inst: TargetSumInstance) -> ReducedCollection:
     """Lift to the integers: k instances with targets z + i*q cover every value
     a sum of k residues can reach while staying congruent to z mod q."""
-    items = []
-    for i in range(inst.k):
-        out = KSumInstance(
-            k=inst.k,
-            numbers=inst.elements,
-            target=inst.target + i * inst.q,
-            bounds=(0, inst.q - 1),
-        )
-        items.append(ReducedItem(out, {"offset": i, "target": str(inst.target + i * inst.q)}))
     return ReducedCollection(
         reduction="targetsum_to_ksum",
         source=inst,
         params={"q": str(inst.q)},
-        items=tuple(items),
+        items=_offset_items(inst.k, inst.elements, inst.target, inst.q),
     )
 
 
@@ -208,7 +199,7 @@ def lindep_to_vectorsum(inst: LinDepInstance, budget: int = LINDEP_BUDGET) -> Re
         items.append(ReducedItem(out, {"overshoot": list(v)}))
 
     def decode(index: int, witness: tuple[int, ...]) -> list[int]:
-        used = {i for _, i in _lift_item(inst, items[index].instance, witness)}
+        used = {e % r for e in witness}  # expanded index e is source index e % r
         # one source vector may appear under two scalars; the span only grows
         # with more vectors, so the lowest unused indices pad the set to k
         # (hence r >= k above)
@@ -272,14 +263,8 @@ def lift_lindep_witness(
 ) -> tuple[tuple[int, int], ...]:
     """Decode a verified reduced witness to k (scalar, index) pairs whose F_q
     combination equals the target."""
-    return _lift_item(inst, coll.items[item_index].instance, witness)
-
-
-def _lift_item(inst: LinDepInstance, item: VectorSumInstance, witness: Iterable[int]) -> tuple[tuple[int, int], ...]:
-    """lift_lindep_witness given the item's instance, so that the
-    collection's decode need not hold (and cycle back to) the collection."""
     idxs = tuple(sorted(witness))
-    if not verify_witness(item, idxs):
+    if not verify_witness(coll.items[item_index].instance, idxs):
         raise MalformedWitnessError("witness does not verify in the reduced instance")
     pairs = tuple(decode_expanded_index(inst, e) for e in idxs)
     combo = [0] * inst.n

@@ -453,9 +453,11 @@ class ReducedCollection:
     Reductions pass their ``source`` instance, and ``source_digest``, its
     instance_digest, is computed on first read (only serialize_collection
     reads it); a parsed collection passes the digest text instead and cannot
-    lift. ``decode`` maps (item index, sorted item witness) to source ids;
-    without one, ids carry over unchanged. Neither is a field, so equality
-    and serialization ignore them.
+    lift. ``decode`` maps (item index, sorted item witness) to source ids
+    and need check neither: ``lift`` checks the witness in the item before
+    it decodes and the result at the source after. Without a decoder, ids
+    carry over unchanged. Neither is a field, so equality and serialization
+    ignore them.
     """
 
     reduction: str

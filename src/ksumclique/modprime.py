@@ -84,6 +84,17 @@ def prime_range_bound(n: int, k: int, big_m: int, confidence: int) -> int:
     return max(2, confidence * n**k * log_n * log_km)
 
 
+def _offset_items(k: int, residues: tuple[int, ...], target: int, q: int) -> tuple[ReducedItem, ...]:
+    """k k-SUM items over residues in [0, q-1] with targets target + i*q,
+    i in [0, k-1]: every value a sum of k residues can take while staying
+    congruent to target mod q."""
+    return tuple(
+        ReducedItem(KSumInstance(k=k, numbers=residues, target=target + i * q, bounds=(0, q - 1)),
+                    {"offset": i, "target": str(target + i * q)})
+        for i in range(k)
+    )
+
+
 def ksum_mod_reduce(inst: KSumInstance, confidence: int, seed: int) -> ReducedCollection:
     """Map numbers to residues mod a random prime p and emit k instances with
     integer targets (t mod p) + i*p, i in [0, k-1], covering every value a sum
@@ -101,20 +112,9 @@ def ksum_mod_reduce(inst: KSumInstance, confidence: int, seed: int) -> ReducedCo
     bound = prime_range_bound(inst.n, inst.k, big_m, confidence)
     rng = random.Random(seed)
     p = random_prime_in(2, bound, rng)
-    residues = tuple(x % p for x in inst.numbers)
-    base_target = inst.target % p
-    items = []
-    for i in range(inst.k):
-        out = KSumInstance(
-            k=inst.k,
-            numbers=residues,
-            target=base_target + i * p,
-            bounds=(0, p - 1),
-        )
-        items.append(ReducedItem(out, {"offset": i, "target": str(base_target + i * p)}))
     return ReducedCollection(
         reduction="ksum_mod_reduce",
         source=inst,
         params={"prime": str(p), "bound": str(bound), "confidence": confidence, "seed": seed, "algorithm": "mt19937"},
-        items=tuple(items),
+        items=_offset_items(inst.k, tuple(x % p for x in inst.numbers), inst.target % p, p),
     )

@@ -57,6 +57,13 @@ def digits_to_int(digits: Iterable[int], p: int) -> int:
     return total
 
 
+def _pow_exceeds(base: int, exp: int, bound: int) -> bool:
+    """base**exp > bound, without building a power far above bound: when
+    base >= 2^b >= 2 and b * exp >= bound.bit_length(), base**exp >=
+    2^(b*exp) > bound."""
+    return base >= 2 and (base.bit_length() - 1) * exp >= bound.bit_length() or base**exp > bound
+
+
 def choose_radix(k: int, bound: int, d: int = 1, floor: int = 0) -> int:
     """Smallest radix p >= max(k+1, floor) with p^d >= k*bound + 1: k digits
     below p sum without carrying, and d digits hold every k-fold sum of
@@ -67,7 +74,7 @@ def choose_radix(k: int, bound: int, d: int = 1, floor: int = 0) -> int:
     root = 0  # largest r with r^d <= v
     if v >= 1:
         root = 1 << -(-v.bit_length() // d)  # at least the root
-        while (step := ((d - 1) * root + v // root ** (d - 1)) // d) < root:
+        while (step := ((d - 1) * root + (0 if _pow_exceeds(root, d - 1, v) else v // root ** (d - 1))) // d) < root:
             root = step
     return max(k + 1, floor, root + 1)
 
@@ -129,9 +136,10 @@ def carry_targets(t: int, k: int, p: int, d: int) -> CarryContext:
     _check_radix(p, k)
     if d < 1:
         raise ParameterError(f"digit count must be >= 1, got {d}")
-    if not 0 <= t <= k * (p**d - 1):
+    # for k >= 1, t <= k(p^d - 1) exactly when p^d > ceil(t/k)
+    if t < 0 or not (_pow_exceeds(p, d, -(-t // k)) if k >= 1 else t <= k * (p**d - 1)):
         raise ParameterError(f"target {t} outside [0, k(p^d - 1)]")
-    if (k + 1) ** (d - 1) > ALPHA_BUDGET:
+    if _pow_exceeds(k + 1, d - 1, ALPHA_BUDGET):
         raise ResourceBudgetError(f"{k + 1}^{d - 1} carry tuples exceed the work budget {ALPHA_BUDGET}")
     top, low = divmod(t, p ** (d - 1))
     v = base_p_digits(low, p, d - 1) + (top,) if d > 1 else (t,)
@@ -161,7 +169,7 @@ def _carry_stage(t: int, k: int, bound: int, p: int, d: int) -> tuple[CarryConte
     and the provenance of each skipped carry, both in carry order."""
     if d < 1:
         raise ParameterError(f"digit count must be >= 1, got {d}")
-    if p**d < k * bound + 1:
+    if not _pow_exceeds(p, d, k * bound):
         raise ParameterError(f"p^d = {p**d} < k*M+1 = {k * bound + 1}")
     _check_radix(p, k)
     if not 0 <= t <= k * bound:
@@ -281,18 +289,30 @@ def slot_pairs(k: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
 
 
+def _check_alpha_args(k: int, g: WeightedGraph | None = None) -> None:
+    """The argument checks of every alpha enumeration, in order: an
+    edge-weighted graph (when one is given), then k >= 2."""
+    if g is not None and g.edge_weights is None:
+        raise ParameterError("edge-weighted graph required")
+    if k < 2:
+        raise ParameterError("alpha enumeration needs k >= 2")
+
+
+def _check_alpha_budget(base: int, free: int, budget: int) -> None:
+    """Refuse an enumeration of base^free heads above the budget. The count
+    is written out up to 1024 bits and as base^free, never built, above."""
+    if _pow_exceeds(base, free, budget):
+        count = base**free if free * base.bit_length() <= 1024 else f"{base}^{free}"
+        raise ResourceBudgetError(f"alpha enumeration would need {count} tuples (budget {budget})")
+
+
 def alpha_tuples_full(bound: int, k: int, budget: int = ALPHA_BUDGET) -> Iterator[tuple[int, ...]]:
     """All assignments of C(k,2) integers in [-bound, bound] summing to zero:
     the first C(k,2)-1 coordinates run lexicographically, the last is forced
     and emitted only when in range."""
-    pairs = math.comb(k, 2)
-    if pairs == 0:
-        raise ParameterError("alpha enumeration needs k >= 2")
-    free = pairs - 1
-    if (2 * bound + 1) ** free > budget:
-        raise ResourceBudgetError(
-            f"alpha enumeration would need {(2 * bound + 1) ** free} tuples (budget {budget})"
-        )
+    _check_alpha_args(k)
+    free = math.comb(k, 2) - 1
+    _check_alpha_budget(2 * bound + 1, free, budget)
     for head in product(range(-bound, bound + 1), repeat=free):
         last = -sum(head)
         if -bound <= last <= bound:
@@ -448,18 +468,11 @@ def present_alpha_tuples(g: WeightedGraph, k: int, budget: int = ALPHA_BUDGET) -
     last coordinate is a present weight. The budget bounds
     support^(C(k,2)-1).
     """
-    if g.edge_weights is None:
-        raise ParameterError("edge-weighted graph required")
-    if k < 2:
-        raise ParameterError("alpha enumeration needs k >= 2")
+    _check_alpha_args(k, g)
     buckets = g.edges_by_weight
     if not buckets:
         return
-    free = math.comb(k, 2) - 1
-    if len(buckets) ** free > budget:
-        raise ResourceBudgetError(
-            f"alpha enumeration would need {len(buckets) ** free} tuples (budget {budget})"
-        )
+    _check_alpha_budget(len(buckets), math.comb(k, 2) - 1, budget)
     yield from _zero_sum_alphas(k, dict.fromkeys(buckets, (-1, -1)))
 
 
@@ -486,10 +499,7 @@ def consistent_alpha_tuples(
     head. Each is a present-mode head, so no graph whose support^(C(k,2)-1)
     fits the budget can exceed it. counter[0], when given, accumulates them.
     """
-    if g.edge_weights is None:
-        raise ParameterError("edge-weighted graph required")
-    if k < 2:
-        raise ParameterError("alpha enumeration needs k >= 2")
+    _check_alpha_args(k, g)
     ends: dict[int, tuple[int, int]] = {}
     starts_at, ends_at = [0] * g.n, [0] * g.n
     for r, (w, edges) in enumerate(g.edges_by_weight.items()):
@@ -567,15 +577,13 @@ def edgeweight_to_unweighted(g: WeightedGraph, alpha_mode: str = "full") -> Redu
     the graph, which prunes only k-clique-free outputs. The source has a
     zero-edge-weight k-clique iff some output has a k-clique.
     """
-    if g.edge_weights is None:
-        raise ParameterError("edge-weighted graph required")
     arity = g.k
-    if arity < 2:
-        raise ParameterError("alpha enumeration needs k >= 2")
+    _check_alpha_args(arity, g)
+    alphas = list(_alpha_enumerator(alpha_mode)(g))  # its budget check runs before the C(k,2) slot pairs are built
     pairs = slot_pairs(arity)
     items = tuple(
         ReducedItem(build_alpha_instance(g, arity, alpha), {"alpha": [[i, j, w] for (i, j), w in zip(pairs, alpha)]})
-        for alpha in _alpha_enumerator(alpha_mode)(g)
+        for alpha in alphas
     )
     return ReducedCollection(
         reduction="edgeweight_to_unweighted",

@@ -24,6 +24,7 @@ from .instances import (
     verify_witness,
 )
 from .reduce_sum_to_clique import (
+    _pow_exceeds,
     _set_bits,
     build_alpha_instance,
     consistent_alpha_tuples,
@@ -54,8 +55,15 @@ class SolverReport:
         }
 
 
+def _comb_exceeds(n: int, k: int, bound: int) -> bool:
+    """C(n, k) > bound, for 0 <= k <= n. With j = min(k, n - k), C(n, k) >=
+    (n/j)^j >= 2^j, so C(n, k) is built only for j below bound's bit length."""
+    j = k if 2 * k <= n else n - k
+    return j >= bound.bit_length() or math.comb(n, j) > bound
+
+
 def _guard_combinations(n: int, k: int, budget: int) -> None:
-    if k <= n and math.comb(n, k) > budget:
+    if k <= n and _comb_exceeds(n, k, budget):
         raise ResourceBudgetError(f"C({n},{k}) exceeds the work budget {budget}")
 
 
@@ -231,8 +239,8 @@ def _guard_clique_search(n: int, k: int, edges: tuple[tuple[int, int], ...], bud
     """Reject searches whose cheapest work bound exceeds the budget: C(n,k)
     for dense graphs, n * (maxdeg)^(k-1) for sparse ones."""
     maxdeg = max(Counter(chain.from_iterable(edges)).values(), default=0)
-    sparse = n * max(1, maxdeg) ** (k - 1)
-    if min(math.comb(n, k), sparse) > budget:
+    # n * x > budget exactly when x > budget // n, for integers x and n >= 1
+    if _comb_exceeds(n, k, budget) and _pow_exceeds(max(1, maxdeg), k - 1, budget // n):
         raise ResourceBudgetError(f"k-clique search on n={n}, k={k} exceeds the work budget {budget}")
 
 
@@ -334,21 +342,11 @@ def detect_triangle(
         touched = sorted(set(chain.from_iterable(inst.edges)))
         degrees = {v: masks[v].bit_count() for v in touched}
         low_pairs = 0
-        for v in touched:
-            if degrees[v] >= d:
-                continue
-            neigh = _set_bits(masks[v])
-            for i in range(len(neigh)):
-                a = neigh[i]
-                for j in range(i + 1, len(neigh)):
-                    b = neigh[j]
-                    low_pairs += 1
-                    if masks[a] >> b & 1:
-                        witness = tuple(sorted((v, a, b)))
-                        break
-                if witness is not None:
-                    break
-            if witness is not None:
+        low = ((v, a, b) for v in touched if degrees[v] < d for a, b in combinations(_set_bits(masks[v]), 2))
+        for v, a, b in low:
+            low_pairs += 1
+            if masks[a] >> b & 1:
+                witness = tuple(sorted((v, a, b)))
                 break
         core = [v for v in touched if degrees[v] >= d]
         stats["delta"] = d

@@ -3,13 +3,18 @@ experiment harness, and the per-k subset-sum sweep."""
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from itertools import islice
 from math import isqrt
 from pathlib import Path
 
 import pytest
 
+import ksumclique
 from ksumclique import (
     CliqueInstance,
     KSumInstance,
@@ -39,6 +44,8 @@ from ksumclique.cli import (
     run_equivalence_experiment,
     solve_auto,
 )
+from ksumclique import reduce_sum_to_clique as fwd
+from ksumclique.solvers import _kcliques
 
 from util import make_ksum, oracle_kclique
 
@@ -259,6 +266,25 @@ def test_every_two_sided_reduction_lifts_its_own_witnesses():
         # a parsed collection carries only the source digest
         with pytest.raises(ParameterError):
             parse_collection(serialize_collection(coll)).lift(idx, rep.witness)
+
+
+def test_smallksum_decoder_lifts_as_lift_pipeline_witness():
+    """The CLI's smallksum_to_kclique collection lifts the first cliques of
+    300 seeded merged graphs to what lift_pipeline_witness gives."""
+    rng = random.Random(1904)
+    lifted = 0
+    for _ in range(300):
+        n = rng.randint(3, 6)
+        source = gen_random_ksum(n, rng.randint(2, 3), rng.randint(0, n * n), plant=rng.random() < 0.7,
+                                 seed=rng.getrandbits(32))
+        coll = REDUCTIONS["smallksum_to_kclique"].reduce(source, {})
+        result = fwd.smallksum_to_kclique(source, 2)
+        merged = coll.items[0].instance
+        assert merged == result.instance
+        for clique in islice(_kcliques(merged.n, merged.edges, merged.k, [0]), 5):
+            assert coll.lift(0, clique) == fwd.lift_pipeline_witness(result, clique)
+            lifted += 1
+    assert lifted > 300
 
 
 def test_experiment_lindep_trials_pass():
@@ -662,6 +688,55 @@ def test_cli_reduce_carry_count_over_the_budget_is_usage_error(tmp_path, capsys)
     err = capsys.readouterr().err
     assert "4^11 carry tuples exceed the work budget 200000" in err and "Traceback" not in err
     assert not out.exists()
+
+
+SIX_NUMBER_3SUM = {"type": "ksum", "k": 3, "numbers": ["4", "18", "27", "25", "24", "2"], "target": "32",
+                   "range": ["0", "30"]}
+K4_NODE = {"type": "graph", "k": 3, "n": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]],
+           "node_weights": ["5", "3", "1", "0"], "edge_weights": None, "weight_bound": "5", "target": "15",
+           "partition": None}
+K4_EDGE_HUGE_K = dict(K4_NODE, k=100000, node_weights=None, target="0", edge_weights=[
+    [0, 1, "5"], [0, 2, "1"], [0, 3, "-2"], [1, 2, "-4"], [1, 3, "2"], [2, 3, "-5"]])
+
+
+def _triangle_on(n, k):
+    return {"type": "graph", "k": k, "n": n, "edges": [[0, 1], [0, 2], [1, 2]], "node_weights": None,
+            "edge_weights": None, "weight_bound": None, "target": None, "partition": None}
+
+
+def _cap_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("instance, argv, message", [
+    (SIX_NUMBER_3SUM, ["reduce", "--via", "ksum_to_vectorsum", "--p", "11", "--d", "100000000"],
+     "4^99999999 carry tuples exceed the work budget 200000"),
+    (SIX_NUMBER_3SUM, ["reduce", "--via", "ksum_to_vectorsum", "--d", "100000000"],
+     "4^99999999 carry tuples exceed the work budget 200000"),
+    (K4_NODE, ["reduce", "--via", "nodeweight_to_edgeweight", "--p", "11", "--d", "100000000"],
+     "4^99999999 carry tuples exceed the work budget 200000"),
+    (K4_NODE, ["reduce", "--via", "nodeweight_to_edgeweight", "--d", "100000000"],
+     "4^99999999 carry tuples exceed the work budget 200000"),
+    (_triangle_on(10**6, 5 * 10**5), ["solve"], "k-clique search on n=1000000, k=500000 exceeds the work budget"),
+    (_triangle_on(10**7, 5 * 10**6), ["solve"], "k-clique search on n=10000000, k=5000000 exceeds the work budget"),
+    (K4_EDGE_HUGE_K, ["reduce", "--via", "edgeweight_to_unweighted", "--alpha-mode", "full"],
+     "alpha enumeration would need 11^4999949999 tuples (budget 200000)"),
+    (K4_EDGE_HUGE_K, ["reduce", "--via", "edgeweight_to_unweighted", "--alpha-mode", "present"],
+     "alpha enumeration would need 6^4999949999 tuples (budget 200000)"),
+], ids=["vectorsum-p11", "vectorsum-auto-radix", "nodeweight-p11", "nodeweight-auto-radix", "clique-1e6",
+        "clique-1e7", "alpha-full", "alpha-present"])
+def test_cli_work_budget_refuses_before_building_its_bound(tmp_path, instance, argv, message):
+    """Each guard compares its bound without building the huge power or
+    binomial, so the run exits 2 at once; a guard that builds it runs out of
+    the 20 s or the 2 GiB address space given to the process."""
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(instance))
+    env = dict(os.environ, PYTHONPATH=str(Path(ksumclique.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-m", "ksumclique.cli", *argv, "--in", str(inst_path)],
+                         capture_output=True, text=True, timeout=20, env=env, preexec_fn=_cap_address_space)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert message in run.stderr and "Traceback" not in run.stderr
 
 
 def test_cli_reduce_carry_count_within_the_budget_is_unchanged(tmp_path):

@@ -1,5 +1,6 @@
 """Mod-q target sums and linear dependence, bridged to integer instances."""
 
+import hashlib
 import random
 from itertools import product
 
@@ -13,6 +14,7 @@ from ksumclique import (
     ValidationError,
     lift_lindep_witness,
     lindep_to_vectorsum,
+    serialize_collection,
     solve_ksum_bruteforce,
     solve_lindep_bruteforce,
     solve_targetsum_bruteforce,
@@ -22,7 +24,7 @@ from ksumclique import (
 )
 from ksumclique.fieldapps import decode_expanded_index, ksum_to_targetsum
 
-from util import make_ksum, oracle_ksum, oracle_lindep, oracle_span
+from util import lindep_decode, make_ksum, oracle_ksum, oracle_lindep, oracle_span
 
 
 def test_targetsum_validates_fields():
@@ -186,3 +188,47 @@ def test_lindep_budget_guard():
     inst = LinDepInstance(q=2, n=5, vectors=vecs, k=3, target=(1, 1, 1, 1, 1))
     with pytest.raises(ResourceBudgetError):
         lindep_to_vectorsum(inst, budget=50)
+
+
+TARGETSUM_DIGEST = "990f6bed2661a7f28f18fee64995962f9071ad5787c1bcaac5b99a7ddae04356"
+
+
+def _targetsum_sources():
+    """300 seeded mod-q target sums, moduli from 2 to 40 bits."""
+    rng = random.Random(1902)
+    for _ in range(300):
+        q = rng.randint(2, rng.choice([3, 10, 1000, 2**40]))
+        r = rng.randint(1, 8)
+        yield TargetSumInstance(q=q, elements=tuple(rng.randrange(q) for _ in range(r)), k=rng.randint(1, r),
+                                target=rng.randrange(q))
+
+
+def test_targetsum_to_ksum_collections_are_pinned():
+    # sha256 of the 300 serialized collections, recorded before the offset
+    # items of ksum_mod_reduce and targetsum_to_ksum were built by one helper
+    digest = hashlib.sha256()
+    for inst in _targetsum_sources():
+        digest.update(serialize_collection(targetsum_to_ksum(inst)))
+    assert digest.hexdigest() == TARGETSUM_DIGEST
+
+
+def test_lindep_lift_matches_the_verifying_decoder_reference():
+    """coll.lift on every solvable item of 300 seeded LinDep instances gives
+    the index set of the decoder that re-verified and re-decoded each
+    witness (tests/util.lindep_decode)."""
+    rng = random.Random(1903)
+    lifted = 0
+    for _ in range(300):
+        q = rng.choice([2, 3, 5])
+        n = rng.randint(1, 2)
+        r = rng.randint(1, 5)
+        k = rng.randint(1, min(3, r))
+        vecs = tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(r))
+        inst = LinDepInstance(q=q, n=n, vectors=vecs, k=k, target=tuple(rng.randrange(q) for _ in range(n)))
+        coll = lindep_to_vectorsum(inst)
+        for idx, item in enumerate(coll.items):
+            rep = solve_vectorsum_bruteforce(item.instance)
+            if rep.solvable:
+                assert coll.lift(idx, rep.witness) == tuple(sorted(lindep_decode(inst, item.instance, rep.witness)))
+                lifted += 1
+    assert lifted > 300

@@ -35,6 +35,7 @@ from util import (
     oracle_kclique,
     oracle_ksum,
     oracle_vectorsum,
+    peak_traced_bytes,
     squaring_edge_weight,
     zero_sum_alphas,
 )
@@ -573,6 +574,57 @@ def test_present_alpha_tuples_rejects_small_arity(k):
         list(fwd.present_alpha_tuples(g, k))
     with pytest.raises(ParameterError):
         list(fwd.consistent_alpha_tuples(g, k))
+    with pytest.raises(ParameterError, match="alpha enumeration needs k >= 2"):
+        list(fwd.alpha_tuples_full(3, k))
+
+
+def test_pow_exceeds_matches_the_power():
+    from ksumclique.reduce_sum_to_clique import _pow_exceeds
+
+    for base in range(-3, 40):
+        for exp in range(0, 12):
+            power = base**exp
+            for bound in {-5, -1, 0, 1, 2, power - 1, power, power + 1, 2 * power, 10**9}:
+                assert _pow_exceeds(base, exp, bound) == (power > bound), (base, exp, bound)
+    assert _pow_exceeds(11, 10**12, 200_000) and not _pow_exceeds(1, 10**12, 1)
+
+
+def _k4_edge_graph(k):
+    return make_ew_graph(4, complete_edges(4), k, [5, 1, -2, -4, 2, -5])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fwd.carry_targets(32, 3, 11, 10**6),
+    lambda: fwd.ksum_to_vectorsum(make_ksum([4, 18, 27, 25, 24, 2], 3, 32, hi=30), 11, 10**6),
+    lambda: fwd.nodeweight_to_edgeweight(make_nw_graph(4, complete_edges(4), 3, [5, 3, 1, 0], 15), p=11, d=10**6),
+    lambda: fwd.nodeweight_to_edgeweight(make_nw_graph(4, complete_edges(4), 3, [5, 3, 1, 0], 15), d=10**6),
+    lambda: list(fwd.alpha_tuples_full(5, 1000)),
+    lambda: list(fwd.present_alpha_tuples(_k4_edge_graph(3), 1000)),
+    lambda: fwd.edgeweight_to_unweighted(_k4_edge_graph(1000), "full"),
+    lambda: fwd.edgeweight_to_unweighted(_k4_edge_graph(1000), "present"),
+], ids=["carry_targets", "ksum_to_vectorsum", "nodeweight_p11", "nodeweight_auto_radix", "alpha_full",
+        "alpha_present", "edgeweight_full", "edgeweight_present"])
+def test_work_guards_refuse_without_building_their_bound(call):
+    """11^(10^6) alone is 432 KB and C(1000, 2) slot pairs are 500,000
+    tuples; each guard refuses its call in far less."""
+    def refused():
+        with pytest.raises(ResourceBudgetError):
+            call()
+
+    assert peak_traced_bytes(refused) < 64 * 1024
+
+
+def test_choose_radix_at_a_huge_digit_count_builds_no_power():
+    assert fwd.choose_radix(3, 30, 10**6) == 4
+    assert peak_traced_bytes(lambda: fwd.choose_radix(3, 30, 10**6)) < 64 * 1024
+
+
+def test_alpha_budget_count_is_written_out_up_to_1024_bits():
+    # 11^5 has 18 bits and 11^779 (k = 40) about 2,700
+    with pytest.raises(ResourceBudgetError, match=r"would need 161051 tuples \(budget 100\)"):
+        list(fwd.alpha_tuples_full(5, 4, budget=100))
+    with pytest.raises(ResourceBudgetError, match=r"would need 11\^779 tuples \(budget 200000\)"):
+        list(fwd.alpha_tuples_full(5, 40))
 
 
 def test_consistent_alpha_tuples_drops_only_clique_free_alphas_random():

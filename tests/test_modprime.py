@@ -1,5 +1,6 @@
 """Primality, seeded prime draws, and the modular shrink of k-SUM."""
 
+import hashlib
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from ksumclique import (
     ksum_mod_reduce,
     prime_range_bound,
     random_prime_in,
+    serialize_collection,
     solve_ksum_bruteforce,
 )
 
@@ -166,3 +168,29 @@ def test_mod_reduce_completeness_random():
 def test_mod_reduce_needs_enough_numbers():
     with pytest.raises(ParameterError):
         ksum_mod_reduce(KSumInstance(k=3, numbers=(1, 2), target=3, bounds=(0, 2)), 1, 0)
+
+
+MOD_REDUCE_DIGEST = "28dbad132387924d79dbaf93f4fd2396a3fee4328380403deb1669890a02b338"
+
+
+def _mod_reduce_sources():
+    """300 seeded k-SUM sources, negative numbers and 40-bit ones included,
+    each with its confidence and seed."""
+    rng = random.Random(1901)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        k = rng.randint(1, n)
+        hi = rng.choice([0, 1, 10, 1000, 2**40])
+        lo = rng.choice([0, 0, -hi])
+        nums = [rng.randint(lo, hi) for _ in range(n)]
+        t = rng.randint(k * lo, k * hi) if rng.random() < 0.5 else sum(rng.sample(nums, k))
+        yield KSumInstance(k=k, numbers=tuple(nums), target=t, bounds=(lo, hi)), rng.randint(1, 200), rng.getrandbits(32)
+
+
+def test_mod_reduce_collections_are_pinned():
+    # sha256 of the 300 serialized collections, recorded before the offset
+    # items of ksum_mod_reduce and targetsum_to_ksum were built by one helper
+    digest = hashlib.sha256()
+    for inst, confidence, seed in _mod_reduce_sources():
+        digest.update(serialize_collection(ksum_mod_reduce(inst, confidence, seed)))
+    assert digest.hexdigest() == MOD_REDUCE_DIGEST

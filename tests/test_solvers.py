@@ -33,6 +33,7 @@ from ksumclique.solvers import _kcliques
 from util import (
     complete_edges,
     cycle_edges,
+    degree_split_triangle,
     make_ew_graph,
     make_ksum,
     make_nw_graph,
@@ -41,6 +42,7 @@ from util import (
     oracle_kclique,
     oracle_ksum,
     oracle_nw_kclique,
+    peak_traced_bytes,
 )
 
 
@@ -326,6 +328,33 @@ def test_clique_budget_guard():
         solve_kclique_bruteforce(big, budget=1000)
 
 
+def test_comb_exceeds_matches_math_comb():
+    from ksumclique.solvers import _comb_exceeds
+
+    for n in range(0, 70):
+        for k in range(0, n + 1):
+            c = comb(n, k)
+            for bound in {0, 1, c - 1, c, c + 1, 20_000_000}:
+                assert _comb_exceeds(n, k, bound) == (c > bound), (n, k, bound)
+
+
+@pytest.mark.parametrize("solve", [solve_kclique_bruteforce, solve_ksum_bruteforce, solve_ksum_mim],
+                         ids=["clique-brute", "ksum-brute", "ksum-mim"])
+def test_work_guards_refuse_without_building_the_binomial(solve):
+    """Building C(10^5, 5*10^4) or C(10^5, 2.5*10^4) takes over 80 KB; the
+    guards refuse in far less."""
+    if solve is solve_kclique_bruteforce:
+        inst = CliqueInstance(n=10**5, edges=((0, 1), (0, 2), (1, 2)), k=5 * 10**4)
+    else:
+        inst = KSumInstance(k=5 * 10**4, numbers=tuple(range(10**5)), target=1, bounds=(0, 10**5))
+
+    def refused():
+        with pytest.raises(ResourceBudgetError):
+            solve(inst)
+
+    assert peak_traced_bytes(refused) < 32 * 1024
+
+
 def test_sparse_graph_beats_naive_combination_count():
     # budget below C(n,k) but the degree-aware guard admits the sparse graph
     n = 400
@@ -495,6 +524,22 @@ def test_degree_split_matches_the_reindexed_core_reference():
             want_witness, want_stats = _degree_split_reference(g, delta)
             assert rep.witness == want_witness
             assert {k: v for k, v in rep.stats.items() if k != "backend"} == want_stats
+
+
+def test_degree_split_matches_the_triple_loop_reference():
+    """witness, low_pairs, core_size and core_pairs_checked equal those of
+    the scan with one loop per neighbour index (tests/util), on 3,000 graphs
+    at every threshold."""
+    rng = random.Random(19)
+    for _ in range(3000):
+        n = rng.randint(0, 30)
+        prob = rng.choice([0.05, 0.1, 0.2, 0.4, 0.7, 1.0])
+        g = CliqueInstance(n=n, edges=tuple(e for e in complete_edges(n) if rng.random() < prob), k=3)
+        for delta in (None, 1, 2, 3, 5):
+            witness, stats = degree_split_triangle(g.n, g.edges, delta)
+            rep = detect_triangle(g, backend="degree-split", delta=delta)
+            assert rep.witness == witness
+            assert rep.stats == dict(stats, backend="degree-split")
 
 
 def test_detect_triangle_rejects_unknown_backend():

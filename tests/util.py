@@ -6,7 +6,9 @@ modules were produced by these oracles.
 """
 
 import bisect
+import tracemalloc
 from itertools import combinations, product
+from math import isqrt
 
 from ksumclique import CliqueInstance, KSumInstance, VectorSumInstance, WeightedGraph
 
@@ -153,6 +155,87 @@ def zero_sum_alphas(k, ends, on_window=None, by_vertex=((), ())):
             yield from extend(idx + 1, head + (x,), total + x, narrowed)
 
     yield from extend(0, (), 0, [-1] * k)
+
+
+def degree_split_triangle(n, edges, delta=None):
+    """The degree-split triangle scan as it first was, on adjacency bitmasks:
+    each vertex below the threshold runs a triple loop over its neighbour
+    pairs, then the core rows, masked to the core, run the boolean-square
+    scan. Returns the witness and the counters detect_triangle reports."""
+    def bits_of(mask):
+        return [b for b in range(mask.bit_length()) if mask >> b & 1]
+
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    m = len(edges)
+    d = delta if delta is not None else max(1, isqrt(m) + (0 if isqrt(m) ** 2 == m else 1))
+    touched = sorted({v for e in edges for v in e})
+    degrees = {v: bin(masks[v]).count("1") for v in touched}
+    witness, low_pairs = None, 0
+    for v in touched:
+        if degrees[v] >= d:
+            continue
+        neigh = bits_of(masks[v])
+        for i in range(len(neigh)):
+            a = neigh[i]
+            for j in range(i + 1, len(neigh)):
+                b = neigh[j]
+                low_pairs += 1
+                if masks[a] >> b & 1:
+                    witness = tuple(sorted((v, a, b)))
+                    break
+            if witness is not None:
+                break
+        if witness is not None:
+            break
+    core = [v for v in touched if degrees[v] >= d]
+    stats = {"delta": d, "low_pairs": low_pairs, "core_size": len(core)}
+    if witness is None and core:
+        keep = sum(1 << v for v in core)
+        for v in core:
+            masks[v] &= keep
+        checked = 0
+        for u in (v for v in core if masks[v] >> (v + 1)):
+            for v in (w for w in bits_of(masks[u]) if w > u):
+                checked += 1
+                common = masks[u] & masks[v] & ~((1 << (v + 1)) - 1)
+                if common:
+                    witness = (u, v, bits_of(common)[0])
+                    break
+            if witness is not None:
+                break
+        stats["core_pairs_checked"] = checked
+    return witness, stats
+
+
+def lindep_decode(inst, item, witness):
+    """The LinDep decoder as it first was: verify the expanded witness in
+    its item, decode each expanded index e to (scalar e // r, source e % r),
+    check that the combination hits the target mod q, then pad the source
+    indices used with the lowest unused ones up to k."""
+    ws = sorted(witness)
+    if len(set(ws)) != item.k or not all(0 <= e < len(item.vectors) for e in ws):
+        raise ValueError("malformed item witness")
+    if tuple(map(sum, zip(*(item.vectors[e] for e in ws)))) != item.target:
+        raise ValueError("witness does not verify in the item")
+    pairs = [divmod(e, inst.r) for e in ws]
+    combo = [sum(c * inst.vectors[i][j] for c, i in pairs) % inst.q for j in range(inst.n)]
+    if tuple(combo) != inst.target:
+        raise ValueError("combination misses the target mod q")
+    used = sorted({i for _, i in pairs})
+    return used + [i for i in range(inst.r) if i not in used][: inst.k - len(used)]
+
+
+def peak_traced_bytes(call):
+    """Peak bytes Python allocated while call() ran, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def squaring_edge_weight(u_vec, v_vec, k):
