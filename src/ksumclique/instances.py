@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations
 from typing import Any, Callable, Iterable, Sequence
 
 
@@ -95,14 +96,33 @@ def _as_weighted_edges(value: Any) -> list[tuple[int, int, int]]:
     return [(*_as_endpoints(e, 3, shape), _as_int(e[2], "edge weight")) for e in _as_list(value, "edge_weights")]
 
 
+def _canonical_edges(n: int, edges: object) -> bool:
+    """Whether ``edges`` is already what normalize_edges returns: a tuple of
+    strictly increasing (u, v) tuples of exact ints with 0 <= u < v < n."""
+    if type(edges) is not tuple:
+        return False
+    prev: tuple[int, ...] = ()
+    for e in edges:
+        if type(e) is tuple and len(e) == 2:
+            u, v = e
+            if type(u) is int and type(v) is int and prev < e and 0 <= u < v < n:
+                prev = e
+                continue
+        return False
+    return True
+
+
 def normalize_edges(n: int, edges: Iterable[Sequence[int]]) -> tuple[tuple[int, int], ...]:
     """Sort endpoints and the edge list; reject loops, duplicates and bad ids.
 
-    Each edge is checked in input order, so the first offending edge names
+    An edge tuple that is already canonical is returned as it is. Otherwise
+    each edge is checked in input order, so the first offending edge names
     the error. While the edges arrive strictly increasing with u < v they are
     distinct and already sorted, so no set is built; the first edge out of
     order switches to a set and a final sort.
     """
+    if _canonical_edges(n, edges):
+        return edges  # type: ignore[return-value]
     out: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] | None = None
     for raw in edges:
@@ -124,8 +144,13 @@ def normalize_edges(n: int, edges: Iterable[Sequence[int]]) -> tuple[tuple[int, 
 
 
 def _is_clique(edges: tuple[tuple[int, int], ...], ws: tuple[int, ...]) -> bool:
-    edge_set = set(edges)
-    return all((ws[a], ws[b]) in edge_set for a in range(len(ws)) for b in range(a + 1, len(ws)))
+    """Whether every pair of ``ws`` is an edge, each looked up by binary
+    search in the sorted edge tuple."""
+    for e in combinations(ws, 2):
+        at = bisect_left(edges, e)
+        if at == len(edges) or edges[at] != e:
+            return False
+    return True
 
 
 class Instance:
@@ -270,12 +295,15 @@ class CliqueInstance(Instance):
         if self.k < 1:
             raise ValidationError(f"arity k must be >= 1, got {self.k}")
         object.__setattr__(self, "edges", normalize_edges(self.n, self.edges))
-        if self.partition is not None:
-            part = tuple(map(int, self.partition))
-            object.__setattr__(self, "partition", part)
+        part = self.partition
+        if part is not None:
+            if type(part) is not tuple or not set(map(type, part)) <= {int}:
+                part = tuple(map(int, part))
+                object.__setattr__(self, "partition", part)
             if len(part) != self.n:
                 raise ValidationError("partition length differs from n")
-            if part and not 1 <= min(part) <= max(part) <= self.k:
+            slots = set(part)  # k*n entries, but at most k distinct slots
+            if slots and not 1 <= min(slots) <= max(slots) <= self.k:
                 bad = next(s for s in part if not 1 <= s <= self.k)
                 raise ValidationError(f"slot {bad} outside [1,{self.k}]")
             for u, v in self.edges:
@@ -381,7 +409,7 @@ class WeightedGraph(Instance):
             if len(edge_weights) != len(self.edges):
                 raise ValidationError("edge weight list length differs from the edge count")
             _check_bound("edge", edge_weights, weight_bound)
-            ew = tuple((u, v, w) for (u, v), w in zip(self.edges, edge_weights))
+            ew = tuple(map(tuple.__add__, self.edges, zip(edge_weights)))
         graph = object.__new__(WeightedGraph)
         graph.__dict__.update(n=self.n, edges=self.edges, k=self.k, node_weights=nw, edge_weights=ew,
                               weight_bound=weight_bound, target=target)
@@ -529,8 +557,11 @@ def verify_witness(inst: Instance, witness: Iterable[int]) -> bool:
 # canonical JSON
 # ---------------------------------------------------------------------------
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True)  # json.dumps would build one per call
+
+
 def _dumps(obj: Any) -> str:
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
+    return _ENCODER.encode(obj)
 
 
 def serialize_instance(inst: Instance) -> bytes:

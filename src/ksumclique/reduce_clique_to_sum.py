@@ -20,6 +20,7 @@ from .instances import (
     KSumInstance,
     MalformedWitnessError,
     ParameterError,
+    ResourceBudgetError,
     ValidationError,
     VectorSumInstance,
     verify_witness,
@@ -28,6 +29,7 @@ from .reduce_sum_to_clique import slot_pairs
 from .sumfree import behrend_sumfree, greedy_sumfree_elements
 
 GREEDY_CODE_LIMIT = 64
+VECTOR_BUDGET = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,16 @@ def vector_count(n: int, m: int, k: int) -> int:
     return k * n + 2 * math.comb(k, 2) * m
 
 
+def _check_vector_budget(g: CliqueInstance) -> None:
+    """Refuse a vector instance of more than VECTOR_BUDGET coordinates in
+    all (vector_count vectors of k^2+k+1 each), before any vertex is encoded
+    or slot pair built."""
+    k = g.k
+    count, dim = vector_count(g.n, g.m, k), k * k + k + 1
+    if count * dim > VECTOR_BUDGET:
+        raise ResourceBudgetError(f"{count} vectors of {dim} coordinates exceed the work budget {VECTOR_BUDGET}")
+
+
 def origin_of_index(g: CliqueInstance, idx: int) -> tuple:
     """Decode a vector index into its origin under the fixed emission order:
     ("vertex", v, slot) or ("edge", first, second, i, j)."""
@@ -116,6 +128,7 @@ def clique_to_vectorsum(g: CliqueInstance, encoding: CliqueEncoding | None = Non
     k, n = g.k, g.n
     if k < 2:
         raise ParameterError(f"arity must be >= 2, got {k}")
+    _check_vector_budget(g)
     enc = encoding if encoding is not None else encode_vertices(n, k)
     if enc.k != k or enc.n < n:
         raise ParameterError("encoding does not cover the graph")
@@ -221,6 +234,7 @@ def kclique_to_ksum(g: CliqueInstance, radix_mode: str = "uniform") -> KSumInsta
     uniform packs every coordinate in radix k'T+1; mixed packs the small-entry
     coordinates in the tighter radix k'k+1, shrinking the numbers.
     """
+    _check_vector_budget(g)
     enc = encode_vertices(g.n, g.k)
     return _pack_clique_vectors(clique_to_vectorsum(g, encoding=enc), enc, radix_mode)
 

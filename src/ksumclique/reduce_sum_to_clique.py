@@ -298,6 +298,14 @@ def _check_alpha_args(k: int, g: WeightedGraph | None = None) -> None:
         raise ParameterError("alpha enumeration needs k >= 2")
 
 
+def _check_alpha_coordinates(k: int) -> None:
+    """Refuse more than ALPHA_BUDGET alpha coordinates C(k,2), before a
+    search lists that many slot pairs; a one-weight support passes every
+    power bound at any arity."""
+    if math.comb(k, 2) > ALPHA_BUDGET:
+        raise ResourceBudgetError(f"{math.comb(k, 2)} alpha coordinates exceed the work budget {ALPHA_BUDGET}")
+
+
 def _check_alpha_budget(base: int, free: int, budget: int) -> None:
     """Refuse an enumeration of base^free heads above the budget. The count
     is written out up to 1024 bits and as base^free, never built, above."""
@@ -313,6 +321,7 @@ def alpha_tuples_full(bound: int, k: int, budget: int = ALPHA_BUDGET) -> Iterato
     _check_alpha_args(k)
     free = math.comb(k, 2) - 1
     _check_alpha_budget(2 * bound + 1, free, budget)
+    _check_alpha_coordinates(k)
     for head in product(range(-bound, bound + 1), repeat=free):
         last = -sum(head)
         if -bound <= last <= bound:
@@ -470,9 +479,9 @@ def present_alpha_tuples(g: WeightedGraph, k: int, budget: int = ALPHA_BUDGET) -
     """
     _check_alpha_args(k, g)
     buckets = g.edges_by_weight
-    if not buckets:
-        return
-    _check_alpha_budget(len(buckets), math.comb(k, 2) - 1, budget)
+    if buckets:
+        _check_alpha_budget(len(buckets), math.comb(k, 2) - 1, budget)
+    _check_alpha_coordinates(k)
     yield from _zero_sum_alphas(k, dict.fromkeys(buckets, (-1, -1)))
 
 
@@ -500,6 +509,7 @@ def consistent_alpha_tuples(
     fits the budget can exceed it. counter[0], when given, accumulates them.
     """
     _check_alpha_args(k, g)
+    _check_alpha_coordinates(k)
     ends: dict[int, tuple[int, int]] = {}
     starts_at, ends_at = [0] * g.n, [0] * g.n
     for r, (w, edges) in enumerate(g.edges_by_weight.items()):
@@ -533,18 +543,15 @@ def _alpha_union(k: int, n: int, pieces: Iterable[tuple[WeightedGraph, tuple[int
     one by one in ascending id ranges, so the one CliqueInstance check meets
     every edge once, in order, with no set or final sort.
     """
-    pairs = slot_pairs(k)
+    offsets = [((i - 1) * n, (j - 1) * n) for i, j in slot_pairs(k)]
     edges: list[tuple[int, int]] = []
     count = 0
     for g, alpha in pieces:
-        if len(alpha) != len(pairs):
-            raise ValidationError(f"alpha needs {len(pairs)} entries, got {len(alpha)}")
+        if len(alpha) != len(offsets):
+            raise ValidationError(f"alpha needs {len(offsets)} entries, got {len(alpha)}")
         buckets = g.edges_by_weight
         base = count * k * n
-        piece: list[tuple[int, int]] = []
-        for (i, j), w in zip(pairs, alpha):
-            du, dv = base + (i - 1) * n, base + (j - 1) * n
-            piece.extend((du + u, dv + v) for u, v in buckets.get(w, ()))
+        piece = [(base + du + u, base + dv + v) for (du, dv), w in zip(offsets, alpha) for u, v in buckets.get(w, ())]
         piece.sort()
         edges += piece
         count += 1
@@ -579,7 +586,7 @@ def edgeweight_to_unweighted(g: WeightedGraph, alpha_mode: str = "full") -> Redu
     """
     arity = g.k
     _check_alpha_args(arity, g)
-    alphas = list(_alpha_enumerator(alpha_mode)(g))  # its budget check runs before the C(k,2) slot pairs are built
+    alphas = list(_alpha_enumerator(alpha_mode)(g))  # its budget checks run before the C(k,2) slot pairs are built
     pairs = slot_pairs(arity)
     items = tuple(
         ReducedItem(build_alpha_instance(g, arity, alpha), {"alpha": [[i, j, w] for (i, j), w in zip(pairs, alpha)]})

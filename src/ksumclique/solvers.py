@@ -281,8 +281,10 @@ def solve_kclique_bruteforce(inst: CliqueInstance | WeightedGraph, budget: int =
 # triangle detection
 # ---------------------------------------------------------------------------
 
-def _adjacency_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    masks = [0] * n
+def _adjacency_masks(edges: Sequence[tuple[int, int]]) -> list[int]:
+    """Neighbour bitmasks of the vertices up to the largest endpoint; the
+    vertices above it have no edges, and no backend reads their masks."""
+    masks = [0] * (max((v for _, v in edges), default=-1) + 1)
     for u, v in edges:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
@@ -327,8 +329,8 @@ def detect_triangle(
     """
     if inst.k != 3:
         raise ParameterError(f"triangle detection requires k=3, got k={inst.k}")
-    n, m = inst.n, inst.m
-    masks = _adjacency_masks(n, inst.edges)
+    m = inst.m
+    masks = _adjacency_masks(inst.edges)
     witness: tuple[int, int, int] | None = None
     stats: dict[str, Any] = {"backend": backend}
     if backend == "naive-mm":

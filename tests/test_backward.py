@@ -309,3 +309,21 @@ def test_vectorsum_route_matches_clique_oracle():
     rep = solve_vectorsum_bruteforce(vs)
     assert rep.solvable
     assert bwd.lift_vectorsum_witness_to_clique(k3, rep.witness) == (0, 1, 2)
+
+
+def test_vector_budget_refuses_before_encoding(monkeypatch):
+    g = CliqueInstance(n=5, edges=complete_edges(5), k=3)
+    entries = bwd.vector_count(5, 10, 3) * 13  # (3*5 + 2*3*10) vectors of 3^2+3+1 coordinates
+    monkeypatch.setattr(bwd, "VECTOR_BUDGET", entries)
+    want_vs, want_ks = bwd.clique_to_vectorsum(g), bwd.kclique_to_ksum(g)
+    monkeypatch.setattr(bwd, "VECTOR_BUDGET", entries - 1)
+
+    def no_encoding(n, k):
+        raise AssertionError("vertices encoded before the budget check")
+
+    monkeypatch.setattr(bwd, "encode_vertices", no_encoding)
+    for reduce in (bwd.clique_to_vectorsum, bwd.kclique_to_ksum):
+        with pytest.raises(ResourceBudgetError, match=rf"^75 vectors of 13 coordinates exceed the work budget {entries - 1}$"):
+            reduce(g)
+    monkeypatch.undo()
+    assert (bwd.clique_to_vectorsum(g), bwd.kclique_to_ksum(g)) == (want_vs, want_ks)

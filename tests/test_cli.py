@@ -697,6 +697,9 @@ K4_NODE = {"type": "graph", "k": 3, "n": 4, "edges": [[0, 1], [0, 2], [0, 3], [1
            "partition": None}
 K4_EDGE_HUGE_K = dict(K4_NODE, k=100000, node_weights=None, target="0", edge_weights=[
     [0, 1, "5"], [0, 2, "1"], [0, 3, "-2"], [1, 2, "-4"], [1, 3, "2"], [2, 3, "-5"]])
+K4_HUGE_K = dict(K4_NODE, k=100000, node_weights=None, weight_bound=None, target=None)
+K4_ZERO_WEIGHTS_HUGE_K = dict(K4_EDGE_HUGE_K, weight_bound="0",
+                              edge_weights=[[u, v, "0"] for u, v, _ in K4_EDGE_HUGE_K["edge_weights"]])
 
 
 def _triangle_on(n, k):
@@ -724,8 +727,17 @@ def _cap_address_space():
      "alpha enumeration would need 11^4999949999 tuples (budget 200000)"),
     (K4_EDGE_HUGE_K, ["reduce", "--via", "edgeweight_to_unweighted", "--alpha-mode", "present"],
      "alpha enumeration would need 6^4999949999 tuples (budget 200000)"),
+    (K4_HUGE_K, ["reduce", "--via", "clique_to_vectorsum"],
+     "59999800000 vectors of 10000100001 coordinates exceed the work budget 20000000"),
+    (K4_HUGE_K, ["reduce", "--via", "kclique_to_ksum"],
+     "59999800000 vectors of 10000100001 coordinates exceed the work budget 20000000"),
+    (K4_ZERO_WEIGHTS_HUGE_K, ["reduce", "--via", "edgeweight_to_unweighted", "--alpha-mode", "present"],
+     "4999950000 alpha coordinates exceed the work budget 200000"),
+    (_triangle_on(10**9, 3), ["reduce", "--via", "clique_to_vectorsum"],
+     "3000000018 vectors of 13 coordinates exceed the work budget 20000000"),
 ], ids=["vectorsum-p11", "vectorsum-auto-radix", "nodeweight-p11", "nodeweight-auto-radix", "clique-1e6",
-        "clique-1e7", "alpha-full", "alpha-present"])
+        "clique-1e7", "alpha-full", "alpha-present", "clique-vectors-huge-k", "clique-ksum-huge-k",
+        "alpha-present-one-weight", "clique-vectors-1e9"])
 def test_cli_work_budget_refuses_before_building_its_bound(tmp_path, instance, argv, message):
     """Each guard compares its bound without building the huge power or
     binomial, so the run exits 2 at once; a guard that builds it runs out of
@@ -737,6 +749,24 @@ def test_cli_work_budget_refuses_before_building_its_bound(tmp_path, instance, a
                          capture_output=True, text=True, timeout=20, env=env, preexec_fn=_cap_address_space)
     assert (run.returncode, run.stdout) == (2, "")
     assert message in run.stderr and "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("backend, stats", [
+    ("naive-mm", {"backend": "naive-mm", "pairs_checked": 1}),
+    ("degree-split", {"backend": "degree-split", "delta": 2, "low_pairs": 0, "core_size": 3,
+                      "core_pairs_checked": 1}),
+])
+def test_cli_triangle_solvers_ignore_vertices_without_edges(tmp_path, backend, stats):
+    """The adjacency masks stop at the largest endpoint, so a triangle among
+    10^9 vertices solves at once, with the counters of the 3-vertex graph."""
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(_triangle_on(10**9, 3)))
+    env = dict(os.environ, PYTHONPATH=str(Path(ksumclique.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-m", "ksumclique.cli", "solve", "--solver", f"triangle-{backend}",
+                          "--in", str(inst_path)],
+                         capture_output=True, text=True, timeout=20, env=env, preexec_fn=_cap_address_space)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert json.loads(run.stdout) == {"solvable": True, "witness": [0, 1, 2], "stats": stats}
 
 
 def test_cli_reduce_carry_count_within_the_budget_is_unchanged(tmp_path):

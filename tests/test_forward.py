@@ -627,6 +627,26 @@ def test_alpha_budget_count_is_written_out_up_to_1024_bits():
         list(fwd.alpha_tuples_full(5, 40))
 
 
+def test_alpha_enumerators_refuse_more_coordinates_than_the_budget(monkeypatch):
+    # one weight passes every power bound at any arity, so only the count
+    # of coordinates C(k,2) stops a search from listing its slot pairs
+    monkeypatch.setattr(fwd, "ALPHA_BUDGET", 5)
+    one_weight = make_ew_graph(4, list(complete_edges(4)), 4, [0] * 6)
+    no_edges = make_ew_graph(4, [], 4, [])
+    searches = {
+        "full": lambda g, k: fwd.alpha_tuples_full(g.weight_bound, k),
+        "present": fwd.present_alpha_tuples,
+        "consistent": fwd.consistent_alpha_tuples,
+    }
+    for name, search in searches.items():
+        for g in (one_weight, no_edges):
+            with pytest.raises(ResourceBudgetError, match=r"^6 alpha coordinates exceed the work budget 5$"):
+                list(search(g, 4))
+            assert list(search(g, 3)) == ([(0, 0, 0)] if g.m or name == "full" else [])
+    with pytest.raises(ResourceBudgetError, match=r"^6 alpha coordinates exceed the work budget 5$"):
+        fwd.edgeweight_to_unweighted(one_weight, alpha_mode="present")
+
+
 def test_consistent_alpha_tuples_drops_only_clique_free_alphas_random():
     """The slot-consistent alphas are present-mode alphas in the same order,
     every dropped alpha's graph has no k-clique (so every alpha with one is

@@ -4,7 +4,7 @@ import json
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ksumclique import (
@@ -24,9 +24,16 @@ from ksumclique import (
     serialize_instance,
     verify_witness,
 )
-from ksumclique.instances import normalize_edges
+from ksumclique.instances import _is_clique, normalize_edges
 
-from util import make_ew_graph, make_ksum, make_nw_graph
+from util import (
+    is_clique_reference,
+    make_ew_graph,
+    make_ksum,
+    make_nw_graph,
+    normalize_edges_reference,
+    partition_reference,
+)
 
 
 def test_ksum_rejects_bad_arity():
@@ -83,6 +90,131 @@ def test_normalize_edges_checks_in_input_order():
         with pytest.raises(ValidationError) as exc:
             normalize_edges(4, edges)
         assert str(exc.value) == message
+
+
+def _outcome(call):
+    """repr of the result (so a bool or str id never passes for an int), or
+    the error's type and message."""
+    try:
+        return "ok", repr(call())
+    except Exception as exc:  # every error is compared, type and message
+        return "error", type(exc), str(exc)
+
+
+# Each mutation turns one entry into something the fast paths must not take
+# on trust; the old code converts it with int() or rejects it.
+_MUTATIONS = {
+    "flip": lambda e, n: (e[1], e[0]),
+    "loop": lambda e, n: (e[0], e[0]),
+    "high": lambda e, n: (e[0], n),
+    "huge": lambda e, n: (e[0], 10**30),
+    "negative": lambda e, n: (-1, e[1]),
+    "bool": lambda e, n: (e[0] == 1, e[1]),
+    "str": lambda e, n: (str(e[0]), e[1]),
+    "bad-str": lambda e, n: (e[0], "x"),
+    "float": lambda e, n: (e[0], float(e[1])),
+    "list": lambda e, n: [e[0], e[1]],
+    "triple": lambda e, n: (e[0], e[1], 7),
+}
+_CONTAINERS = {"tuple": tuple, "list": list, "generator": lambda xs: (x for x in xs)}
+
+
+@st.composite
+def _edge_input(draw):
+    """n and an edge list, sorted or not, with duplicates and up to three
+    mutated edges, in a tuple, a list or a generator."""
+    n = draw(st.integers(0, 8))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    if draw(st.booleans()):
+        edges.sort()
+    if edges and draw(st.integers(0, 4)) == 0:
+        edges.insert(draw(st.integers(0, len(edges))), draw(st.sampled_from(edges)))
+    if edges and draw(st.booleans()):
+        for at in draw(st.lists(st.integers(0, len(edges) - 1), unique=True, max_size=3)):
+            edges[at] = _MUTATIONS[draw(st.sampled_from(sorted(_MUTATIONS)))](edges[at], n)
+    return n, edges, draw(st.sampled_from(["tuple", "tuple", "list", "generator"]))
+
+
+@settings(max_examples=600, derandomize=True, database=None)
+@given(_edge_input())
+@example((4, [(0, 1), (2, 4)], "tuple"))  # sorted, but the last endpoint is n
+@example((4, [(0, 1), (2, 10**30)], "tuple"))
+@example((4, [(-1, 2), (0, 1)], "tuple"))
+@example((4, [(0, 2), (0, 2)], "tuple"))
+def test_normalize_edges_matches_the_reference(case):
+    n, edges, container = case
+    wrap = _CONTAINERS[container]
+    assert _outcome(lambda: normalize_edges(n, wrap(edges))) == _outcome(
+        lambda: normalize_edges_reference(n, wrap(edges)))
+
+
+def test_normalize_edges_returns_a_canonical_tuple_as_it_is():
+    edges = ((0, 1), (0, 3), (2, 3))
+    assert normalize_edges(4, edges) is edges
+    for other in (((0, 1), (True, 3)), ((0, 1), [0, 3]), ((0, 3), (0, 1)), ((1, 0),), ((0, 1, 5),)):
+        assert normalize_edges(5, other) is not other
+
+
+@st.composite
+def _partition_input(draw):
+    """A k-partite graph (k up to 10^6) and its partition with up to two
+    mutated slots (0, k+1, huge, negative, bool, str, float), a wrong length,
+    an edge inside one slot, or a list or generator container."""
+    n = draw(st.integers(0, 8))
+    k = draw(st.sampled_from([1, 2, 3, 4, 10**6]))
+    slots = [draw(st.integers(1, k)) for _ in range(n)]
+    pairs = [(u, v) for u, v in combinations(range(n), 2) if slots[u] != slots[v]]
+    edges = sorted(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else []
+    if n >= 2 and draw(st.integers(0, 5)) == 0:
+        edges = sorted(set(edges) | {(0, 1)})  # may join two vertices of one slot
+    part = list(slots)
+    bad = [0, k + 1, 10**40, -3, True, "1", str(k), 1.0]
+    if part and draw(st.booleans()):
+        for at in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=2)):
+            part[at] = draw(st.sampled_from(bad))
+    change = draw(st.sampled_from(["none", "none", "none", "shorter", "longer"]))
+    if change == "shorter" and part:
+        part.pop()
+    elif change == "longer":
+        part.append(1)
+    return n, k, tuple(edges), part, draw(st.sampled_from(sorted(_CONTAINERS)))
+
+
+@settings(max_examples=600, derandomize=True, database=None)
+@given(_partition_input())
+def test_partition_check_matches_the_reference(case):
+    n, k, edges, part, container = case
+    wrap = _CONTAINERS[container]
+
+    def built():
+        inst = CliqueInstance(n=n, edges=edges, k=k, partition=wrap(part))
+        return inst.edges, inst.partition
+
+    def reference():
+        normalized = normalize_edges_reference(n, edges)
+        return normalized, partition_reference(n, k, normalized, wrap(part))
+
+    assert _outcome(built) == _outcome(reference)
+
+
+def test_partition_of_a_huge_arity_is_checked_over_its_slots_only():
+    part = (1, 10**9, 2)
+    assert CliqueInstance(n=3, edges=((0, 1),), k=10**9, partition=part).partition is part
+    with pytest.raises(ValidationError, match=r"^slot 1000000001 outside \[1,1000000000\]$"):
+        CliqueInstance(n=3, edges=(), k=10**9, partition=(1, 10**9 + 1, 1))
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(st.integers(0, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.sampled_from(list(combinations(range(n), 2))), unique=True) if n > 1 else st.just([]),
+    st.lists(st.integers(-1, n), max_size=5))))
+def test_clique_test_matches_the_set_reference(case):
+    n, edges, ws = case
+    edges = tuple(sorted(edges))
+    assert _is_clique(edges, tuple(ws)) == is_clique_reference(edges, tuple(ws))
+    assert _is_clique(edges, tuple(sorted(ws))) == is_clique_reference(edges, tuple(sorted(ws)))
 
 
 def test_edges_by_weight_leaves_identity_unchanged():

@@ -456,6 +456,17 @@ def test_detect_triangle_backends_agree_random():
                 assert {(u, v), (u, w), (v, w)} <= set(edges)
 
 
+def test_detect_triangle_ignores_vertices_above_the_largest_endpoint():
+    rng = random.Random(43)
+    for _ in range(40):
+        n = rng.randint(3, 16)
+        edges = tuple(e for e in complete_edges(n) if rng.random() < 0.4)
+        for backend in ("naive-mm", "degree-split"):
+            small = detect_triangle(CliqueInstance(n=n, edges=edges, k=3), backend=backend)
+            huge = detect_triangle(CliqueInstance(n=10**12, edges=edges, k=3), backend=backend)
+            assert huge.to_json_dict() == small.to_json_dict()
+
+
 def test_degree_split_counters_respect_bounds():
     rng = random.Random(42)
     for _ in range(40):

@@ -10,7 +10,7 @@ import tracemalloc
 from itertools import combinations, product
 from math import isqrt
 
-from ksumclique import CliqueInstance, KSumInstance, VectorSumInstance, WeightedGraph
+from ksumclique import CliqueInstance, KSumInstance, ValidationError, VectorSumInstance, WeightedGraph
 
 
 def oracle_ksum(numbers, k, target):
@@ -226,6 +226,52 @@ def lindep_decode(inst, item, witness):
         raise ValueError("combination misses the target mod q")
     used = sorted({i for _, i in pairs})
     return used + [i for i in range(inst.r) if i not in used][: inst.k - len(used)]
+
+
+def normalize_edges_reference(n, edges):
+    """normalize_edges as it was before its canonical-tuple fast path: every
+    edge converted with int() and checked in input order, a set from the
+    first edge out of order, then one final sort."""
+    out = []
+    seen = None
+    for raw in edges:
+        u, v = int(raw[0]), int(raw[1])
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValidationError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValidationError(f"self-loop at vertex {u}")
+        e = (u, v) if u < v else (v, u)
+        if seen is None:
+            if not out or out[-1] < e:
+                out.append(e)
+                continue
+            seen = set(out)
+        if e in seen:
+            raise ValidationError(f"duplicate edge {e}")
+        seen.add(e)
+    return tuple(out) if seen is None else tuple(sorted(seen))
+
+
+def partition_reference(n, k, edges, partition):
+    """CliqueInstance's partition check as it was: every entry converted with
+    int(), then the length, min and max over all k*n entries, and each
+    (normalized) edge's two slots."""
+    part = tuple(map(int, partition))
+    if len(part) != n:
+        raise ValidationError("partition length differs from n")
+    if part and not 1 <= min(part) <= max(part) <= k:
+        bad = next(s for s in part if not 1 <= s <= k)
+        raise ValidationError(f"slot {bad} outside [1,{k}]")
+    for u, v in edges:
+        if part[u] == part[v]:
+            raise ValidationError(f"edge ({u},{v}) joins two slot-{part[u]} vertices")
+    return part
+
+
+def is_clique_reference(edges, ws):
+    """The clique test as it was: one set of the edges per call."""
+    edge_set = set(edges)
+    return all((ws[a], ws[b]) in edge_set for a in range(len(ws)) for b in range(a + 1, len(ws)))
 
 
 def peak_traced_bytes(call):
