@@ -298,17 +298,30 @@ class CliqueInstance(Instance):
         part = self.partition
         if part is not None:
             if type(part) is not tuple or not set(map(type, part)) <= {int}:
-                part = tuple(map(int, part))
-                object.__setattr__(self, "partition", part)
-            if len(part) != self.n:
-                raise ValidationError("partition length differs from n")
-            slots = set(part)  # k*n entries, but at most k distinct slots
-            if slots and not 1 <= min(slots) <= max(slots) <= self.k:
-                bad = next(s for s in part if not 1 <= s <= self.k)
-                raise ValidationError(f"slot {bad} outside [1,{self.k}]")
-            for u, v in self.edges:
-                if part[u] == part[v]:
-                    raise ValidationError(f"edge ({u},{v}) joins two slot-{part[u]} vertices")
+                object.__setattr__(self, "partition", tuple(map(int, part)))
+            self._check_partition()
+
+    @classmethod
+    def _with_int_partition(cls, n: int, edges: tuple[tuple[int, int], ...], k: int,
+                            partition: tuple[int, ...]) -> CliqueInstance:
+        """The instance for a partition already known to be a tuple of exact
+        ints, as the parser builds it: its k*n entries get no second type pass."""
+        inst = cls(n=n, edges=edges, k=k)
+        object.__setattr__(inst, "partition", partition)
+        inst._check_partition()
+        return inst
+
+    def _check_partition(self) -> None:
+        part = self.partition
+        if len(part) != self.n:
+            raise ValidationError("partition length differs from n")
+        slots = set(part)  # k*n entries, but at most k distinct slots
+        if slots and not 1 <= min(slots) <= max(slots) <= self.k:
+            bad = next(s for s in part if not 1 <= s <= self.k)
+            raise ValidationError(f"slot {bad} outside [1,{self.k}]")
+        for u, v in self.edges:
+            if part[u] == part[v]:
+                raise ValidationError(f"edge ({u},{v}) joins two slot-{part[u]} vertices")
 
     kind = "clique"
     id_name = "vertex"
@@ -600,12 +613,9 @@ def _parse_graph(obj: dict[str, Any]) -> CliqueInstance | WeightedGraph:
     edge_w = obj.get("edge_weights")
     if node_w is None and edge_w is None:
         part = obj.get("partition")
-        return CliqueInstance(
-            n=n,
-            edges=tuple(edges),
-            k=k,
-            partition=_as_int_list(part, "partition", "slot") if part is not None else None,
-        )
+        if part is None:
+            return CliqueInstance(n=n, edges=tuple(edges), k=k)
+        return CliqueInstance._with_int_partition(n, tuple(edges), k, _as_int_list(part, "partition", "slot"))
     if obj.get("partition") is not None:
         raise ValidationError("weighted graphs do not carry a partition")
     if node_w is not None:

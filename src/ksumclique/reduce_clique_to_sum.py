@@ -25,11 +25,10 @@ from .instances import (
     VectorSumInstance,
     verify_witness,
 )
-from .reduce_sum_to_clique import slot_pairs
+from .reduce_sum_to_clique import VECTOR_BUDGET, slot_pairs
 from .sumfree import behrend_sumfree, greedy_sumfree_elements
 
 GREEDY_CODE_LIMIT = 64
-VECTOR_BUDGET = 20_000_000
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .instances import (
 )
 
 ALPHA_BUDGET = 200_000
+VECTOR_BUDGET = 20_000_000  # vertices of alpha graphs here, coordinates in reduce_clique_to_sum
 
 
 def base_p_digits(x: int, p: int, d: int) -> tuple[int, ...]:
@@ -532,6 +533,13 @@ def consistent_alpha_tuples(
     yield from _zero_sum_alphas(k, ends, try_heads, (starts_at, ends_at))
 
 
+def _check_alpha_vertices(count: int, k: int, n: int) -> None:
+    """Refuse count alpha graphs of k*n vertices each, and so k*n partition
+    entries each, past VECTOR_BUDGET vertices in all, before they are built."""
+    if count * k * n > VECTOR_BUDGET:
+        raise ResourceBudgetError(f"{count} x {k * n} alpha-graph vertices exceed the work budget {VECTOR_BUDGET}")
+
+
 def _alpha_union(k: int, n: int, pieces: Iterable[tuple[WeightedGraph, tuple[int, ...]]]) -> CliqueInstance:
     """Disjoint union of the k-partite graphs of (n-vertex graph, alpha)
     pieces: id c*k*n + i*n + v is source vertex v in slot i+1 of piece c, and
@@ -549,6 +557,7 @@ def _alpha_union(k: int, n: int, pieces: Iterable[tuple[WeightedGraph, tuple[int
     for g, alpha in pieces:
         if len(alpha) != len(offsets):
             raise ValidationError(f"alpha needs {len(offsets)} entries, got {len(alpha)}")
+        _check_alpha_vertices(count + 1, k, n)
         buckets = g.edges_by_weight
         base = count * k * n
         piece = [(base + du + u, base + dv + v) for (du, dv), w in zip(offsets, alpha) for u, v in buckets.get(w, ())]
@@ -587,6 +596,7 @@ def edgeweight_to_unweighted(g: WeightedGraph, alpha_mode: str = "full") -> Redu
     arity = g.k
     _check_alpha_args(arity, g)
     alphas = list(_alpha_enumerator(alpha_mode)(g))  # its budget checks run before the C(k,2) slot pairs are built
+    _check_alpha_vertices(len(alphas), arity, g.n)
     pairs = slot_pairs(arity)
     items = tuple(
         ReducedItem(build_alpha_instance(g, arity, alpha), {"alpha": [[i, j, w] for (i, j), w in zip(pairs, alpha)]})

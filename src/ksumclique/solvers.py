@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, combinations, compress, count, islice
+from itertools import chain, combinations, compress, count, islice, repeat
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .instances import (
@@ -105,35 +105,57 @@ def _colex_sums(numbers: tuple[int, ...], m: int) -> list[int]:
     return sums
 
 
-def _first_left(numbers: tuple[int, ...], a: int, need: int, stop: int) -> tuple[int, ...]:
+def _first_left(numbers: tuple[int, ...], heads: list[int], a: int, need: int, stop: int) -> tuple[int, ...]:
     """First a-subset of range(stop) in (max index, lex) order whose numbers
-    sum to need; the caller knows one exists."""
+    sum to need; the caller knows one exists. heads are the colex sums of the
+    (a-1)-subsets, so a membership test in their first C(c, a-1) finds the
+    max index c, and only that c is scanned in lexicographic order."""
     for c in range(a - 1, stop):
-        pos = _first_match(map((need - numbers[c]).__eq__, map(sum, combinations(numbers[:c], a - 1))))
-        if pos is not None:
+        rest = need - numbers[c]
+        if rest in islice(heads, math.comb(c, a - 1)):
+            pos = _first_match(map(rest.__eq__, map(sum, combinations(numbers[:c], a - 1))))
             return next(islice(combinations(range(c), a - 1), pos, None)) + (c,)
     raise ValidationError(f"no left half below index {stop} sums to {need}")
 
 
+def _table_meets_group(table: set[int], reach: dict[int, int], x: int, c0: int) -> bool:
+    """Some t - L in table equals x plus the sum of a tail that starts above c0."""
+    return any(map(c0.__lt__, map(reach.get, map(x.__rsub__, table), repeat(-1))))
+
+
+def _group_meets_table(table: set[int], sums: Iterable[int]) -> bool:
+    """Some x + tail sum of the group is in table."""
+    return not table.isdisjoint(sums)
+
+
 def solve_ksum_mim(inst: KSumInstance, budget: int = DEFAULT_BUDGET) -> SolverReport:
-    """Meet in the middle with a table that grows as the probe needs it.
+    """Meet in the middle with a table that grows as the search needs it.
 
     The k chosen indices split into a left half of ceil(k/2) and a right half
     of floor(k/2) indices, joinable whenever max(left) < min(right). Right
-    halves are probed in lexicographic order, grouped by their smallest index
-    c0. Just before group c0 the left halves whose largest index is c0-1 add
-    their sums to a set, so the set holds exactly the left halves that can
-    precede the group and a probe is one membership test. Both blocks are
-    slices of subset sums computed once: the (ceil(k/2)-1)-subsets in colex
-    order and the (floor(k/2)-1)-subsets in lexicographic order. The witness
-    is the first right half that hits, joined to the first left half in
-    (max index, lex) order with the missing sum. Exact, deterministic, same
-    answers as brute force.
+    halves are taken in lexicographic order, grouped by their smallest index
+    c0: the group is numbers[c0] plus each (floor(k/2)-1)-subset, a tail, of
+    the indices above c0. Just before group c0 the left halves whose largest
+    index is c0-1 add t - L, for their sum L, to a set, so the set holds the
+    complements of exactly the left halves that can precede the group. Both
+    blocks are slices of subset sums computed once: the (ceil(k/2)-1)-subsets
+    in colex order and the tails in lexicographic order.
 
-    Stats: `probes` counts the right halves examined up to and including the
-    hit (all C(n, floor(k/2)) when unsolvable); `table_size` counts the
-    distinct left sums in the set when the search stops. For k = 1 the single
-    probe is the empty right half, which every left half can join.
+    Each group is tested from its smaller side. From the group side, the set
+    is tested for disjointness with numbers[c0] + each tail sum. From the
+    table side, each t - L - numbers[c0] is looked up in `reach`, which maps
+    a tail sum to the largest smallest index of a tail with that sum; a value
+    above c0 means some tail of the group fits. Only the first group that
+    hits is scanned in order for the first right half that hits. The witness
+    is that right half joined to the first left half in (max index, lex)
+    order with the missing sum. Exact, deterministic, same answers as brute
+    force.
+
+    Stats: `probes` counts the right halves in lexicographic order up to and
+    including the hit (all C(n, floor(k/2)) when unsolvable), although only
+    the hit group is looked at one by one; `table_size` counts the distinct
+    left sums in the set when the search stops. For k = 1 the single probe
+    is the empty right half, which every left half can join.
     """
     n, k, t = inst.n, inst.k, inst.target
     numbers = inst.numbers
@@ -153,21 +175,32 @@ def solve_ksum_mim(inst: KSumInstance, budget: int = DEFAULT_BUDGET) -> SolverRe
         # lexicographic order is colex order of the reversed indices, reversed:
         # the subsets of numbers[s:] are the last C(n - s, b - 1)
         tails = _colex_sums(numbers[::-1], b - 1)[::-1]
+        if b == 1:
+            reach = {0: n}  # the empty tail fits every group
+        else:
+            # C(n - s - 1, b - 2) tails start at s; in lexicographic order the
+            # last write of a sum is the one with the largest start
+            starts = chain.from_iterable(map(repeat, range(n), (math.comb(n - s - 1, b - 2) for s in range(n))))
+            reach = dict(zip(tails, starts))
         table = set()
         probes = 0
         for c0 in range(n - b + 1):
             if c0 >= a:
-                table.update(map(numbers[c0 - 1].__add__, heads[:math.comb(c0 - 1, a - 1)]))
+                table.update(map((t - numbers[c0 - 1]).__sub__, heads[:math.comb(c0 - 1, a - 1)]))
             group = math.comb(n - c0 - 1, b - 1)
-            pos = None
-            if table:
-                pos = _first_match(map(table.__contains__, map((t - numbers[c0]).__sub__, tails[len(tails) - group:])))
-            if pos is None:
+            x = numbers[c0]
+            if 2 * len(table) < group:  # a table-side step costs about two group-side ones
+                hit = _table_meets_group(table, reach, x, c0)
+            else:
+                reach.clear()  # the table only grows and the groups only shrink, so reach is done
+                hit = _group_meets_table(table, map(x.__add__, tails[len(tails) - group:]))
+            if not hit:
                 probes += group
                 continue
+            pos = _first_match(map(table.__contains__, map(x.__add__, tails[len(tails) - group:])))
             probes += pos + 1
             right = (c0,) + next(islice(combinations(range(c0 + 1, n), b - 1), pos, None))
-            witness = _first_left(numbers, a, t - sum(numbers[i] for i in right), c0) + right
+            witness = _first_left(numbers, heads, a, t - sum(numbers[i] for i in right), c0) + right
             break
     return SolverReport(
         solvable=witness is not None,
@@ -236,11 +269,16 @@ def _kcliques(n: int, edges: tuple[tuple[int, int], ...], k: int, counter: list[
 
 
 def _guard_clique_search(n: int, k: int, edges: tuple[tuple[int, int], ...], budget: int) -> None:
-    """Reject searches whose cheapest work bound exceeds the budget: C(n,k)
-    for dense graphs, n * (maxdeg)^(k-1) for sparse ones."""
-    maxdeg = max(Counter(chain.from_iterable(edges)).values(), default=0)
-    # n * x > budget exactly when x > budget // n, for integers x and n >= 1
-    if _comb_exceeds(n, k, budget) and _pow_exceeds(max(1, maxdeg), k - 1, budget // n):
+    """Reject searches whose cheapest work bound exceeds the budget: C(v,k)
+    for dense graphs, v * (maxdeg)^(k-1) for sparse ones, over the v vertices
+    that have an edge (all n for k = 1), since no other vertex is visited."""
+    degrees = Counter(chain.from_iterable(edges))
+    v = n if k == 1 else len(degrees)
+    if k > v:
+        return
+    maxdeg = max(degrees.values(), default=0)
+    # v * x > budget exactly when x > budget // v, for integers x and v >= 1
+    if _comb_exceeds(v, k, budget) and _pow_exceeds(max(1, maxdeg), k - 1, budget // v):
         raise ResourceBudgetError(f"k-clique search on n={n}, k={k} exceeds the work budget {budget}")
 
 
@@ -254,7 +292,7 @@ def solve_kclique_bruteforce(inst: CliqueInstance | WeightedGraph, budget: int =
     neighbourhoods, while ``nodes_expanded`` counts the nodes of a plain
     backtrack over all vertices in sorted order, so neither the witness nor
     the counter depends on the search's shortcuts. The guard bounds the work
-    by min(C(n,k), n * maxdeg^(k-1)).
+    by min(C(v,k), v * maxdeg^(k-1)) over the v vertices that have an edge.
     """
     n, k = inst.n, inst.k
     witness = None

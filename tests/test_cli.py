@@ -707,6 +707,10 @@ def _triangle_on(n, k):
             "edge_weights": None, "weight_bound": None, "target": None, "partition": None}
 
 
+def _star_on(n, leaves, k):
+    return dict(_triangle_on(n, k), edges=[[0, v] for v in range(1, leaves + 1)])
+
+
 def _cap_address_space():
     import resource
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -721,8 +725,9 @@ def _cap_address_space():
      "4^99999999 carry tuples exceed the work budget 200000"),
     (K4_NODE, ["reduce", "--via", "nodeweight_to_edgeweight", "--d", "100000000"],
      "4^99999999 carry tuples exceed the work budget 200000"),
-    (_triangle_on(10**6, 5 * 10**5), ["solve"], "k-clique search on n=1000000, k=500000 exceeds the work budget"),
-    (_triangle_on(10**7, 5 * 10**6), ["solve"], "k-clique search on n=10000000, k=5000000 exceeds the work budget"),
+    # the clique guard counts the 61 vertices with an edge: C(61, 30) and 61 * 60^29
+    (_star_on(10**6, 60, 30), ["solve"], "k-clique search on n=1000000, k=30 exceeds the work budget"),
+    (_star_on(10**7, 60, 30), ["solve"], "k-clique search on n=10000000, k=30 exceeds the work budget"),
     (K4_EDGE_HUGE_K, ["reduce", "--via", "edgeweight_to_unweighted", "--alpha-mode", "full"],
      "alpha enumeration would need 11^4999949999 tuples (budget 200000)"),
     (K4_EDGE_HUGE_K, ["reduce", "--via", "edgeweight_to_unweighted", "--alpha-mode", "present"],
@@ -733,11 +738,14 @@ def _cap_address_space():
      "59999800000 vectors of 10000100001 coordinates exceed the work budget 20000000"),
     (K4_ZERO_WEIGHTS_HUGE_K, ["reduce", "--via", "edgeweight_to_unweighted", "--alpha-mode", "present"],
      "4999950000 alpha coordinates exceed the work budget 200000"),
+    (dict(_triangle_on(10**9, 3), edge_weights=[[0, 1, "0"], [0, 2, "0"], [1, 2, "0"]], weight_bound="0",
+          target="0"), ["reduce", "--via", "edgeweight_to_unweighted", "--alpha-mode", "present"],
+     "1 x 3000000000 alpha-graph vertices exceed the work budget 20000000"),
     (_triangle_on(10**9, 3), ["reduce", "--via", "clique_to_vectorsum"],
      "3000000018 vectors of 13 coordinates exceed the work budget 20000000"),
 ], ids=["vectorsum-p11", "vectorsum-auto-radix", "nodeweight-p11", "nodeweight-auto-radix", "clique-1e6",
         "clique-1e7", "alpha-full", "alpha-present", "clique-vectors-huge-k", "clique-ksum-huge-k",
-        "alpha-present-one-weight", "clique-vectors-1e9"])
+        "alpha-present-one-weight", "alpha-graph-1e9", "clique-vectors-1e9"])
 def test_cli_work_budget_refuses_before_building_its_bound(tmp_path, instance, argv, message):
     """Each guard compares its bound without building the huge power or
     binomial, so the run exits 2 at once; a guard that builds it runs out of
@@ -767,6 +775,24 @@ def test_cli_triangle_solvers_ignore_vertices_without_edges(tmp_path, backend, s
                          capture_output=True, text=True, timeout=20, env=env, preexec_fn=_cap_address_space)
     assert (run.returncode, run.stderr) == (0, "")
     assert json.loads(run.stdout) == {"solvable": True, "witness": [0, 1, 2], "stats": stats}
+
+
+@pytest.mark.parametrize("instance, code, report", [
+    (_triangle_on(10**9, 3), 0, {"solvable": True, "witness": [0, 1, 2], "stats": {"nodes_expanded": 4}}),
+    (_triangle_on(10**6, 5 * 10**5), 1, {"solvable": False, "witness": None, "stats": {"nodes_expanded": 500001}}),
+    (_triangle_on(10**7, 5 * 10**6), 1, {"solvable": False, "witness": None, "stats": {"nodes_expanded": 5000001}}),
+], ids=["triangle-1e9", "k-5e5-among-1e6", "k-5e6-among-1e7"])
+def test_cli_clique_solver_ignores_vertices_without_edges(tmp_path, instance, code, report):
+    """The clique guard counts only the vertices that have an edge, so the
+    default solver answers on 3 edges among 10^9 vertices at once, and finds
+    no clique of 5*10^5 or 5*10^6 among their 3 vertices."""
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(instance))
+    env = dict(os.environ, PYTHONPATH=str(Path(ksumclique.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-m", "ksumclique.cli", "solve", "--in", str(inst_path)],
+                         capture_output=True, text=True, timeout=20, env=env, preexec_fn=_cap_address_space)
+    assert (run.returncode, run.stderr) == (code, "")
+    assert json.loads(run.stdout) == report
 
 
 def test_cli_reduce_carry_count_within_the_budget_is_unchanged(tmp_path):

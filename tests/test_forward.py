@@ -647,6 +647,32 @@ def test_alpha_enumerators_refuse_more_coordinates_than_the_budget(monkeypatch):
         fwd.edgeweight_to_unweighted(one_weight, alpha_mode="present")
 
 
+def test_alpha_graphs_refuse_more_vertices_than_the_budget(monkeypatch):
+    """Each alpha graph has k*n vertices and as many partition entries. The
+    merged union and the per-alpha collection refuse more than VECTOR_BUDGET
+    vertices in all before they build the alpha graph that passes it."""
+    inst = make_ksum([1, 3, 2, 2], 2, 4)
+    merged = fwd.smallksum_to_kclique(inst, 2).instance
+    g = make_ew_graph(4, list(complete_edges(4)), 3, [0, 1, -1, 1, 0, -1])
+    coll = fwd.edgeweight_to_unweighted(g, alpha_mode="present")
+    assert merged.n % 8 == 0
+    cases = [
+        (lambda: fwd.smallksum_to_kclique(inst, 2).instance, merged.n // 8, 8),
+        (lambda: fwd.edgeweight_to_unweighted(g, alpha_mode="present"), len(coll.items), 12),
+        (lambda: fwd.build_alpha_instance(g, 3, (0, 0, 0)), 1, 12),
+    ]
+    for build, count, size in cases:
+        assert count >= 1
+        want = build()
+        monkeypatch.setattr(fwd, "VECTOR_BUDGET", count * size)
+        assert build() == want
+        monkeypatch.setattr(fwd, "VECTOR_BUDGET", count * size - 1)
+        with pytest.raises(ResourceBudgetError,
+                           match=rf"^{count} x {size} alpha-graph vertices exceed the work budget {count * size - 1}$"):
+            build()
+        monkeypatch.undo()
+
+
 def test_consistent_alpha_tuples_drops_only_clique_free_alphas_random():
     """The slot-consistent alphas are present-mode alphas in the same order,
     every dropped alpha's graph has no k-clique (so every alpha with one is

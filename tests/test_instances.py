@@ -24,7 +24,7 @@ from ksumclique import (
     serialize_instance,
     verify_witness,
 )
-from ksumclique.instances import _is_clique, normalize_edges
+from ksumclique.instances import _as_int_list, _is_clique, normalize_edges
 
 from util import (
     is_clique_reference,
@@ -203,6 +203,20 @@ def test_partition_of_a_huge_arity_is_checked_over_its_slots_only():
     assert CliqueInstance(n=3, edges=((0, 1),), k=10**9, partition=part).partition is part
     with pytest.raises(ValidationError, match=r"^slot 1000000001 outside \[1,1000000000\]$"):
         CliqueInstance(n=3, edges=(), k=10**9, partition=(1, 10**9 + 1, 1))
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(_partition_input())
+def test_parsed_partition_matches_the_two_pass_reference(case):
+    """The parser type-checks the partition once; its result and errors are
+    those of the old parse, `_as_int_list` and then the constructor."""
+    n, k, edges, part, _ = case
+    obj = {"type": "graph", "k": k, "n": n, "edges": [list(e) for e in edges], "partition": part}
+
+    def reference():
+        return CliqueInstance(n=n, edges=edges, k=k, partition=_as_int_list(part, "partition", "slot"))
+
+    assert _outcome(lambda: parse_instance(json.dumps(obj))) == _outcome(reference)
 
 
 @settings(max_examples=400, derandomize=True, database=None)

@@ -2,7 +2,8 @@
 node-weight clique pipeline."""
 
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import chain, combinations
 from math import comb, isqrt
 
 import pytest
@@ -27,8 +28,10 @@ from ksumclique import (
     solve_vectorsum_bruteforce,
     verify_witness,
 )
+from ksumclique import reduce_clique_to_sum as bwd
 from ksumclique import reduce_sum_to_clique as fwd
-from ksumclique.solvers import _kcliques
+from ksumclique import solvers
+from ksumclique.solvers import _guard_clique_search, _kcliques
 
 from util import (
     complete_edges,
@@ -139,6 +142,74 @@ def test_mim_matches_full_table_reference_random():
         assert rep.witness == witness
         assert rep.stats["probes"] == probes
         assert rep.stats["table_size"] <= table_size
+
+
+def _mim_stop_table_size(numbers, k, witness):
+    """The distinct left sums the growing table holds when the search stops:
+    those of the left halves below the hit's right half, or below the last
+    group n - floor(k/2) when nothing hits; all of them for k = 1."""
+    a, b = (k + 1) // 2, k // 2
+    if b == 0:
+        return len(set(numbers))
+    stop = witness[a] if witness is not None else len(numbers) - b
+    return len({sum(numbers[i] for i in combo) for combo in combinations(range(stop), a)})
+
+
+@pytest.fixture
+def group_tests(monkeypatch):
+    """Counts of the table-side and the group-side group tests of solve_ksum_mim."""
+    counts = {"table": 0, "group": 0}
+    for side, name in (("table", "_table_meets_group"), ("group", "_group_meets_table")):
+        def counted(*args, side=side, test=getattr(solvers, name)):
+            counts[side] += 1
+            return test(*args)
+        monkeypatch.setattr(solvers, name, counted)
+    return counts
+
+
+def _assert_mim_matches_reference(nums, k, t):
+    rep = solve_ksum_mim(make_ksum(nums, k, t))
+    witness, probes, _ = _mim_full_table_reference(nums, k, t)
+    assert (rep.witness, rep.stats["probes"]) == (witness, probes), (nums, k, t)
+    assert rep.stats["table_size"] == (_mim_stop_table_size(nums, k, witness) if k <= len(nums) else 0)
+
+
+def test_mim_small_arities_and_repeated_numbers(group_tests):
+    """k = 1, 2, 3 have an empty tail that fits every group. Repeated
+    numbers give one tail sum several smallest indices, of which the table
+    side must keep the largest."""
+    rng = random.Random(45)
+    cases = [((5,) * 6, k, 5 * k) for k in range(1, 7)]
+    cases += [((1, 1, 2, 1, 1, 2, 1), 4, 5), ((0, 0, 0, 0, 0, 0, 0, 0), 5, 0), ((3, 3), 1, 3), ((3, 3), 2, 6)]
+    for _ in range(3000):
+        k = rng.randint(1, 6)
+        n = rng.randint(0, 10)
+        nums = tuple(rng.choice((0, 1, 2, 7)) for _ in range(n))
+        t = sum(rng.sample(nums, min(k, n))) + rng.choice((0, 0, 0, 1, -1))
+        cases.append((nums, k, t))
+    for nums, k, t in cases:
+        _assert_mim_matches_reference(nums, k, t)
+    assert group_tests["table"] > 0 and group_tests["group"] > 0
+
+
+def test_mim_group_tests_match_the_reference_on_packed_instances(group_tests):
+    """Packed 3-clique instances (6-SUM over 50 to 90 numbers) in both radix
+    modes: the early groups are tested from the table's side and the late ones
+    from the group's, and together they give the reference's witness, probes
+    and table size."""
+    rng = random.Random(47)
+    solvable = set()
+    for _ in range(6):
+        n = rng.choice((6, 7))
+        edges = tuple(sorted(rng.sample(list(combinations(range(n), 2)), rng.randint(6, 10))))
+        g = CliqueInstance(n=n, edges=edges, k=3)
+        for mode in ("uniform", "mixed"):
+            packed = bwd.kclique_to_ksum(g, radix_mode=mode)
+            assert packed.n >= 50
+            _assert_mim_matches_reference(packed.numbers, packed.k, packed.target)
+            solvable.add(solve_ksum_mim(packed).solvable)
+    assert solvable == {False, True}
+    assert group_tests["table"] > 0 and group_tests["group"] > 0
 
 
 def test_vectorsum_frozen_cases():
@@ -328,6 +399,31 @@ def test_clique_budget_guard():
         solve_kclique_bruteforce(big, budget=1000)
 
 
+def test_clique_guard_counts_only_vertices_with_an_edge():
+    """The guard bounds the work by C(v, k) and v * maxdeg^(k-1) over the v
+    vertices that have an edge (all n for k = 1), so it refuses nothing that
+    the bound over all n vertices admits."""
+    rng = random.Random(46)
+    for _ in range(3000):
+        n = rng.randint(1, 30)
+        k = rng.randint(1, n)
+        p = rng.choice((0.0, 0.05, 0.2, 0.6))
+        edges = tuple(e for e in combinations(range(n), 2) if rng.random() < p)
+        budget = rng.choice((0, 1, 10, 100, 10**4, 10**6))
+        degrees = Counter(chain.from_iterable(edges))
+        maxdeg = max(1, max(degrees.values(), default=0))
+        v = n if k == 1 else len(degrees)
+        expect = k <= v and comb(v, k) > budget and v * maxdeg ** (k - 1) > budget
+        over_all = comb(n, k) > budget and n * maxdeg ** (k - 1) > budget
+        try:
+            _guard_clique_search(n, k, edges, budget)
+            refused = False
+        except ResourceBudgetError:
+            refused = True
+        assert refused == expect, (n, k, edges, budget)
+        assert over_all or not refused
+
+
 def test_comb_exceeds_matches_math_comb():
     from ksumclique.solvers import _comb_exceeds
 
@@ -342,9 +438,10 @@ def test_comb_exceeds_matches_math_comb():
                          ids=["clique-brute", "ksum-brute", "ksum-mim"])
 def test_work_guards_refuse_without_building_the_binomial(solve):
     """Building C(10^5, 5*10^4) or C(10^5, 2.5*10^4) takes over 80 KB; the
-    guards refuse in far less."""
+    guards refuse in far less. The clique guard counts only the vertices
+    that have an edge, here the 61 of a star, and refuses C(61, 30)."""
     if solve is solve_kclique_bruteforce:
-        inst = CliqueInstance(n=10**5, edges=((0, 1), (0, 2), (1, 2)), k=5 * 10**4)
+        inst = CliqueInstance(n=10**5, edges=tuple((0, v) for v in range(1, 61)), k=30)
     else:
         inst = KSumInstance(k=5 * 10**4, numbers=tuple(range(10**5)), target=1, bounds=(0, 10**5))
 
