@@ -209,16 +209,21 @@ def _reduce_smallksum_to_kclique(inst: KSumInstance, params: dict[str, Any]) -> 
                                    decode=lambda _, w: fwd.strip_slot_witness(inst.n, w))
 
 
+# The two backward decoders reuse the encoding and vector instance the
+# reduction built; lift has checked the witness in the item before they run.
+
 def _reduce_clique_to_vectorsum(inst: CliqueInstance, params: dict[str, Any]) -> ReducedCollection:
-    return _single_item_collection("clique_to_vectorsum", inst, bwd.clique_to_vectorsum(inst), {},
-                                   decode=lambda _, w: bwd.lift_vectorsum_witness_to_clique(inst, w))
+    enc = bwd._clique_encoding(inst)
+    vs = bwd.clique_to_vectorsum(inst, encoding=enc)
+    return _single_item_collection("clique_to_vectorsum", inst, vs, {},
+                                   decode=lambda _, w: bwd._decode_vector_witness(inst, enc, vs, w))
 
 
 def _reduce_kclique_to_ksum(inst: CliqueInstance, params: dict[str, Any]) -> ReducedCollection:
     mode = params.get("radix_mode", "uniform")
-    return _single_item_collection("kclique_to_ksum", inst, bwd.kclique_to_ksum(inst, radix_mode=mode),
-                                   {"radix_mode": mode},
-                                   decode=lambda _, w: bwd.lift_ksum_witness_to_clique(inst, w, radix_mode=mode))
+    enc, vs, ks = bwd._kclique_parts(inst, mode)
+    return _single_item_collection("kclique_to_ksum", inst, ks, {"radix_mode": mode},
+                                   decode=lambda _, w: bwd._decode_vector_witness(inst, enc, vs, w))
 
 
 def _reduce_ksum_to_targetsum(inst: KSumInstance, params: dict[str, Any]) -> ReducedCollection:
@@ -251,7 +256,10 @@ REDUCTIONS: dict[str, ReductionSpec] = {
 
 def solve_auto(inst: Any) -> SolverReport:
     """Exact oracle for any instance kind: the first solver its kind lists in
-    KIND_SOLVERS, a brute-force search throughout."""
+    KIND_SOLVERS, which returns the lexicographically first witness. For
+    ksum, vectorsum and targetsum that is a subset-sum search that meets in
+    the middle past a cost crossover, with brute force's witness and counts;
+    every other kind is searched by brute force."""
     names = KIND_SOLVERS.get(inst.kind)
     if names is None:
         raise ParameterError(f"no oracle for {type(inst).__name__}")

@@ -29,7 +29,7 @@ from .instances import (
     verify_witness,
 )
 from .modprime import _offset_items, is_prime
-from .solvers import DEFAULT_BUDGET, SolverReport, _first_subset
+from .solvers import DEFAULT_BUDGET, SolverReport, _first_subset, _first_sum_subset
 
 LINDEP_BUDGET = 2_000_000
 
@@ -246,7 +246,7 @@ def span_contains(q: int, vectors: Sequence[Sequence[int]], target: Sequence[int
 def solve_targetsum_bruteforce(inst: TargetSumInstance, budget: int = DEFAULT_BUDGET) -> SolverReport:
     """Exact mod-q oracle: lexicographically first k distinct indices whose
     sum hits the target."""
-    return _first_subset(inst.elements, inst.k, lambda xs: sum(xs) % inst.q, inst.target, budget)
+    return _first_sum_subset(inst.elements, inst.k, inst.target, budget, q=inst.q)
 
 
 def solve_lindep_bruteforce(inst: LinDepInstance, budget: int = 2_000_000) -> SolverReport:

@@ -232,8 +232,14 @@ class VectorSumInstance(Instance):
     entry_bounds: tuple[int, int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vectors", tuple(tuple(int(c) for c in v) for v in self.vectors))
-        object.__setattr__(self, "target", tuple(int(c) for c in self.target))
+        vectors, target = tuple(map(tuple, self.vectors)), tuple(self.target)
+        entries = [*chain.from_iterable(vectors)]
+        exact = set(map(type, chain(entries, target))) <= {int}  # the common case, checked at C level
+        if not exact:
+            vectors = tuple(tuple(int(c) for c in v) for v in vectors)
+            target = tuple(int(c) for c in target)
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "target", target)
         object.__setattr__(self, "entry_bounds", (int(self.entry_bounds[0]), int(self.entry_bounds[1])))
         if self.k < 1:
             raise ValidationError(f"arity k must be >= 1, got {self.k}")
@@ -244,7 +250,10 @@ class VectorSumInstance(Instance):
             raise ValidationError(f"empty entry range [{lo},{hi}]")
         if len(self.target) != self.dim:
             raise ValidationError("target length differs from dim")
-        for v in self.vectors:
+        if (exact and set(map(len, vectors)) <= {self.dim}
+                and lo <= min(entries, default=lo) and max(entries, default=hi) <= hi):
+            return
+        for v in self.vectors:  # names the first bad vector or entry
             if len(v) != self.dim:
                 raise ValidationError("vector length differs from dim")
             for c in v:

@@ -116,6 +116,15 @@ def origin_of_index(g: CliqueInstance, idx: int) -> tuple:
     return ("edge", first, second, i, j)
 
 
+def _clique_encoding(g: CliqueInstance, encoding: CliqueEncoding | None = None) -> CliqueEncoding:
+    """clique_to_vectorsum's checks, in its order, then the encoding it uses:
+    the given one, or encode_vertices(n, k)."""
+    if g.k < 2:
+        raise ParameterError(f"arity must be >= 2, got {g.k}")
+    _check_vector_budget(g)
+    return encoding if encoding is not None else encode_vertices(g.n, g.k)
+
+
 def clique_to_vectorsum(g: CliqueInstance, encoding: CliqueEncoding | None = None) -> VectorSumInstance:
     """Arity k+C(k,2) vector instance solvable iff g has a k-clique.
 
@@ -125,10 +134,7 @@ def clique_to_vectorsum(g: CliqueInstance, encoding: CliqueEncoding | None = Non
     cycle with no consistent placement.
     """
     k, n = g.k, g.n
-    if k < 2:
-        raise ParameterError(f"arity must be >= 2, got {k}")
-    _check_vector_budget(g)
-    enc = encoding if encoding is not None else encode_vertices(n, k)
+    enc = _clique_encoding(g, encoding)
     if enc.k != k or enc.n < n:
         raise ParameterError("encoding does not cover the graph")
     dim = enc.dim
@@ -227,15 +233,21 @@ def _pack_clique_vectors(vs: VectorSumInstance, enc: CliqueEncoding, radix_mode:
     return KSumInstance(k=vs.k, numbers=numbers, target=target, bounds=(0, top))
 
 
+def _kclique_parts(g: CliqueInstance, radix_mode: str) -> tuple[CliqueEncoding, VectorSumInstance, KSumInstance]:
+    """kclique_to_ksum with the encoding and vector instance it packs."""
+    _check_vector_budget(g)
+    enc = encode_vertices(g.n, g.k)
+    vs = clique_to_vectorsum(g, encoding=enc)
+    return enc, vs, _pack_clique_vectors(vs, enc, radix_mode)
+
+
 def kclique_to_ksum(g: CliqueInstance, radix_mode: str = "uniform") -> KSumInstance:
     """k-Clique to plain k'-SUM, k' = k + C(k,2), via the vector encoding.
 
     uniform packs every coordinate in radix k'T+1; mixed packs the small-entry
     coordinates in the tighter radix k'k+1, shrinking the numbers.
     """
-    _check_vector_budget(g)
-    enc = encode_vertices(g.n, g.k)
-    return _pack_clique_vectors(clique_to_vectorsum(g, encoding=enc), enc, radix_mode)
+    return _kclique_parts(g, radix_mode)[2]
 
 
 def _decode_vector_witness(

@@ -3,6 +3,12 @@
 All solvers return a SolverReport with a verifying witness when solvable and
 deterministic work counters. Brute-force solvers return the lexicographically
 smallest witness; the other exact solvers return a deterministic one.
+
+The ksum, vectorsum and targetsum oracles are one lexicographic subset-sum
+search (`_first_sum_subset`), which scans every k-subset when that is cheap
+and otherwise meets in the middle, with the witness and the `candidates`
+count of the scan either way; the lindep oracle, whose key is a span test and
+not a sum, keeps the plain subset scan (`_first_subset`).
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, combinations, compress, count, islice, repeat
+from operator import itemgetter, lt, mul
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .instances import (
@@ -89,9 +96,87 @@ def _first_subset(items: Sequence[Any], k: int, key: Callable[[tuple[Any, ...]],
     return SolverReport(True, next(islice(combinations(range(n), k), pos, None)), {"candidates": pos + 1})
 
 
+def _scan_is_cheaper(n: int, k: int) -> bool:
+    """The cost rule: scan the C(n, k) subsets while that is at most twice
+    the C(n, ceil(k/2)) + C(n, floor(k/2)) halves of a meet in the middle,
+    as it is for every k below n = 10. C(n, floor(k/2)) <= C(n, ceil(k/2))
+    for k <= n, so both halves are built only when they are at most C(n, k),
+    which the guard bounded."""
+    if n < 10:
+        return True
+    total, a = math.comb(n, k), (k + 1) // 2
+    return _comb_exceeds(n, a, total) or total <= 2 * (math.comb(n, a) + math.comb(n, k // 2))
+
+
+def _mod_sums(sums: Iterator[int], q: int | None) -> Iterator[int]:
+    return sums if q is None else map(q.__rmod__, sums)
+
+
+def _scan_sums(values: Sequence[int], k: int, goal: int, q: int | None,
+               start: int = 0) -> tuple[int, tuple[int, ...]] | None:
+    """The first k-subset, in lex order, of the indices from start whose
+    values sum (mod q) to goal, scanned at C level, with its position."""
+    pos = _first_match(map(goal.__eq__, _mod_sums(map(sum, combinations(values[start:], k)), q)))
+    return None if pos is None else (pos, next(islice(combinations(range(start, len(values)), k), pos, None)))
+
+
+def _meet_sums(values: Sequence[int], k: int, goal: int, q: int | None) -> tuple[int, tuple[int, ...]] | None:
+    """The first k-subset, in lex order, whose values sum (mod q) to goal,
+    with its position, by a meet in the middle (Horowitz-Sahni 1974) that
+    keeps lexicographic order.
+
+    A k-subset splits into its first ceil(k/2) indices, the prefix, and the
+    rest, the right half; lex order compares prefixes first. `reach` maps each
+    right-half sum to the largest smallest index of a right half with that
+    sum, so a prefix extends exactly when reach[goal - its sum] exceeds its
+    last index. The first prefix that extends is the witness's, and one scan
+    above its last index finds the first right half."""
+    n = len(values)
+    a, b = (k + 1) // 2, k // 2
+    if b:
+        # lex order writes the right halves of each sum by ascending smallest
+        # index, so the last write is the largest
+        sums = _mod_sums(map(sum, combinations(values, b)), q)
+        reach = dict(zip(sums, map(itemgetter(0), combinations(range(n), b))))
+    else:
+        reach = {0: n}  # the empty right half follows every prefix
+    needs = _mod_sums(map(goal.__sub__, map(sum, combinations(values, a))), q)
+    lasts = map(itemgetter(-1), combinations(range(n), a))
+    pos = _first_match(map(lt, lasts, map(reach.get, needs, repeat(-1))))
+    if pos is None:
+        return None
+    prefix = next(islice(combinations(range(n), a), pos, None))
+    need = goal - sum(values[i] for i in prefix)
+    witness = prefix + _scan_sums(values, b, need if q is None else need % q, q, prefix[-1] + 1)[1]
+    # its position in combinations(range(n), k)
+    rank = math.comb(n, k) - 1 - sum(math.comb(n - 1 - x, k - i) for i, x in enumerate(witness))
+    return rank, witness
+
+
+def _first_sum_subset(values: Sequence[int], k: int, goal: int, budget: int, q: int | None = None) -> SolverReport:
+    """The lexicographically first k-subset of values whose sum, taken mod q
+    when q is given (then 0 <= goal < q), equals goal, as an index tuple;
+    witness, stats and refusals are those of _first_subset with key sum
+    (mod q). The C(n, k)
+    guard runs first; then the cost rule picks a C-level scan or the meet in
+    the middle, and `candidates` is the witness's lex position + 1 either
+    way, C(n, k) when none hits."""
+    n = len(values)
+    if k > n:
+        return SolverReport(False, None, {"candidates": 0})
+    _guard_combinations(n, k, budget)
+    if _scan_is_cheaper(n, k):
+        found = _scan_sums(values, k, goal, q)
+    else:
+        found = _meet_sums(values, k, goal, q)
+    if found is None:
+        return SolverReport(False, None, {"candidates": math.comb(n, k)})
+    return SolverReport(True, found[1], {"candidates": found[0] + 1})
+
+
 def solve_ksum_bruteforce(inst: KSumInstance, budget: int = DEFAULT_BUDGET) -> SolverReport:
-    """Enumerate index k-subsets in lexicographic order; first hit wins."""
-    return _first_subset(inst.numbers, inst.k, sum, inst.target, budget)
+    """The lexicographically first index k-subset that sums to the target."""
+    return _first_sum_subset(inst.numbers, inst.k, inst.target, budget)
 
 
 def _colex_sums(numbers: tuple[int, ...], m: int) -> list[int]:
@@ -210,12 +295,24 @@ def solve_ksum_mim(inst: KSumInstance, budget: int = DEFAULT_BUDGET) -> SolverRe
 
 
 def solve_vectorsum_bruteforce(inst: VectorSumInstance, budget: int = DEFAULT_BUDGET) -> SolverReport:
-    """Lexicographic subset scan; a target outside the k-fold entry range
-    short-circuits to unsolvable with zero candidates examined."""
+    """The lexicographically first index k-subset whose vectors sum to the
+    target; a target outside the k-fold entry range short-circuits to
+    unsolvable with zero candidates examined.
+
+    Each vector packs into the int sum(v[i] * r^i) with radix r = k(hi - lo)
+    + 1. That is the packing of v - lo plus lo * sum(r^i), the same for every
+    vector, and a sum of k shifted entries lies in [0, r), so k packed
+    vectors sum to the packed target exactly when the vectors sum to it."""
     if inst.trivially_unsolvable:
         report = SolverReport(False, None, {"candidates": 0})
     else:
-        report = _first_subset(inst.vectors, inst.k, lambda vs: tuple(map(sum, zip(*vs))), inst.target, budget)
+        vectors, k = inst.vectors, inst.k
+        _guard_combinations(len(vectors), k, budget)  # before packing n vectors
+        lo, hi = inst.entry_bounds
+        radix = k * (hi - lo) + 1
+        weights = [radix ** i for i in range(inst.dim)]
+        packed = [sum(map(mul, v, weights)) for v in vectors]
+        report = _first_sum_subset(packed, k, sum(map(mul, inst.target, weights)), budget)
     report.stats["range_pruned"] = inst.trivially_unsolvable
     return report
 

@@ -128,6 +128,20 @@ def _steps_for_seed(seed: int) -> list[list[str]]:
         ["verify", "--in", "g.json", "--witness", "0,1"],
         ["verify", "--in", "g.json", "--witness", "x"],
         ["subsetsum-mode", "--in", "u.json", "--out", "pieces", "--report", "modes.jsonl"],
+        # the ksum, vectorsum and targetsum oracles past the cost rule's crossover,
+        # where they meet in the middle (C(n, k) at most 1,820 here)
+        ["gen", "ksum", "--n", "14", "--k", "4", "--M", "60", "--plant", "--seed", s, "--out", "w.json"],
+        ["gen", "ksum", "--n", "16", "--k", "3", "--M", "200", "--seed", s, "--out", "x.json"],
+        ["reduce", "--in", "w.json", "--via", "ksum_to_targetsum", "--out", "w.ts.jsonl"],
+        ["reduce", "--in", "x.json", "--via", "ksum_to_targetsum", "--out", "x.ts.jsonl"],
+        ["reduce", "--in", "g2.json", "--via", "clique_to_vectorsum", "--out", "g2.vs.jsonl"],
+        ["solve", "--in", "w.json"],
+        ["solve", "--in", "x.json"],
+        ["solve", "--in", "w.ts.jsonl"],
+        ["solve", "--in", "x.ts.jsonl"],
+        ["solve", "--in", "g2.ks.jsonl"],
+        ["solve", "--in", "g2.ksm.jsonl"],
+        ["solve", "--in", "g2.vs.jsonl"],
     ]
 
 

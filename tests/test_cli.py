@@ -44,6 +44,7 @@ from ksumclique.cli import (
     run_equivalence_experiment,
     solve_auto,
 )
+from ksumclique import reduce_clique_to_sum as bwd
 from ksumclique import reduce_sum_to_clique as fwd
 from ksumclique.solvers import _kcliques
 
@@ -285,6 +286,56 @@ def test_smallksum_decoder_lifts_as_lift_pipeline_witness():
             assert coll.lift(0, clique) == fwd.lift_pipeline_witness(result, clique)
             lifted += 1
     assert lifted > 300
+
+
+def _raised(call):
+    try:
+        call()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name, params", [("clique_to_vectorsum", {}), ("kclique_to_ksum", {}),
+                                          ("kclique_to_ksum", {"radix_mode": "mixed"})])
+def test_backward_decoders_reuse_the_reduction_encoding(name, params, monkeypatch):
+    """The CLI's clique_to_vectorsum and kclique_to_ksum collections lift each
+    witness of 40 seeded graphs to what the public lift gives, without
+    encoding the graph or building its vectors again, and refuse what the
+    public reduction refuses, with the same error first."""
+    reduce = {"clique_to_vectorsum": bwd.clique_to_vectorsum,
+              "kclique_to_ksum": lambda g: bwd.kclique_to_ksum(g, **params)}[name]
+    lift = {"clique_to_vectorsum": bwd.lift_vectorsum_witness_to_clique,
+            "kclique_to_ksum": lambda g, w: bwd.lift_ksum_witness_to_clique(g, w, **params)}[name]
+    rng = random.Random(2205)
+    cases = []
+    for _ in range(40):
+        g = gen_random_graph(rng.randint(2, 5), rng.random(), 2, plant_clique=rng.random() < 0.5,
+                             seed=rng.getrandbits(32))
+        coll = REDUCTIONS[name].reduce(g, params)
+        assert coll.items[0].instance == reduce(g)
+        rep = solve_auto(coll.items[0].instance)
+        if rep.solvable:
+            cases.append((g, coll, rep.witness))
+    assert len(cases) > 10
+    built = []
+    for fn in ("encode_vertices", "clique_to_vectorsum"):
+        def counted(*args, fn=fn, real=getattr(bwd, fn), **kw):
+            built.append(fn)
+            return real(*args, **kw)
+        monkeypatch.setattr(bwd, fn, counted)
+    for g, coll, witness in cases:
+        assert coll.lift(0, witness) == lift(g, witness)
+        with pytest.raises(MalformedWitnessError):
+            coll.lift(0, _one_id_changed(coll.items[0].instance, witness))
+    assert len(built) == 2 * len(cases)  # the public lifts only
+    refused = [CliqueInstance(n=4, edges=((0, 1),), k=1), CliqueInstance(n=0, edges=(), k=2),
+               CliqueInstance(n=10**7, edges=(), k=1), CliqueInstance(n=10**7, edges=(), k=3)]
+    for g in refused:
+        assert _raised(lambda: REDUCTIONS[name].reduce(g, params)) == _raised(lambda: reduce(g)) is not None
+    g = CliqueInstance(n=3, edges=((0, 1), (0, 2), (1, 2)), k=2)
+    assert _raised(lambda: REDUCTIONS["kclique_to_ksum"].reduce(g, {"radix_mode": "bogus"})) == \
+        _raised(lambda: bwd.kclique_to_ksum(g, radix_mode="bogus")) == ("ParameterError", "unknown radix mode 'bogus'")
 
 
 def test_experiment_lindep_trials_pass():

@@ -1,7 +1,8 @@
 """Instance types, witness checking, normalization, and the wire format."""
 
 import json
-from itertools import combinations
+import re
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -54,6 +55,28 @@ def test_ksum_rejects_numbers_outside_declared_bounds():
 def test_vectorsum_dim_mismatch():
     with pytest.raises(ValidationError):
         VectorSumInstance(k=2, dim=2, vectors=((1,),), target=(1, 1), entry_bounds=(0, 1))
+
+
+@pytest.mark.parametrize("vectors, error", [
+    (((1, 5), (0, 0)), "entry 5 outside declared range [0,4]"),
+    (((1,), (1, 2)), "vector length differs from dim"),
+    (((0, 9), (1,)), "entry 9 outside declared range [0,4]"),  # the first bad vector is named
+    (((0, 1), (-1, 2, 3)), "vector length differs from dim"),
+    ([[True, 2], ["3", 4], (1.0, 0)], None),
+])
+def test_vectorsum_entries_converted_and_checked_in_order(vectors, error):
+    """Exact ints pass as they are; anything else is converted with int()
+    first, and the first bad vector or entry is named, as the loop did."""
+    if error is not None:
+        with pytest.raises(ValidationError, match=re.escape(error)):
+            VectorSumInstance(k=2, dim=2, vectors=vectors, target=(1, 1), entry_bounds=(0, 4))
+        return
+    inst = VectorSumInstance(k=2, dim=2, vectors=vectors, target=["1", True], entry_bounds=(0, 4))
+    assert inst.vectors == ((1, 2), (3, 4), (1, 0)) and inst.target == (1, 1)
+    assert {type(c) for v in inst.vectors for c in chain(v, inst.target)} == {int}
+    exact = ((1, 2), (3, 4))
+    assert all(a is b for a, b in zip(VectorSumInstance(k=2, dim=2, vectors=exact, target=(1, 1),
+                                                        entry_bounds=(0, 4)).vectors, exact))
 
 
 def test_vectorsum_trivially_unsolvable_flag():

@@ -306,6 +306,102 @@ def test_brute_oracles_match_a_plain_reference_scan():
                     ("node", True), ("node", False), ("edge", True), ("edge", False)}
 
 
+@pytest.fixture(params=["scan", "meet", "cost rule"])
+def sum_path(request, monkeypatch):
+    """Forces the subset-sum search of the ksum, vectorsum and targetsum
+    oracles down one path, or leaves the choice to the cost rule, and counts
+    the paths taken."""
+    counts = Counter()
+    rule = solvers._scan_is_cheaper
+
+    def choose(n, k):
+        scan = rule(n, k) if request.param == "cost rule" else request.param == "scan"
+        counts["scan" if scan else "meet"] += 1
+        return scan
+
+    monkeypatch.setattr(solvers, "_scan_is_cheaper", choose)
+    return request.param, counts
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args).to_json_dict()
+    except ResourceBudgetError as exc:
+        return str(exc)
+
+
+def _reference_vectorsum(inst, budget):
+    """The vectorsum oracle as a plain scan with a coordinate-wise key."""
+    if inst.trivially_unsolvable:
+        rep = SolverReport(False, None, {"candidates": 0})
+    else:
+        rep = solvers._first_subset(inst.vectors, inst.k, lambda vs: tuple(map(sum, zip(*vs))), inst.target, budget)
+    rep.stats["range_pruned"] = inst.trivially_unsolvable
+    return rep
+
+
+def _random_sum_cases(rng):
+    """One seeded instance per subset-sum oracle with its plain-scan reference
+    and item count, plus the bare search at q = 1 or 2: k = 1 and k > n, empty
+    inputs, repeated and negative numbers, negative entry bounds and dims 1-3
+    all come up, and so do solvable and unsolvable draws."""
+    n, k = rng.randint(0, 14), rng.randint(1, 7)
+    spread = rng.choice((1, 2, 5, 40))
+    numbers = [rng.randint(-spread, spread) for _ in range(n)]
+    t = sum(rng.sample(numbers, min(k, n))) + rng.choice((0, 0, 1, -1))
+    yield solve_ksum_bruteforce, lambda inst, b: solvers._first_subset(inst.numbers, inst.k, sum, inst.target, b), \
+        make_ksum(numbers, k, t), n
+    dim, lo = rng.randint(1, 3), rng.randint(-3, 1)
+    hi = lo + rng.randint(0, 4)
+    vectors = [tuple(rng.randint(lo, hi) for _ in range(dim)) for _ in range(n)]
+    if n and rng.random() < 0.7:
+        target = tuple(map(sum, zip(*rng.sample(vectors, min(k, n)))))
+    else:
+        target = tuple(rng.randint(k * lo - 1, k * hi + 1) for _ in range(dim))
+    yield solve_vectorsum_bruteforce, _reference_vectorsum, make_vectorsum(vectors, k, target, lo=lo, hi=hi), n
+    q = rng.choice((2, 3, 7, 11))
+    elements = [rng.randrange(q) for _ in range(n)]
+    yield solve_targetsum_bruteforce, \
+        lambda inst, b: solvers._first_subset(inst.elements, inst.k, lambda xs: sum(xs) % inst.q, inst.target, b), \
+        TargetSumInstance(q=q, elements=tuple(elements), k=k, target=rng.randrange(q)), n
+    q = rng.choice((1, 2))
+    goal = rng.randrange(q)
+    yield lambda args, b: solvers._first_sum_subset(*args, b, q=q), \
+        lambda args, b: solvers._first_subset(args[0], args[1], lambda xs: sum(xs) % q, args[2], b), \
+        (numbers, k, goal), n
+
+
+def test_subset_sum_oracles_match_the_plain_scan_on_both_paths(sum_path):
+    """The scan and the meet in the middle each give the plain scan's
+    witness, `candidates`, `range_pruned` and budget refusal."""
+    path, counts = sum_path
+    rng = random.Random(2024)
+    for _ in range(300):
+        for solve, reference, inst, n in _random_sum_cases(rng):
+            k = inst[1] if isinstance(inst, tuple) else inst.k
+            budgets = [solvers.DEFAULT_BUDGET] + ([comb(n, k) - 1] if 0 < k <= n else [])
+            for budget in budgets:
+                assert _outcome(solve, inst, budget) == _outcome(reference, inst, budget), (path, inst, budget)
+    if path == "cost rule":
+        assert counts["scan"] > 0 and counts["meet"] > 0
+    else:
+        assert counts[path] > 0 and sum(counts.values()) == counts[path]
+
+
+def test_sum_search_cost_rule_crossover_and_wide_subsets():
+    """The scan runs while C(n, k) <= 2 * (C(n, ceil(k/2)) + C(n, floor(k/2))),
+    for every k up to n = 9 (the rule's shortcut), up to n = 11 at k = 6. At
+    k = n - 1 the halves are far above C(n, k) = n, and the rule settles that
+    without building C(10^5, 5*10^4)."""
+    for n in range(40):
+        for k in range(1, n + 1):
+            scan = comb(n, k) <= 2 * (comb(n, (k + 1) // 2) + comb(n, k // 2))
+            assert solvers._scan_is_cheaper(n, k) == scan, (n, k)
+    for k, last_scan in ((2, 9), (3, 9), (4, 9), (6, 11)):
+        assert solvers._scan_is_cheaper(last_scan, k) and not solvers._scan_is_cheaper(last_scan + 1, k)
+    assert peak_traced_bytes(lambda: solvers._scan_is_cheaper(10**5, 10**5 - 1)) < 32 * 1024
+
+
 def test_clique_brute_frozen_cases():
     k4 = CliqueInstance(n=4, edges=complete_edges(4), k=3)
     assert solve_kclique_bruteforce(k4).witness == (0, 1, 2)
