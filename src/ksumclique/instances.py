@@ -188,6 +188,7 @@ class KSumInstance(Instance):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "numbers", tuple(int(x) for x in self.numbers))
+        object.__setattr__(self, "target", int(self.target))
         object.__setattr__(self, "bounds", (int(self.bounds[0]), int(self.bounds[1])))
         if self.k < 1:
             raise ValidationError(f"arity k must be >= 1, got {self.k}")

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import accumulate
+from operator import lt, mul
+from typing import Iterable, Sequence
 
 from .instances import (
     CliqueInstance,
@@ -178,6 +180,7 @@ def pack_uniform(vec: Iterable[int], p: int) -> int:
 
 
 def pack_mixed(vec: Iterable[int], radices: Iterable[int]) -> int:
+    """Coordinate i of vec, in [0, radices[i]), as digit i of a mixed-radix int."""
     total = 0
     scale = 1
     for c, r in zip(vec, radices, strict=True):
@@ -186,6 +189,20 @@ def pack_mixed(vec: Iterable[int], radices: Iterable[int]) -> int:
         total += c * scale
         scale *= r
     return total
+
+
+def _pack_vectors(vectors: Sequence[Sequence[int]], radices: tuple[int, ...]) -> tuple[int, ...]:
+    """pack_mixed of each vector. The whole list is checked at C level: every
+    length, then each coordinate's largest and smallest entry, over the columns
+    of the transpose. If that passes, each vector packs as one dot product with
+    place values computed once; otherwise every vector goes through pack_mixed
+    in order, so the first bad one raises pack_mixed's error."""
+    columns = list(zip(*vectors))
+    if (set(map(len, vectors)) <= {len(radices)} and all(map(lt, map(max, columns), radices))
+            and (not columns or min(map(min, columns)) >= 0)):
+        places = list(accumulate(radices[:-1], mul, initial=1))
+        return tuple([sum(map(mul, vec, places)) for vec in vectors])
+    return tuple([pack_mixed(vec, radices) for vec in vectors])
 
 
 def vectorsum_to_ksum(inst: VectorSumInstance) -> KSumInstance:
@@ -199,7 +216,7 @@ def vectorsum_to_ksum(inst: VectorSumInstance) -> KSumInstance:
     if lo < 0:
         raise ParameterError("entries must be nonnegative; shift the instance first")
     p = inst.k * hi + 1
-    numbers = tuple(pack_uniform(v, p) for v in inst.vectors)
+    numbers = _pack_vectors(inst.vectors, (p,) * inst.dim)
     if inst.trivially_unsolvable:
         target = -1
     else:
@@ -227,7 +244,7 @@ def _pack_clique_vectors(vs: VectorSumInstance, enc: CliqueEncoding, radix_mode:
         raise ParameterError(f"unknown radix mode {radix_mode!r}")
     k = enc.k
     radices = mixed_radices(k, enc.threshold)
-    numbers = tuple(pack_mixed(v, radices) for v in vs.vectors)
+    numbers = _pack_vectors(vs.vectors, radices)
     target = pack_mixed(vs.target, radices)
     top = pack_mixed([enc.threshold] * k + [k] * (k * k + 1), radices)
     return KSumInstance(k=vs.k, numbers=numbers, target=target, bounds=(0, top))

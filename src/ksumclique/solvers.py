@@ -9,6 +9,11 @@ search (`_first_sum_subset`), which scans every k-subset when that is cheap
 and otherwise meets in the middle, with the witness and the `candidates`
 count of the scan either way; the lindep oracle, whose key is a span test and
 not a sum, keeps the plain subset scan (`_first_subset`).
+
+Every C-level pipeline passes its fixed operand through itertools.repeat to
+an operator function (add, sub, eq, lt, mod, contains), never to a bound
+method such as x.__add__, which CPython calls with a new argument tuple per
+element.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, combinations, compress, count, islice, repeat
-from operator import itemgetter, lt, mul
+from operator import add, contains, eq, itemgetter, lt, mod, mul, sub
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .instances import (
@@ -82,15 +87,14 @@ def _first_match(flags: Iterable[bool]) -> int | None:
 def _first_subset(items: Sequence[Any], k: int, key: Callable[[tuple[Any, ...]], Any], goal: Any,
                   budget: int) -> SolverReport:
     """The one brute-force scan: the lexicographically first k-subset of
-    items whose key equals goal, as an index tuple. The keys are compared
-    at C level with goal.__eq__, so key must return goal's type (a foreign
-    type would give a truthy NotImplemented). `candidates` counts the
-    subsets examined up to the hit, all C(n, k) when none hits."""
+    items whose key equals goal, as an index tuple, compared at C level.
+    `candidates` counts the subsets examined up to the hit, all C(n, k)
+    when none hits."""
     n = len(items)
     if k > n:
         return SolverReport(False, None, {"candidates": 0})
     _guard_combinations(n, k, budget)
-    pos = _first_match(map(goal.__eq__, map(key, combinations(items, k))))
+    pos = _first_match(map(eq, repeat(goal), map(key, combinations(items, k))))
     if pos is None:
         return SolverReport(False, None, {"candidates": math.comb(n, k)})
     return SolverReport(True, next(islice(combinations(range(n), k), pos, None)), {"candidates": pos + 1})
@@ -109,14 +113,14 @@ def _scan_is_cheaper(n: int, k: int) -> bool:
 
 
 def _mod_sums(sums: Iterator[int], q: int | None) -> Iterator[int]:
-    return sums if q is None else map(q.__rmod__, sums)
+    return sums if q is None else map(mod, sums, repeat(q))
 
 
 def _scan_sums(values: Sequence[int], k: int, goal: int, q: int | None,
                start: int = 0) -> tuple[int, tuple[int, ...]] | None:
     """The first k-subset, in lex order, of the indices from start whose
     values sum (mod q) to goal, scanned at C level, with its position."""
-    pos = _first_match(map(goal.__eq__, _mod_sums(map(sum, combinations(values[start:], k)), q)))
+    pos = _first_match(map(eq, repeat(goal), _mod_sums(map(sum, combinations(values[start:], k)), q)))
     return None if pos is None else (pos, next(islice(combinations(range(start, len(values)), k), pos, None)))
 
 
@@ -140,7 +144,7 @@ def _meet_sums(values: Sequence[int], k: int, goal: int, q: int | None) -> tuple
         reach = dict(zip(sums, map(itemgetter(0), combinations(range(n), b))))
     else:
         reach = {0: n}  # the empty right half follows every prefix
-    needs = _mod_sums(map(goal.__sub__, map(sum, combinations(values, a))), q)
+    needs = _mod_sums(map(sub, repeat(goal), map(sum, combinations(values, a))), q)
     lasts = map(itemgetter(-1), combinations(range(n), a))
     pos = _first_match(map(lt, lasts, map(reach.get, needs, repeat(-1))))
     if pos is None:
@@ -186,7 +190,7 @@ def _colex_sums(numbers: tuple[int, ...], m: int) -> list[int]:
     for size in range(1, m + 1):
         prev, sums = sums, []
         for j in range(size - 1, len(numbers)):
-            sums.extend(map(numbers[j].__add__, prev[:math.comb(j, size - 1)]))
+            sums.extend(map(add, repeat(numbers[j]), prev[:math.comb(j, size - 1)]))
     return sums
 
 
@@ -198,14 +202,14 @@ def _first_left(numbers: tuple[int, ...], heads: list[int], a: int, need: int, s
     for c in range(a - 1, stop):
         rest = need - numbers[c]
         if rest in islice(heads, math.comb(c, a - 1)):
-            pos = _first_match(map(rest.__eq__, map(sum, combinations(numbers[:c], a - 1))))
+            pos = _first_match(map(eq, repeat(rest), map(sum, combinations(numbers[:c], a - 1))))
             return next(islice(combinations(range(c), a - 1), pos, None)) + (c,)
     raise ValidationError(f"no left half below index {stop} sums to {need}")
 
 
 def _table_meets_group(table: set[int], reach: dict[int, int], x: int, c0: int) -> bool:
     """Some t - L in table equals x plus the sum of a tail that starts above c0."""
-    return any(map(c0.__lt__, map(reach.get, map(x.__rsub__, table), repeat(-1))))
+    return any(map(lt, repeat(c0), map(reach.get, map(sub, table, repeat(x)), repeat(-1))))
 
 
 def _group_meets_table(table: set[int], sums: Iterable[int]) -> bool:
@@ -271,18 +275,18 @@ def solve_ksum_mim(inst: KSumInstance, budget: int = DEFAULT_BUDGET) -> SolverRe
         probes = 0
         for c0 in range(n - b + 1):
             if c0 >= a:
-                table.update(map((t - numbers[c0 - 1]).__sub__, heads[:math.comb(c0 - 1, a - 1)]))
+                table.update(map(sub, repeat(t - numbers[c0 - 1]), heads[:math.comb(c0 - 1, a - 1)]))
             group = math.comb(n - c0 - 1, b - 1)
             x = numbers[c0]
             if 2 * len(table) < group:  # a table-side step costs about two group-side ones
                 hit = _table_meets_group(table, reach, x, c0)
             else:
                 reach.clear()  # the table only grows and the groups only shrink, so reach is done
-                hit = _group_meets_table(table, map(x.__add__, tails[len(tails) - group:]))
+                hit = _group_meets_table(table, map(add, repeat(x), tails[len(tails) - group:]))
             if not hit:
                 probes += group
                 continue
-            pos = _first_match(map(table.__contains__, map(x.__add__, tails[len(tails) - group:])))
+            pos = _first_match(map(contains, repeat(table), map(add, repeat(x), tails[len(tails) - group:])))
             probes += pos + 1
             right = (c0,) + next(islice(combinations(range(c0 + 1, n), b - 1), pos, None))
             witness = _first_left(numbers, heads, a, t - sum(numbers[i] for i in right), c0) + right

@@ -142,6 +142,7 @@ def _steps_for_seed(seed: int) -> list[list[str]]:
         ["solve", "--in", "g2.ks.jsonl"],
         ["solve", "--in", "g2.ksm.jsonl"],
         ["solve", "--in", "g2.vs.jsonl"],
+        ["solve", "--in", "g2.ksm.jsonl", "--solver", "ksum-mim"],
     ]
 
 

@@ -18,7 +18,7 @@ from ksumclique import (
 )
 from ksumclique import reduce_clique_to_sum as bwd
 
-from util import complete_edges, cycle_edges, oracle_kclique, oracle_ksum, oracle_vectorsum
+from util import complete_edges, cycle_edges, oracle_kclique, oracle_ksum, oracle_vectorsum, pack_mixed_reference
 
 
 def test_encoding_properties():
@@ -148,6 +148,82 @@ def test_pack_mixed_respects_per_coordinate_radices():
         seen.add(packed)
     with pytest.raises(ValidationError):
         bwd.pack_mixed((5, 0, 0), radices)
+
+
+def _pack_outcome(pack, *args):
+    """("packed", the result) or ("raised", the exception type, its message)."""
+    try:
+        return "packed", pack(*args)
+    except ValueError as exc:  # ValidationError, or zip's length mismatch
+        return "raised", type(exc), str(exc)
+
+
+def _reference_pack_all(vectors, radices):
+    """The reference packer over a list: the packed ints, or the first error."""
+    packed = []
+    for vec in vectors:
+        outcome = _pack_outcome(pack_mixed_reference, vec, radices)
+        if outcome[0] == "raised":
+            return outcome
+        packed.append(outcome[1])
+    return "packed", tuple(packed)
+
+
+def _random_radices(rng, dim):
+    if rng.random() < 0.5:
+        return (rng.choice((2, 3, 19, 2**61 + 1)),) * dim
+    return tuple(rng.choice((2, 7, 10**12, 2**90 + 3)) for _ in range(dim))
+
+
+def _faulty(rng, vec, radices):
+    """vec with one fault: a coordinate at, above or below its radix range,
+    or one coordinate too many or too few, possibly after a bad one."""
+    vec = list(vec)
+    fault = rng.choice(("high", "negative", "long", "short", "long and high"))
+    if vec and fault in ("high", "negative", "long and high"):
+        j = rng.randrange(len(vec))
+        vec[j] = radices[j] + rng.choice((0, 0, 1, 10**30)) if fault != "negative" else -rng.choice((1, 2**70))
+    if fault.startswith("long"):
+        vec.append(rng.choice((0, 1)))
+    elif fault == "short" and vec:
+        vec.pop()
+    return tuple(vec)
+
+
+def test_list_packer_matches_the_coordinate_loop(monkeypatch):
+    """The list packer gives the per-coordinate loop's ints, or its first
+    error with the same type and message, on seeded vectors of dims 0-13 in
+    uniform and mixed radices, big entries and one fault per bad vector; a
+    list of good vectors never runs the loop."""
+    rng = random.Random(71)
+    loops = []
+    real = bwd.pack_mixed
+    monkeypatch.setattr(bwd, "pack_mixed", lambda *args: loops.append(args) or real(*args))
+    faulty_seen = set()
+    for _ in range(1500):
+        dim = rng.randint(0, 13)
+        radices = _random_radices(rng, dim)
+        vectors = [tuple(rng.choice((0, r - 1, rng.randrange(r))) for r in radices) for _ in range(rng.randint(0, 6))]
+        del loops[:]
+        assert _pack_outcome(bwd._pack_vectors, vectors, radices) == _reference_pack_all(vectors, radices)
+        assert not loops
+        if rng.random() < 0.6:
+            at = rng.randint(0, len(vectors))
+            vectors.insert(at, _faulty(rng, vectors[at - 1] if vectors else (0,) * dim, radices))
+        expected = _reference_pack_all(vectors, radices)
+        assert _pack_outcome(bwd._pack_vectors, vectors, radices) == expected, (vectors, radices)
+        if expected[0] == "raised":
+            faulty_seen.add(expected[1])
+    assert faulty_seen == {ValidationError, ValueError}
+    for j in range(5):
+        radices = (5, 3, 7, 2, 11)
+        for bad in (radices[j], radices[j] + 1, -1):
+            vec = tuple(bad if i == j else radices[i] - 1 for i in range(5))
+            assert _pack_outcome(bwd._pack_vectors, [(0,) * 5, vec], radices) == (
+                "raised", ValidationError, f"coordinate {bad} outside its radix [0,{radices[j]})")
+            assert _pack_outcome(bwd._pack_vectors, [vec + (0,)], radices)[1] is ValidationError
+    assert _pack_outcome(bwd._pack_vectors, [(1, 2)], (5, 3, 7)) == _pack_outcome(
+        pack_mixed_reference, (1, 2), (5, 3, 7))
 
 
 def test_kclique_to_ksum_triangle_both_modes():

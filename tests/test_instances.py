@@ -23,6 +23,7 @@ from ksumclique import (
     parse_instance,
     serialize_collection,
     serialize_instance,
+    solve_ksum_bruteforce,
     verify_witness,
 )
 from ksumclique.instances import _as_int_list, _is_clique, normalize_edges
@@ -50,6 +51,18 @@ def test_ksum_allows_fewer_numbers_than_k():
 def test_ksum_rejects_numbers_outside_declared_bounds():
     with pytest.raises(ValidationError):
         KSumInstance(k=2, numbers=(7,), target=1, bounds=(0, 5))
+
+
+def test_ksum_target_converted_like_the_numbers():
+    """A non-int target is converted with int(), so an oracle never compares
+    a foreign type with the sums."""
+    inst = KSumInstance(k=1, numbers=(1, 2), target="2", bounds=(0, 9))
+    assert inst.target == 2 and type(inst.target) is int
+    assert solve_ksum_bruteforce(inst).witness == (1,)
+    far = KSumInstance(k=1, numbers=(1, 2), target="9", bounds=(0, 9))
+    assert not solve_ksum_bruteforce(far).solvable and not verify_witness(far, (0,))
+    with pytest.raises(ValueError):
+        KSumInstance(k=1, numbers=(1, 2), target="x", bounds=(0, 9))
 
 
 def test_vectorsum_dim_mismatch():

@@ -388,6 +388,21 @@ def test_subset_sum_oracles_match_the_plain_scan_on_both_paths(sum_path):
         assert counts[path] > 0 and sum(counts.values()) == counts[path]
 
 
+def test_scans_never_match_a_goal_of_another_type():
+    """The scans compare each key with the goal by operator.eq, so a str
+    goal, a tuple goal of the wrong length, or a tuple goal against int
+    keys never yields a witness."""
+    budget = solvers.DEFAULT_BUDGET
+    for goal in ("9", "1", (1,), (1, 2)):
+        assert not solvers._first_subset((1, 2, 9), 1, sum, goal, budget).solvable
+    for goal in ((1, 2, 0), (1,), "12"):
+        assert not solvers._first_subset(((1, 2), (3, 4)), 1, lambda vs: tuple(map(sum, zip(*vs))), goal,
+                                         budget).solvable
+    for q in (None, 7):
+        assert solvers._scan_sums((1, 2, 9), 1, "2", q) is None
+        assert solvers._scan_sums((1, 2, 9), 1, 2, q) == (1, (1,))
+
+
 def test_sum_search_cost_rule_crossover_and_wide_subsets():
     """The scan runs while C(n, k) <= 2 * (C(n, ceil(k/2)) + C(n, floor(k/2))),
     for every k up to n = 9 (the rule's shortcut), up to n = 11 at k = 6. At

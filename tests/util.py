@@ -274,6 +274,19 @@ def is_clique_reference(edges, ws):
     return all((ws[a], ws[b]) in edge_set for a in range(len(ws)) for b in range(a + 1, len(ws)))
 
 
+def pack_mixed_reference(vec, radices):
+    """pack_mixed's per-coordinate loop, kept here as a fixed reference: each
+    range check before its digit, then zip's strict length check."""
+    total = 0
+    scale = 1
+    for c, r in zip(vec, radices, strict=True):
+        if not 0 <= c < r:
+            raise ValidationError(f"coordinate {c} outside its radix [0,{r})")
+        total += c * scale
+        scale *= r
+    return total
+
+
 def peak_traced_bytes(call):
     """Peak bytes Python allocated while call() ran, by tracemalloc."""
     tracemalloc.start()
