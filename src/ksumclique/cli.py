@@ -209,21 +209,18 @@ def _reduce_smallksum_to_kclique(inst: KSumInstance, params: dict[str, Any]) -> 
                                    decode=lambda _, w: fwd.strip_slot_witness(inst.n, w))
 
 
-# The two backward decoders reuse the encoding and vector instance the
-# reduction built; lift has checked the witness in the item before they run.
+# The two backward decoders project a witness onto its vertex vectors; lift
+# has checked it in the item before and checks the clique after.
 
 def _reduce_clique_to_vectorsum(inst: CliqueInstance, params: dict[str, Any]) -> ReducedCollection:
-    enc = bwd._clique_encoding(inst)
-    vs = bwd.clique_to_vectorsum(inst, encoding=enc)
-    return _single_item_collection("clique_to_vectorsum", inst, vs, {},
-                                   decode=lambda _, w: bwd._decode_vector_witness(inst, enc, vs, w))
+    return _single_item_collection("clique_to_vectorsum", inst, bwd.clique_to_vectorsum(inst), {},
+                                   decode=lambda _, w: bwd._clique_vertices(inst, w))
 
 
 def _reduce_kclique_to_ksum(inst: CliqueInstance, params: dict[str, Any]) -> ReducedCollection:
     mode = params.get("radix_mode", "uniform")
-    enc, vs, ks = bwd._kclique_parts(inst, mode)
-    return _single_item_collection("kclique_to_ksum", inst, ks, {"radix_mode": mode},
-                                   decode=lambda _, w: bwd._decode_vector_witness(inst, enc, vs, w))
+    return _single_item_collection("kclique_to_ksum", inst, bwd.kclique_to_ksum(inst, mode), {"radix_mode": mode},
+                                   decode=lambda _, w: bwd._clique_vertices(inst, w))
 
 
 def _reduce_ksum_to_targetsum(inst: KSumInstance, params: dict[str, Any]) -> ReducedCollection:

@@ -44,7 +44,9 @@ class TargetSumInstance(Instance):
     target: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "q", int(self.q))
         object.__setattr__(self, "elements", tuple(int(x) for x in self.elements))
+        object.__setattr__(self, "target", int(self.target))
         if self.q < 2:
             raise ValidationError(f"modulus must be >= 2, got {self.q}")
         if self.k < 1:
@@ -96,6 +98,7 @@ class LinDepInstance(Instance):
     target: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "q", int(self.q))
         object.__setattr__(self, "vectors", tuple(tuple(int(c) for c in v) for v in self.vectors))
         object.__setattr__(self, "target", tuple(int(c) for c in self.target))
         if not is_prime(self.q):

@@ -99,34 +99,6 @@ def _check_vector_budget(g: CliqueInstance) -> None:
         raise ResourceBudgetError(f"{count} vectors of {dim} coordinates exceed the work budget {VECTOR_BUDGET}")
 
 
-def origin_of_index(g: CliqueInstance, idx: int) -> tuple:
-    """Decode a vector index into its origin under the fixed emission order:
-    ("vertex", v, slot) or ("edge", first, second, i, j)."""
-    k, n = g.k, g.n
-    if idx < 0 or idx >= vector_count(n, g.m, k):
-        raise ValidationError(f"vector index {idx} out of range")
-    if idx < k * n:
-        return ("vertex", idx // k, idx % k + 1)
-    rest = idx - k * n
-    pairs = slot_pairs(k)
-    block = 2 * len(pairs)
-    e, pr = divmod(rest, block)
-    pair_idx, orient = divmod(pr, 2)
-    i, j = pairs[pair_idx]
-    u, v = g.edges[e]
-    first, second = (u, v) if orient == 0 else (v, u)
-    return ("edge", first, second, i, j)
-
-
-def _clique_encoding(g: CliqueInstance, encoding: CliqueEncoding | None = None) -> CliqueEncoding:
-    """clique_to_vectorsum's checks, in its order, then the encoding it uses:
-    the given one, or encode_vertices(n, k)."""
-    if g.k < 2:
-        raise ParameterError(f"arity must be >= 2, got {g.k}")
-    _check_vector_budget(g)
-    return encoding if encoding is not None else encode_vertices(g.n, g.k)
-
-
 def clique_to_vectorsum(g: CliqueInstance, encoding: CliqueEncoding | None = None) -> VectorSumInstance:
     """Arity k+C(k,2) vector instance solvable iff g has a k-clique.
 
@@ -136,7 +108,10 @@ def clique_to_vectorsum(g: CliqueInstance, encoding: CliqueEncoding | None = Non
     cycle with no consistent placement.
     """
     k, n = g.k, g.n
-    enc = _clique_encoding(g, encoding)
+    if k < 2:
+        raise ParameterError(f"arity must be >= 2, got {k}")
+    _check_vector_budget(g)
+    enc = encoding if encoding is not None else encode_vertices(n, k)
     if enc.k != k or enc.n < n:
         raise ParameterError("encoding does not cover the graph")
     dim = enc.dim
@@ -236,8 +211,15 @@ def mixed_radices(k: int, t_thresh: int) -> tuple[int, ...]:
     return (arity * t_thresh + 1,) * k + (arity * k + 1,) * (k * k + 1)
 
 
-def _pack_clique_vectors(vs: VectorSumInstance, enc: CliqueEncoding, radix_mode: str) -> KSumInstance:
-    """Pack the vector instance of a k-clique encoding into k'-SUM."""
+def kclique_to_ksum(g: CliqueInstance, radix_mode: str = "uniform") -> KSumInstance:
+    """k-Clique to plain k'-SUM, k' = k + C(k,2), via the vector encoding.
+
+    uniform packs every coordinate in radix k'T+1; mixed packs the small-entry
+    coordinates in the tighter radix k'k+1, shrinking the numbers.
+    """
+    _check_vector_budget(g)
+    enc = encode_vertices(g.n, g.k)
+    vs = clique_to_vectorsum(g, encoding=enc)
     if radix_mode == "uniform":
         return vectorsum_to_ksum(vs)
     if radix_mode != "mixed":
@@ -250,54 +232,32 @@ def _pack_clique_vectors(vs: VectorSumInstance, enc: CliqueEncoding, radix_mode:
     return KSumInstance(k=vs.k, numbers=numbers, target=target, bounds=(0, top))
 
 
-def _kclique_parts(g: CliqueInstance, radix_mode: str) -> tuple[CliqueEncoding, VectorSumInstance, KSumInstance]:
-    """kclique_to_ksum with the encoding and vector instance it packs."""
-    _check_vector_budget(g)
-    enc = encode_vertices(g.n, g.k)
-    vs = clique_to_vectorsum(g, encoding=enc)
-    return enc, vs, _pack_clique_vectors(vs, enc, radix_mode)
+def _clique_vertices(g: CliqueInstance, witness: Iterable[int]) -> tuple[int, ...]:
+    """The sorted vertices of the vertex vectors in a witness of g's vector
+    or packed instance: index i < k*n is vertex i // k, and packing keeps
+    index sets.
 
-
-def kclique_to_ksum(g: CliqueInstance, radix_mode: str = "uniform") -> KSumInstance:
-    """k-Clique to plain k'-SUM, k' = k + C(k,2), via the vector encoding.
-
-    uniform packs every coordinate in radix k'T+1; mixed packs the small-entry
-    coordinates in the tighter radix k'k+1, shrinking the numbers.
+    If the witness holds, they are a k-clique of g. Only vertex vectors
+    touch the count coordinate, so there are k of them. A slot coordinate
+    without one sums at most k-1 edge codes, below the threshold T, so
+    each slot has exactly one. The pair coordinates take one edge vector
+    per slot pair. With code c in slot s, the slot sums T - (k-1)c plus
+    k-1 edge codes, which must then sum to (k-1)c; the codes are
+    k-sum-free and injective, so each edge vector joins the vertices of
+    its two slots, and these differ because g has no loops.
     """
-    return _kclique_parts(g, radix_mode)[2]
+    kn = g.k * g.n
+    return tuple(sorted(i // g.k for i in witness if i < kn))
 
 
-def _decode_vector_witness(
-    g: CliqueInstance,
-    enc: CliqueEncoding,
-    vs: VectorSumInstance,
-    idxs: tuple[int, ...],
-) -> tuple[int, ...]:
-    """Decode sorted witness indices of the vector instance vs = the encoding
-    of g into the k clique vertices, re-asserting every step."""
-    if not verify_witness(vs, idxs):
-        raise MalformedWitnessError("witness does not verify in the vector instance")
-    k = g.k
-    slot_vertex: dict[int, int] = {}
-    pair_edges: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-    for idx in idxs:
-        origin = origin_of_index(g, idx)
-        if origin[0] == "vertex":
-            _, v, slot = origin
-            if slot in slot_vertex:
-                raise MalformedWitnessError(f"two vertex vectors claim slot {slot}")
-            slot_vertex[slot] = v
-        else:
-            _, first, second, i, j = origin
-            if (i, j) in pair_edges:
-                raise MalformedWitnessError(f"two edge vectors claim slot pair ({i},{j})")
-            pair_edges[(i, j)] = (first, second, i, j)
-    if len(slot_vertex) != k or len(pair_edges) != len(slot_pairs(k)):
-        raise MalformedWitnessError("witness is not k vertex vectors plus one edge vector per pair")
-    for (i, j), (first, second, _, _) in pair_edges.items():
-        if enc.codes[first] != enc.codes[slot_vertex[i]] or enc.codes[second] != enc.codes[slot_vertex[j]]:
-            raise MalformedWitnessError(f"edge codes at pair ({i},{j}) do not match the slot vertices")
-    verts = tuple(sorted(slot_vertex.values()))
+def _lift_to_clique(g: CliqueInstance, inst: VectorSumInstance | KSumInstance, kind: str,
+                    witness: Iterable[int]) -> tuple[int, ...]:
+    """Check a witness of g's vector or packed instance inst, project it
+    with _clique_vertices and check the result in g."""
+    idxs = tuple(sorted(witness))
+    if not verify_witness(inst, idxs):
+        raise MalformedWitnessError(f"witness does not verify in the {kind} instance")
+    verts = _clique_vertices(g, idxs)
     if not verify_witness(g, verts):
         raise MalformedWitnessError("decoded vertices are not a k-clique")
     return verts
@@ -308,22 +268,10 @@ def lift_vectorsum_witness_to_clique(
     witness: Iterable[int],
     encoding: CliqueEncoding | None = None,
 ) -> tuple[int, ...]:
-    """Decode a verified vector-instance witness into the k clique vertices,
-    re-asserting the structural steps: exactly one vertex vector per slot,
-    exactly one edge vector per slot pair, and matching codes at every slot."""
-    enc = encoding if encoding is not None else encode_vertices(g.n, g.k)
-    vs = clique_to_vectorsum(g, encoding=enc)
-    return _decode_vector_witness(g, enc, vs, tuple(sorted(witness)))
+    """The k-clique of g that a witness of its vector instance encodes."""
+    return _lift_to_clique(g, clique_to_vectorsum(g, encoding=encoding), "vector", witness)
 
 
 def lift_ksum_witness_to_clique(g: CliqueInstance, witness: Iterable[int], radix_mode: str = "uniform") -> tuple[int, ...]:
-    """Decode a verified k'-SUM witness back to the clique vertices: packing
-    keeps index sets, so the vector-level decoder applies unchanged. The
-    vector instance is built once and serves both checks."""
-    enc = encode_vertices(g.n, g.k)
-    vs = clique_to_vectorsum(g, encoding=enc)
-    ks = _pack_clique_vectors(vs, enc, radix_mode)
-    idxs = tuple(sorted(witness))
-    if not verify_witness(ks, idxs):
-        raise MalformedWitnessError("witness does not verify in the packed instance")
-    return _decode_vector_witness(g, enc, vs, idxs)
+    """The k-clique of g that a witness of its packed k'-SUM instance encodes."""
+    return _lift_to_clique(g, kclique_to_ksum(g, radix_mode), "packed", witness)

@@ -86,8 +86,8 @@ def _first_match(flags: Iterable[bool]) -> int | None:
 
 def _first_subset(items: Sequence[Any], k: int, key: Callable[[tuple[Any, ...]], Any], goal: Any,
                   budget: int) -> SolverReport:
-    """The one brute-force scan: the lexicographically first k-subset of
-    items whose key equals goal, as an index tuple, compared at C level.
+    """The lindep oracle's brute-force scan: the lexicographically first
+    k-subset of items whose key equals goal, as an index tuple, compared at C level.
     `candidates` counts the subsets examined up to the hit, all C(n, k)
     when none hits."""
     n = len(items)

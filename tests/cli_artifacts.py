@@ -42,6 +42,8 @@ EXPERIMENTS = (
     ("nodeweight_to_edgeweight,edgeweight_to_unweighted", "graph-node", (4, 7), (2, 3), (0, 4),
      {"alpha_mode": "present"}, 50),
     ("ksum_to_targetsum,targetsum_to_ksum", "ksum", (4, 8), (2, 3), (0, 25), {}, 100),
+    ("clique_to_vectorsum", "clique", (4, 4), (3, 3), (0, 5), {}, 30),
+    ("kclique_to_ksum", "clique", (4, 4), (3, 3), (0, 5), {"radix_mode": "mixed"}, 30),
 )
 
 VECTORSUM = {"type": "vectorsum", "k": 2, "dim": 2, "vectors": [["1", "2"], ["3", "0"], ["0", "4"], ["2", "2"]],

@@ -17,8 +17,18 @@ from ksumclique import (
     verify_sumfree,
 )
 from ksumclique import reduce_clique_to_sum as bwd
+from ksumclique.cli import REDUCTIONS
 
-from util import complete_edges, cycle_edges, oracle_kclique, oracle_ksum, oracle_vectorsum, pack_mixed_reference
+from util import (
+    all_sum_witnesses,
+    complete_edges,
+    cycle_edges,
+    decode_vector_witness_reference,
+    oracle_kclique,
+    oracle_ksum,
+    oracle_vectorsum,
+    pack_mixed_reference,
+)
 
 
 def test_encoding_properties():
@@ -90,17 +100,27 @@ def test_vector_count_formula():
         assert bwd.vector_count(n, len(g.edges), k) == k * n + 2 * comb(k, 2) * len(g.edges)
 
 
-def test_origin_of_index_decodes_emission_order():
+def test_vectors_are_emitted_vertex_major_then_edge_blocks():
+    # _clique_vertices reads vertex i // k off index i < k*n
     g = CliqueInstance(n=3, edges=((0, 1), (1, 2)), k=3)
-    vs = bwd.clique_to_vectorsum(g)
-    origins = [bwd.origin_of_index(g, i) for i in range(len(vs.vectors))]
-    assert origins[0] == ("vertex", 0, 1)
-    assert origins[1] == ("vertex", 0, 2)
-    assert origins[3] == ("vertex", 1, 1)
-    # edge blocks follow all vertex vectors, both orientations per slot pair
-    kinds = [o[0] for o in origins]
-    assert kinds[: 3 * 3] == ["vertex"] * 9
-    assert kinds[9:] == ["edge"] * (2 * 3 * 2)
+    enc = bwd.encode_vertices(3, 3)
+    vs = bwd.clique_to_vectorsum(g, encoding=enc)
+    k, dim, t = 3, enc.dim, enc.threshold
+    for v in range(g.n):
+        for slot in range(k):
+            want = [0] * dim
+            want[slot], want[-1] = t - (k - 1) * enc.codes[v], 1
+            assert vs.vectors[k * v + slot] == tuple(want)
+    pairs = list(combinations(range(1, k + 1), 2))
+    edge_vectors = iter(vs.vectors[k * g.n:])
+    for u, v in g.edges:
+        for i, j in pairs:
+            for first, second in ((u, v), (v, u)):
+                want = [0] * dim
+                want[i - 1], want[j - 1], want[k * i + j - 1] = enc.codes[first], enc.codes[second], 1
+                assert next(edge_vectors) == tuple(want)
+    assert next(edge_vectors, None) is None
+    assert bwd._clique_vertices(g, range(len(vs.vectors))) == (0, 0, 0, 1, 1, 1, 2, 2, 2)
 
 
 def test_pack_uniform_frozen():
@@ -321,14 +341,15 @@ def test_lift_builds_the_vector_instance_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("witness, message", [
-    ((0, 3, 8, 9, 11, 13), "two vertex vectors claim slot 1"),
-    ((0, 4, 8, 9, 15, 13), r"two edge vectors claim slot pair \(1,2\)"),
-    ((0, 1, 9, 11, 13), "witness is not k vertex vectors plus one edge vector per pair"),
-    ((0, 4, 8, 9, 11, 13), r"edge codes at pair \(1,3\) do not match the slot vertices"),
-])
-def test_lift_structure_checks_keep_their_messages(monkeypatch, witness, message):
-    # with the sum checks waved through, each structural check must fire
+@pytest.mark.parametrize("witness, want", [
+    ((0, 3, 8, 9, 11, 13), (0, 1, 2)),
+    ((0, 4, 8, 9, 15, 13), (0, 1, 2)),
+    ((0, 1, 9, 11, 13), None),
+    ((0, 4, 8, 9, 11, 13), (0, 1, 2)),
+], ids=["slot-1-twice", "pair-12-twice", "vertex-0-twice", "codes-off-slots"])
+def test_unchecked_witness_lifts_to_a_clique_or_is_refused(monkeypatch, witness, want):
+    # with the sum checks waved through, the end check still refuses
+    # whatever does not project to a k-clique of g
     real_verify = bwd.verify_witness
 
     def sums_pass(inst, w):
@@ -338,8 +359,38 @@ def test_lift_structure_checks_keep_their_messages(monkeypatch, witness, message
     k3 = CliqueInstance(n=3, edges=complete_edges(3), k=3)
     for lift in (lambda: bwd.lift_ksum_witness_to_clique(k3, witness, radix_mode="mixed"),
                  lambda: bwd.lift_vectorsum_witness_to_clique(k3, witness)):
-        with pytest.raises(MalformedWitnessError, match=f"^{message}$"):
-            lift()
+        if want is None:
+            with pytest.raises(MalformedWitnessError):
+                lift()
+        else:
+            assert lift() == want
+
+
+def test_projection_matches_the_structural_decoder():
+    """On every witness of the vector and both packed instances of seeded
+    graphs at k = 2 and 3, the projection, the public lifts and the CLI
+    lift all give what the structural decoder gives."""
+    rng = random.Random(2707)
+    checked = {2: 0, 3: 0}
+    for k, n_hi, count in ((2, 6, 30), (3, 4, 20)):
+        for _ in range(count):
+            n = rng.randint(k, n_hi)
+            g = CliqueInstance(n=n, edges=tuple(e for e in complete_edges(n) if rng.random() < 0.6), k=k)
+            codes = bwd.encode_vertices(n, k).codes
+            vs = bwd.clique_to_vectorsum(g)
+            witnesses = all_sum_witnesses(vs.vectors, vs.k, vs.target)
+            wants = [decode_vector_witness_reference(g, codes, w) for w in witnesses]
+            coll = REDUCTIONS["clique_to_vectorsum"].reduce(g, {})
+            for w, want in zip(witnesses, wants):
+                assert bwd._clique_vertices(g, w) == bwd.lift_vectorsum_witness_to_clique(g, w) == coll.lift(0, w) == want
+            for mode in ("uniform", "mixed"):
+                ks = bwd.kclique_to_ksum(g, mode)
+                assert all_sum_witnesses(ks.numbers, ks.k, ks.target) == witnesses
+                coll = REDUCTIONS["kclique_to_ksum"].reduce(g, {"radix_mode": mode})
+                for w, want in zip(witnesses, wants):
+                    assert bwd.lift_ksum_witness_to_clique(g, w, mode) == coll.lift(0, w) == want
+            checked[k] += len(witnesses)
+    assert checked[2] > 200 and checked[3] > 50
 
 
 def test_lift_rejects_wrong_shape_witness():

@@ -300,24 +300,25 @@ def _raised(call):
                                           ("kclique_to_ksum", {"radix_mode": "mixed"})])
 def test_backward_decoders_reuse_the_reduction_encoding(name, params, monkeypatch):
     """The CLI's clique_to_vectorsum and kclique_to_ksum collections lift each
-    witness of 40 seeded graphs to what the public lift gives, without
-    encoding the graph or building its vectors again, and refuse what the
-    public reduction refuses, with the same error first."""
+    witness of 40 seeded graphs at k = 2 and 20 at k = 3 to what the public
+    lift gives, without encoding the graph or building its vectors again,
+    and refuse what the public reduction refuses, with the same error first."""
     reduce = {"clique_to_vectorsum": bwd.clique_to_vectorsum,
               "kclique_to_ksum": lambda g: bwd.kclique_to_ksum(g, **params)}[name]
     lift = {"clique_to_vectorsum": bwd.lift_vectorsum_witness_to_clique,
             "kclique_to_ksum": lambda g, w: bwd.lift_ksum_witness_to_clique(g, w, **params)}[name]
     rng = random.Random(2205)
     cases = []
-    for _ in range(40):
-        g = gen_random_graph(rng.randint(2, 5), rng.random(), 2, plant_clique=rng.random() < 0.5,
-                             seed=rng.getrandbits(32))
-        coll = REDUCTIONS[name].reduce(g, params)
-        assert coll.items[0].instance == reduce(g)
-        rep = solve_auto(coll.items[0].instance)
-        if rep.solvable:
-            cases.append((g, coll, rep.witness))
-    assert len(cases) > 10
+    for k, n_lo, n_hi, count in ((2, 2, 5, 40), (3, 3, 4, 20)):
+        for _ in range(count):
+            g = gen_random_graph(rng.randint(n_lo, n_hi), rng.random(), k, plant_clique=rng.random() < 0.5,
+                                 seed=rng.getrandbits(32))
+            coll = REDUCTIONS[name].reduce(g, params)
+            assert coll.items[0].instance == reduce(g)
+            rep = solve_auto(coll.items[0].instance)
+            if rep.solvable:
+                cases.append((g, coll, rep.witness))
+    assert sum(g.k == 2 for g, _, _ in cases) > 10 and sum(g.k == 3 for g, _, _ in cases) > 5
     built = []
     for fn in ("encode_vertices", "clique_to_vectorsum"):
         def counted(*args, fn=fn, real=getattr(bwd, fn), **kw):

@@ -14,7 +14,9 @@ from ksumclique import (
     ValidationError,
     lift_lindep_witness,
     lindep_to_vectorsum,
+    parse_instance,
     serialize_collection,
+    serialize_instance,
     solve_ksum_bruteforce,
     solve_lindep_bruteforce,
     solve_targetsum_bruteforce,
@@ -34,6 +36,24 @@ def test_targetsum_validates_fields():
         TargetSumInstance(q=5, elements=(5,), k=1, target=0)
     with pytest.raises(ValidationError):
         TargetSumInstance(q=5, elements=(1,), k=1, target=7)
+
+
+@pytest.mark.parametrize("made, canonical", [
+    (lambda: TargetSumInstance(q=7, elements=(1, 2), k=1, target="1"),
+     TargetSumInstance(q=7, elements=(1, 2), k=1, target=1)),
+    (lambda: TargetSumInstance(q=7.0, elements=(1, 2), k=1, target=1),
+     TargetSumInstance(q=7, elements=(1, 2), k=1, target=1)),
+    (lambda: LinDepInstance(q="3", n=1, vectors=((1,), (2,)), k=1, target=(2,)),
+     LinDepInstance(q=3, n=1, vectors=((1,), (2,)), k=1, target=(2,))),
+    (lambda: LinDepInstance(q=3.0, n=1, vectors=((1,), (2,)), k=1, target=(2,)),
+     LinDepInstance(q=3, n=1, vectors=((1,), (2,)), k=1, target=(2,))),
+], ids=["targetsum-str-target", "targetsum-float-q", "lindep-str-q", "lindep-float-q"])
+def test_field_instances_convert_q_and_target_like_ksum(made, canonical):
+    # the modulus and the TargetSum target go through int(), as KSumInstance's
+    # numbers do, so the instance serializes canonically and parses back
+    inst = made()
+    assert inst == canonical and type(inst.q) is int
+    assert parse_instance(serialize_instance(inst)) == canonical
 
 
 def test_targetsum_to_ksum_worked_example():

@@ -9,6 +9,7 @@ import bisect
 import tracemalloc
 from itertools import combinations, product
 from math import isqrt
+from operator import sub
 
 from ksumclique import CliqueInstance, KSumInstance, ValidationError, VectorSumInstance, WeightedGraph
 
@@ -226,6 +227,56 @@ def lindep_decode(inst, item, witness):
         raise ValueError("combination misses the target mod q")
     used = sorted({i for _, i in pairs})
     return used + [i for i in range(inst.r) if i not in used][: inst.k - len(used)]
+
+
+def decode_vector_witness_reference(g, codes, witness):
+    """The structural decoder of clique_to_vectorsum witnesses as it was:
+    each index decoded to its origin under the emission order (vertex v in
+    slot s at v*k + s-1, then per edge, per slot pair, both orientations),
+    then exactly one vertex vector per slot, one edge vector per slot pair,
+    and edge codes equal to the codes of the slot vertices."""
+    k, n = g.k, g.n
+    pairs = list(combinations(range(1, k + 1), 2))
+    slot_vertex, pair_edges = {}, {}
+    for idx in sorted(witness):
+        if idx < k * n:
+            v, slot = idx // k, idx % k + 1
+            if slot in slot_vertex:
+                raise ValueError(f"two vertex vectors claim slot {slot}")
+            slot_vertex[slot] = v
+            continue
+        e, rest = divmod(idx - k * n, 2 * len(pairs))
+        (i, j), orient = pairs[rest // 2], rest % 2
+        u, v = g.edges[e]
+        if (i, j) in pair_edges:
+            raise ValueError(f"two edge vectors claim slot pair ({i},{j})")
+        pair_edges[(i, j)] = (u, v) if orient == 0 else (v, u)
+    if len(slot_vertex) != k or len(pair_edges) != len(pairs):
+        raise ValueError("witness is not k vertex vectors plus one edge vector per pair")
+    for (i, j), (first, second) in pair_edges.items():
+        if codes[first] != codes[slot_vertex[i]] or codes[second] != codes[slot_vertex[j]]:
+            raise ValueError(f"edge codes at pair ({i},{j}) do not match the slot vertices")
+    return tuple(sorted(slot_vertex.values()))
+
+
+def all_sum_witnesses(values, k, target):
+    """Every k-subset of values, ints or int vectors, whose sum is target, as
+    sorted index tuples, met in the middle: the first k // 2 indices (k >= 2),
+    then the rest, all above them."""
+    vecs = [v if isinstance(v, tuple) else (v,) for v in values]
+    goal = target if isinstance(target, tuple) else (target,)
+
+    def total(idxs):
+        return tuple(map(sum, zip(*(vecs[i] for i in idxs))))
+
+    tails = {}
+    for idxs in combinations(range(len(vecs)), k - k // 2):
+        tails.setdefault(total(idxs), []).append(idxs)
+    found = []
+    for head in combinations(range(len(vecs)), k // 2):
+        rest = tuple(map(sub, goal, total(head)))
+        found += [head + tail for tail in tails.get(rest, ()) if tail[0] > head[-1]]
+    return sorted(found)
 
 
 def normalize_edges_reference(n, edges):
