@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Any, Iterable, Sequence
 
+from . import solvers
 from .instances import (
     Instance,
     KSumInstance,
@@ -29,7 +30,6 @@ from .instances import (
     verify_witness,
 )
 from .modprime import _offset_items, is_prime
-from .solvers import DEFAULT_BUDGET, SolverReport, _first_subset, _first_sum_subset
 
 LINDEP_BUDGET = 2_000_000
 
@@ -171,7 +171,7 @@ def ksum_to_targetsum(inst: KSumInstance) -> TargetSumInstance:
     return TargetSumInstance(q=q, elements=inst.numbers, k=inst.k, target=inst.target)
 
 
-def lindep_to_vectorsum(inst: LinDepInstance, budget: int = LINDEP_BUDGET) -> ReducedCollection:
+def lindep_to_vectorsum(inst: LinDepInstance) -> ReducedCollection:
     """Expand every vector by every scalar, then guess the per-coordinate
     overshoot v in [0, k-1]^n: integer target z + q*v. The target lies in the
     span of some k distinct vectors iff some output instance is solvable.
@@ -183,8 +183,8 @@ def lindep_to_vectorsum(inst: LinDepInstance, budget: int = LINDEP_BUDGET) -> Re
     q, r, n, k = inst.q, inst.r, inst.n, inst.k
     if r < k:
         raise ParameterError(f"need r >= k, got r={r}, k={k}")
-    if k**n * q * r > budget:
-        raise ResourceBudgetError(f"expansion would cost {k ** n * q * r} units (budget {budget})")
+    if k**n * q * r > LINDEP_BUDGET:
+        raise ResourceBudgetError(f"expansion would cost {k ** n * q * r} units (budget {LINDEP_BUDGET})")
     expanded = []
     for c in range(q):
         for i in range(r):
@@ -246,16 +246,17 @@ def span_contains(q: int, vectors: Sequence[Sequence[int]], target: Sequence[int
     return not any(_reduce_against([c % q for c in target], basis, q))
 
 
-def solve_targetsum_bruteforce(inst: TargetSumInstance, budget: int = DEFAULT_BUDGET) -> SolverReport:
+def solve_targetsum_bruteforce(inst: TargetSumInstance) -> solvers.SolverReport:
     """Exact mod-q oracle: lexicographically first k distinct indices whose
     sum hits the target."""
-    return _first_sum_subset(inst.elements, inst.k, inst.target, budget, q=inst.q)
+    return solvers._first_sum_subset(inst.elements, inst.k, inst.target, solvers.DEFAULT_BUDGET, q=inst.q)
 
 
-def solve_lindep_bruteforce(inst: LinDepInstance, budget: int = 2_000_000) -> SolverReport:
+def solve_lindep_bruteforce(inst: LinDepInstance) -> solvers.SolverReport:
     """Exact span oracle: first k distinct indices whose vectors span the
     target over F_q, by Gaussian elimination per subset."""
-    return _first_subset(inst.vectors, inst.k, lambda vs: span_contains(inst.q, vs, inst.target), True, budget)
+    return solvers._first_subset(inst.vectors, inst.k, lambda vs: span_contains(inst.q, vs, inst.target), True,
+                                 LINDEP_BUDGET)
 
 
 def lift_lindep_witness(

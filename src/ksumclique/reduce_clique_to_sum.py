@@ -17,6 +17,7 @@ from itertools import accumulate
 from operator import lt, mul
 from typing import Iterable, Sequence
 
+from . import reduce_sum_to_clique as fwd
 from .instances import (
     CliqueInstance,
     KSumInstance,
@@ -27,7 +28,6 @@ from .instances import (
     VectorSumInstance,
     verify_witness,
 )
-from .reduce_sum_to_clique import VECTOR_BUDGET, slot_pairs
 from .sumfree import behrend_sumfree, greedy_sumfree_elements
 
 GREEDY_CODE_LIMIT = 64
@@ -72,7 +72,10 @@ class CliqueEncoding:
 
 def encode_vertices(n: int, k: int) -> CliqueEncoding:
     """Deterministic code source: brute-verified greedy set at desk scale
-    (smaller max element), digit-norm construction beyond."""
+    (smaller max element), digit-norm construction beyond; no codes for
+    no vertices."""
+    if n == 0:
+        return CliqueEncoding(k=k, codes=())
     if n <= GREEDY_CODE_LIMIT and k <= 4:
         codes = greedy_sumfree_elements(n, k)
     else:
@@ -95,8 +98,8 @@ def _check_vector_budget(g: CliqueInstance) -> None:
     or slot pair built."""
     k = g.k
     count, dim = vector_count(g.n, g.m, k), k * k + k + 1
-    if count * dim > VECTOR_BUDGET:
-        raise ResourceBudgetError(f"{count} vectors of {dim} coordinates exceed the work budget {VECTOR_BUDGET}")
+    if count * dim > fwd.VECTOR_BUDGET:
+        raise ResourceBudgetError(f"{count} vectors of {dim} coordinates exceed the work budget {fwd.VECTOR_BUDGET}")
 
 
 def clique_to_vectorsum(g: CliqueInstance, encoding: CliqueEncoding | None = None) -> VectorSumInstance:
@@ -116,7 +119,7 @@ def clique_to_vectorsum(g: CliqueInstance, encoding: CliqueEncoding | None = Non
         raise ParameterError("encoding does not cover the graph")
     dim = enc.dim
     t_thresh = enc.threshold
-    pairs = slot_pairs(k)
+    pairs = fwd.slot_pairs(k)
     vectors: list[tuple[int, ...]] = []
     for v in range(n):
         for slot in range(1, k + 1):
@@ -217,18 +220,16 @@ def kclique_to_ksum(g: CliqueInstance, radix_mode: str = "uniform") -> KSumInsta
     uniform packs every coordinate in radix k'T+1; mixed packs the small-entry
     coordinates in the tighter radix k'k+1, shrinking the numbers.
     """
-    _check_vector_budget(g)
-    enc = encode_vertices(g.n, g.k)
-    vs = clique_to_vectorsum(g, encoding=enc)
+    vs = clique_to_vectorsum(g)
     if radix_mode == "uniform":
         return vectorsum_to_ksum(vs)
     if radix_mode != "mixed":
         raise ParameterError(f"unknown radix mode {radix_mode!r}")
-    k = enc.k
-    radices = mixed_radices(k, enc.threshold)
+    k, t_thresh = g.k, vs.target[0]  # slot 1's target is the threshold T
+    radices = mixed_radices(k, t_thresh)
     numbers = _pack_vectors(vs.vectors, radices)
     target = pack_mixed(vs.target, radices)
-    top = pack_mixed([enc.threshold] * k + [k] * (k * k + 1), radices)
+    top = pack_mixed([t_thresh] * k + [k] * (k * k + 1), radices)
     return KSumInstance(k=vs.k, numbers=numbers, target=target, bounds=(0, top))
 
 

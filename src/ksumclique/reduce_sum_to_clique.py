@@ -315,13 +315,13 @@ def _check_alpha_budget(base: int, free: int, budget: int) -> None:
         raise ResourceBudgetError(f"alpha enumeration would need {count} tuples (budget {budget})")
 
 
-def alpha_tuples_full(bound: int, k: int, budget: int = ALPHA_BUDGET) -> Iterator[tuple[int, ...]]:
+def alpha_tuples_full(bound: int, k: int) -> Iterator[tuple[int, ...]]:
     """All assignments of C(k,2) integers in [-bound, bound] summing to zero:
     the first C(k,2)-1 coordinates run lexicographically, the last is forced
     and emitted only when in range."""
     _check_alpha_args(k)
     free = math.comb(k, 2) - 1
-    _check_alpha_budget(2 * bound + 1, free, budget)
+    _check_alpha_budget(2 * bound + 1, free, ALPHA_BUDGET)
     _check_alpha_coordinates(k)
     for head in product(range(-bound, bound + 1), repeat=free):
         last = -sum(head)
@@ -468,30 +468,25 @@ def _zero_sum_alphas(
         del extend  # extend refers to itself; without this the cycle keeps every table alive until the cyclic GC
 
 
-def present_alpha_tuples(g: WeightedGraph, k: int, budget: int = ALPHA_BUDGET) -> Iterator[tuple[int, ...]]:
+def present_alpha_tuples(g: WeightedGraph, k: int) -> Iterator[tuple[int, ...]]:
     """Zero-sum alpha tuples drawn only from weights the graph actually has.
 
     An alpha using an absent weight yields a slot pair with no edges and hence
     no k-clique, so pruning those preserves the OR over outputs. The search
     is _zero_sum_alphas with no slot cut: every head of
     product(support, repeat=C(k,2)-1), in lexicographic order, whose forced
-    last coordinate is a present weight. The budget bounds
+    last coordinate is a present weight. ALPHA_BUDGET bounds
     support^(C(k,2)-1).
     """
     _check_alpha_args(k, g)
     buckets = g.edges_by_weight
     if buckets:
-        _check_alpha_budget(len(buckets), math.comb(k, 2) - 1, budget)
+        _check_alpha_budget(len(buckets), math.comb(k, 2) - 1, ALPHA_BUDGET)
     _check_alpha_coordinates(k)
     yield from _zero_sum_alphas(k, dict.fromkeys(buckets, (-1, -1)))
 
 
-def consistent_alpha_tuples(
-    g: WeightedGraph,
-    k: int,
-    budget: int = ALPHA_BUDGET,
-    counter: list[int] | None = None,
-) -> Iterator[tuple[int, ...]]:
+def consistent_alpha_tuples(g: WeightedGraph, k: int, counter: list[int] | None = None) -> Iterator[tuple[int, ...]]:
     """The present-mode alphas whose every slot can still hold a vertex.
 
     A k-clique of an alpha graph puts in slot i a source vertex that is the
@@ -504,10 +499,10 @@ def consistent_alpha_tuples(
     of present_alpha_tuples that keeps every alpha whose graph has a
     k-clique, in the same order.
 
-    The budget bounds the heads met per call: each bisect window at the last
-    free coordinate counts in full when entered, and k = 2 has one empty
-    head. Each is a present-mode head, so no graph whose support^(C(k,2)-1)
-    fits the budget can exceed it. counter[0], when given, accumulates them.
+    ALPHA_BUDGET bounds the heads met per call: each bisect window at the last
+    free coordinate counts in full when entered, and k = 2 has one empty head.
+    Each is a present-mode head, so no graph whose support^(C(k,2)-1) fits the
+    budget can exceed it. counter[0], when given, accumulates them.
     """
     _check_alpha_args(k, g)
     _check_alpha_coordinates(k)
@@ -527,8 +522,8 @@ def consistent_alpha_tuples(
 
     def try_heads(count: int) -> None:
         nodes[0] += count
-        if nodes[0] - base > budget:
-            raise ResourceBudgetError(f"alpha search needs more than {budget} heads")
+        if nodes[0] - base > ALPHA_BUDGET:
+            raise ResourceBudgetError(f"alpha search needs more than {ALPHA_BUDGET} heads")
 
     yield from _zero_sum_alphas(k, ends, try_heads, (starts_at, ends_at))
 
@@ -575,13 +570,12 @@ def build_alpha_instance(g: WeightedGraph, k: int, alpha: tuple[int, ...]) -> Cl
 
 
 def _alpha_enumerator(alpha_mode: str) -> Callable[[WeightedGraph], Iterator[tuple[int, ...]]]:
-    """The alphas of one mode as a function of the graph, at its arity and
-    under ALPHA_BUDGET as read at call time: full over the declared weight
-    bound, present over the weights the graph has."""
+    """The alphas of one mode as a function of the graph, at its arity: full
+    over the declared weight bound, present over the weights the graph has."""
     if alpha_mode == "full":
-        return lambda g: alpha_tuples_full(g.weight_bound, g.k, budget=ALPHA_BUDGET)
+        return lambda g: alpha_tuples_full(g.weight_bound, g.k)
     if alpha_mode == "present":
-        return lambda g: present_alpha_tuples(g, g.k, budget=ALPHA_BUDGET)
+        return lambda g: present_alpha_tuples(g, g.k)
     raise ParameterError(f"unknown alpha mode {alpha_mode!r}")
 
 

@@ -178,9 +178,9 @@ def _first_sum_subset(values: Sequence[int], k: int, goal: int, budget: int, q: 
     return SolverReport(True, found[1], {"candidates": found[0] + 1})
 
 
-def solve_ksum_bruteforce(inst: KSumInstance, budget: int = DEFAULT_BUDGET) -> SolverReport:
+def solve_ksum_bruteforce(inst: KSumInstance) -> SolverReport:
     """The lexicographically first index k-subset that sums to the target."""
-    return _first_sum_subset(inst.numbers, inst.k, inst.target, budget)
+    return _first_sum_subset(inst.numbers, inst.k, inst.target, DEFAULT_BUDGET)
 
 
 def _colex_sums(numbers: tuple[int, ...], m: int) -> list[int]:
@@ -217,7 +217,7 @@ def _group_meets_table(table: set[int], sums: Iterable[int]) -> bool:
     return not table.isdisjoint(sums)
 
 
-def solve_ksum_mim(inst: KSumInstance, budget: int = DEFAULT_BUDGET) -> SolverReport:
+def solve_ksum_mim(inst: KSumInstance) -> SolverReport:
     """Meet in the middle with a table that grows as the search needs it.
 
     The k chosen indices split into a left half of ceil(k/2) and a right half
@@ -252,7 +252,7 @@ def solve_ksum_mim(inst: KSumInstance, budget: int = DEFAULT_BUDGET) -> SolverRe
     b = k // 2
     if k > n:
         return SolverReport(False, None, {"table_size": 0, "probes": 0})
-    _guard_combinations(n, a, budget)
+    _guard_combinations(n, a, DEFAULT_BUDGET)
     witness = None
     if b == 0:
         table = set(numbers)
@@ -298,7 +298,7 @@ def solve_ksum_mim(inst: KSumInstance, budget: int = DEFAULT_BUDGET) -> SolverRe
     )
 
 
-def solve_vectorsum_bruteforce(inst: VectorSumInstance, budget: int = DEFAULT_BUDGET) -> SolverReport:
+def solve_vectorsum_bruteforce(inst: VectorSumInstance) -> SolverReport:
     """The lexicographically first index k-subset whose vectors sum to the
     target; a target outside the k-fold entry range short-circuits to
     unsolvable with zero candidates examined.
@@ -311,12 +311,12 @@ def solve_vectorsum_bruteforce(inst: VectorSumInstance, budget: int = DEFAULT_BU
         report = SolverReport(False, None, {"candidates": 0})
     else:
         vectors, k = inst.vectors, inst.k
-        _guard_combinations(len(vectors), k, budget)  # before packing n vectors
+        _guard_combinations(len(vectors), k, DEFAULT_BUDGET)  # before packing n vectors
         lo, hi = inst.entry_bounds
         radix = k * (hi - lo) + 1
         weights = [radix ** i for i in range(inst.dim)]
         packed = [sum(map(mul, v, weights)) for v in vectors]
-        report = _first_sum_subset(packed, k, sum(map(mul, inst.target, weights)), budget)
+        report = _first_sum_subset(packed, k, sum(map(mul, inst.target, weights)), DEFAULT_BUDGET)
     report.stats["range_pruned"] = inst.trivially_unsolvable
     return report
 
@@ -383,7 +383,7 @@ def _guard_clique_search(n: int, k: int, edges: tuple[tuple[int, int], ...], bud
         raise ResourceBudgetError(f"k-clique search on n={n}, k={k} exceeds the work budget {budget}")
 
 
-def solve_kclique_bruteforce(inst: CliqueInstance | WeightedGraph, budget: int = DEFAULT_BUDGET) -> SolverReport:
+def solve_kclique_bruteforce(inst: CliqueInstance | WeightedGraph) -> SolverReport:
     """Exact k-clique search honoring the node- or edge-weight target of a
     weighted graph.
 
@@ -399,7 +399,7 @@ def solve_kclique_bruteforce(inst: CliqueInstance | WeightedGraph, budget: int =
     witness = None
     counter = [0]
     if k <= n:
-        _guard_clique_search(n, k, inst.edges, budget)
+        _guard_clique_search(n, k, inst.edges, DEFAULT_BUDGET)
         cliques = _kcliques(n, inst.edges, k, counter)
         if isinstance(inst, WeightedGraph):
             if inst.node_weights is not None:

@@ -10,6 +10,7 @@ import pytest
 from ksumclique import (
     CliqueInstance,
     MalformedWitnessError,
+    ParameterError,
     ResourceBudgetError,
     ValidationError,
     solve_ksum_mim,
@@ -17,6 +18,8 @@ from ksumclique import (
     verify_sumfree,
 )
 from ksumclique import reduce_clique_to_sum as bwd
+from ksumclique import reduce_sum_to_clique as fwd
+from ksumclique import solvers
 from ksumclique.cli import REDUCTIONS
 
 from util import (
@@ -302,16 +305,30 @@ def test_packed_mim_frozen():
                 assert lifted == oracle_kclique(n, edges, k)
 
 
-def test_packed_mim_budget_guard():
+@pytest.mark.parametrize("reduce", [bwd.clique_to_vectorsum, bwd.kclique_to_ksum], ids=["vectors", "packed"])
+def test_backward_reductions_refuse_arity_one_alike(reduce):
+    with pytest.raises(ParameterError, match=r"^arity must be >= 2, got 1$"):
+        reduce(CliqueInstance(n=4, edges=((0, 1),), k=1))
+
+
+def test_no_vertices_encode_to_no_codes():
+    # k >= 5 would take the digit-norm construction, which needs n >= 1
+    for k in range(2, 7):
+        assert bwd.encode_vertices(0, k) == bwd.CliqueEncoding(k=k, codes=())
+
+
+def test_packed_mim_budget_guard(monkeypatch):
     k4 = CliqueInstance(n=4, edges=complete_edges(4), k=4)
     ks = bwd.kclique_to_ksum(k4)
     assert ks.n == 88 and comb(88, 5) > 20_000_000
     with pytest.raises(ResourceBudgetError):
         solve_ksum_mim(ks)
     tri = bwd.kclique_to_ksum(CliqueInstance(n=3, edges=complete_edges(3), k=3))
+    monkeypatch.setattr(solvers, "DEFAULT_BUDGET", comb(tri.n, 3) - 1)
     with pytest.raises(ResourceBudgetError):
-        solve_ksum_mim(tri, budget=comb(tri.n, 3) - 1)
-    assert solve_ksum_mim(tri, budget=comb(tri.n, 3)).solvable
+        solve_ksum_mim(tri)
+    monkeypatch.setattr(solvers, "DEFAULT_BUDGET", comb(tri.n, 3))
+    assert solve_ksum_mim(tri).solvable
 
 
 def test_lift_builds_the_vector_instance_once(monkeypatch):
@@ -441,9 +458,9 @@ def test_vectorsum_route_matches_clique_oracle():
 def test_vector_budget_refuses_before_encoding(monkeypatch):
     g = CliqueInstance(n=5, edges=complete_edges(5), k=3)
     entries = bwd.vector_count(5, 10, 3) * 13  # (3*5 + 2*3*10) vectors of 3^2+3+1 coordinates
-    monkeypatch.setattr(bwd, "VECTOR_BUDGET", entries)
+    monkeypatch.setattr(fwd, "VECTOR_BUDGET", entries)
     want_vs, want_ks = bwd.clique_to_vectorsum(g), bwd.kclique_to_ksum(g)
-    monkeypatch.setattr(bwd, "VECTOR_BUDGET", entries - 1)
+    monkeypatch.setattr(fwd, "VECTOR_BUDGET", entries - 1)
 
     def no_encoding(n, k):
         raise AssertionError("vertices encoded before the budget check")

@@ -21,6 +21,7 @@ from ksumclique import (
     LinDepInstance,
     MalformedWitnessError,
     ParameterError,
+    ResourceBudgetError,
     TargetSumInstance,
     VectorSumInstance,
     parse_collection,
@@ -44,6 +45,7 @@ from ksumclique.cli import (
     run_equivalence_experiment,
     solve_auto,
 )
+from ksumclique import fieldapps, solvers
 from ksumclique import reduce_clique_to_sum as bwd
 from ksumclique import reduce_sum_to_clique as fwd
 from ksumclique.solvers import _kcliques
@@ -330,10 +332,14 @@ def test_backward_decoders_reuse_the_reduction_encoding(name, params, monkeypatc
         with pytest.raises(MalformedWitnessError):
             coll.lift(0, _one_id_changed(coll.items[0].instance, witness))
     assert len(built) == 2 * len(cases)  # the public lifts only
-    refused = [CliqueInstance(n=4, edges=((0, 1),), k=1), CliqueInstance(n=0, edges=(), k=2),
-               CliqueInstance(n=10**7, edges=(), k=1), CliqueInstance(n=10**7, edges=(), k=3)]
+    refused = [CliqueInstance(n=4, edges=((0, 1),), k=1), CliqueInstance(n=10**7, edges=(), k=1),
+               CliqueInstance(n=10**7, edges=(), k=3)]
     for g in refused:
         assert _raised(lambda: REDUCTIONS[name].reduce(g, params)) == _raised(lambda: reduce(g)) is not None
+    for k in (2, 3, 5, 6):  # k >= 5 takes the digit-norm codes
+        g = CliqueInstance(n=0, edges=(), k=k)
+        assert REDUCTIONS[name].reduce(g, params).items[0].instance == reduce(g)
+        assert not solve_auto(reduce(g)).solvable
     g = CliqueInstance(n=3, edges=((0, 1), (0, 2), (1, 2)), k=2)
     assert _raised(lambda: REDUCTIONS["kclique_to_ksum"].reduce(g, {"radix_mode": "bogus"})) == \
         _raised(lambda: bwd.kclique_to_ksum(g, radix_mode="bogus")) == ("ParameterError", "unknown radix mode 'bogus'")
@@ -857,6 +863,39 @@ def test_cli_reduce_carry_count_within_the_budget_is_unchanged(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "28044463ed25857f236f1ff274a9eeb1652884a939d88eb28c0418a8abf503ab"
     )
+
+
+def test_each_work_bound_is_one_constant_read_where_it_is_checked(monkeypatch):
+    """Each work bound is one module constant that every check reads when
+    it runs, so patched low it refuses every solver and reduction it bounds:
+    those that check it themselves and those that reach it through another
+    module or a search they call. With the shipped values each call runs."""
+    nw = gen_random_graph(24, 0.3, 3, weights="node", big_m=60, seed=5)
+    ew = gen_random_graph(5, 1.0, 3, weights="edge", big_m=9, seed=3)
+    assert len(ew.edges_by_weight) ** 2 > 10  # present-mode heads support^(C(3,2)-1)
+    ten = make_ksum(list(range(10)), 3, 100)
+    targetsum = TargetSumInstance(q=11, elements=tuple(range(10)), k=3, target=4)
+    k4 = CliqueInstance(n=4, edges=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), k=3)
+    lindep = LinDepInstance(q=2, n=5, vectors=tuple((i % 2, (i // 2) % 2, 1, 0, 1) for i in range(8)), k=3,
+                            target=(1, 1, 1, 1, 1))
+    cases = [
+        (fwd, "ALPHA_BUDGET", 10, [lambda: SOLVERS["nw-triangle"](nw), lambda: list(fwd.present_alpha_tuples(ew, 3)),
+                                   lambda: REDUCTIONS["edgeweight_to_unweighted"].reduce(ew, {"alpha_mode": "present"})]),
+        (solvers, "DEFAULT_BUDGET", 5, [lambda: SOLVERS["ksum-brute"](ten), lambda: SOLVERS["ksum-mim"](ten),
+                                        lambda: SOLVERS["targetsum-brute"](targetsum)]),
+        (fwd, "VECTOR_BUDGET", 10, [lambda: REDUCTIONS["clique_to_vectorsum"].reduce(k4, {}),
+                                    lambda: REDUCTIONS["kclique_to_ksum"].reduce(k4, {"radix_mode": "mixed"})]),
+        (fieldapps, "LINDEP_BUDGET", 5, [lambda: SOLVERS["lindep-brute"](lindep),
+                                         lambda: REDUCTIONS["lindep_to_vectorsum"].reduce(lindep, {})]),
+    ]
+    for module, name, bound, calls in cases:
+        for call in calls:
+            call()
+        monkeypatch.setattr(module, name, bound)
+        for call in calls:
+            with pytest.raises(ResourceBudgetError):
+                call()
+        monkeypatch.undo()
 
 
 def test_cli_subsetsum_mode_huge_numbers(tmp_path):

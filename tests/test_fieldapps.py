@@ -24,6 +24,7 @@ from ksumclique import (
     span_contains,
     targetsum_to_ksum,
 )
+from ksumclique import fieldapps
 from ksumclique.fieldapps import decode_expanded_index, ksum_to_targetsum
 
 from util import lindep_decode, make_ksum, oracle_ksum, oracle_lindep, oracle_span
@@ -203,11 +204,12 @@ def test_lindep_arity_needs_enough_vectors():
         lindep_to_vectorsum(inst)
 
 
-def test_lindep_budget_guard():
+def test_lindep_budget_guard(monkeypatch):
     vecs = tuple((i % 2, (i // 2) % 2, 1, 0, 1) for i in range(8))
     inst = LinDepInstance(q=2, n=5, vectors=vecs, k=3, target=(1, 1, 1, 1, 1))
+    monkeypatch.setattr(fieldapps, "LINDEP_BUDGET", 50)
     with pytest.raises(ResourceBudgetError):
-        lindep_to_vectorsum(inst, budget=50)
+        lindep_to_vectorsum(inst)
 
 
 TARGETSUM_DIGEST = "990f6bed2661a7f28f18fee64995962f9071ad5787c1bcaac5b99a7ddae04356"

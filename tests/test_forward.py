@@ -4,6 +4,7 @@ zero-sum edge-weight guesses, merging, and the small-number pipeline."""
 import random
 from itertools import combinations, product
 from math import comb, isqrt
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -498,11 +499,12 @@ def test_alpha_tuples_full_frozen():
     assert all(sum(a) == 0 for a in tuples)
 
 
-def test_alpha_budget_guard():
+def test_alpha_budget_guard(monkeypatch):
     from ksumclique import ResourceBudgetError
 
+    monkeypatch.setattr(fwd, "ALPHA_BUDGET", 100)
     with pytest.raises(ResourceBudgetError):
-        list(fwd.alpha_tuples_full(1000, 4, budget=100))
+        list(fwd.alpha_tuples_full(1000, 4))
 
 
 def test_edgeless_graph_produces_no_cliques():
@@ -544,7 +546,7 @@ def _random_ew_graph(rng, lo, hi):
     return make_ew_graph(n, edges, 3, [rng.randint(lo, hi) for _ in edges], target=0)
 
 
-def test_present_alpha_tuples_matches_product_filter_random():
+def test_present_alpha_tuples_matches_product_filter_random(monkeypatch):
     """The windowed enumeration yields exactly the filtered product, in order."""
     rng = random.Random(23)
     seen = {"empty": 0, "single": 0, "budget": 0}
@@ -553,6 +555,7 @@ def test_present_alpha_tuples_matches_product_filter_random():
         g = _random_ew_graph(rng, lo, lo + rng.choice([0, 1, 4, 9]))
         k = 2 + trial % 3
         budget = rng.choice([30, 200_000])
+        monkeypatch.setattr(fwd, "ALPHA_BUDGET", budget)
         support = sorted({w for _, _, w in g.edge_weights})
         free = comb(k, 2) - 1
         seen["empty"] += not support
@@ -560,10 +563,10 @@ def test_present_alpha_tuples_matches_product_filter_random():
         if support and len(support) ** free > budget:
             seen["budget"] += 1
             with pytest.raises(ResourceBudgetError):
-                list(fwd.present_alpha_tuples(g, k, budget=budget))
+                list(fwd.present_alpha_tuples(g, k))
             continue
         expected = [h + (-sum(h),) for h in product(support, repeat=free) if -sum(h) in support]
-        assert list(fwd.present_alpha_tuples(g, k, budget=budget)) == expected
+        assert list(fwd.present_alpha_tuples(g, k)) == expected
     assert min(seen.values()) > 0, seen
 
 
@@ -619,10 +622,12 @@ def test_choose_radix_at_a_huge_digit_count_builds_no_power():
     assert peak_traced_bytes(lambda: fwd.choose_radix(3, 30, 10**6)) < 64 * 1024
 
 
-def test_alpha_budget_count_is_written_out_up_to_1024_bits():
+def test_alpha_budget_count_is_written_out_up_to_1024_bits(monkeypatch):
     # 11^5 has 18 bits and 11^779 (k = 40) about 2,700
-    with pytest.raises(ResourceBudgetError, match=r"would need 161051 tuples \(budget 100\)"):
-        list(fwd.alpha_tuples_full(5, 4, budget=100))
+    with monkeypatch.context() as m:
+        m.setattr(fwd, "ALPHA_BUDGET", 100)
+        with pytest.raises(ResourceBudgetError, match=r"would need 161051 tuples \(budget 100\)"):
+            list(fwd.alpha_tuples_full(5, 4))
     with pytest.raises(ResourceBudgetError, match=r"would need 11\^779 tuples \(budget 200000\)"):
         list(fwd.alpha_tuples_full(5, 40))
 
@@ -673,10 +678,11 @@ def test_alpha_graphs_refuse_more_vertices_than_the_budget(monkeypatch):
         monkeypatch.undo()
 
 
-def test_consistent_alpha_tuples_drops_only_clique_free_alphas_random():
+def test_consistent_alpha_tuples_drops_only_clique_free_alphas_random(monkeypatch):
     """The slot-consistent alphas are present-mode alphas in the same order,
     every dropped alpha's graph has no k-clique (so every alpha with one is
-    kept), and a budget present mode accepts is never exceeded."""
+    kept), and a budget present mode accepts is never exceeded. ALPHA_BUDGET
+    also bounds the C(k,2) coordinates, so it is patched no lower than that."""
     rng = random.Random(29)
     seen = {"empty": 0, "single": 0, "negative": 0, "dropped": 0, "kept_clique": 0}
     for trial in range(300):
@@ -688,9 +694,10 @@ def test_consistent_alpha_tuples_drops_only_clique_free_alphas_random():
         seen["single"] += len(support) == 1
         seen["negative"] += bool(support) and support[0] < 0
         heads = len(support) ** (comb(k, 2) - 1)
-        present = list(fwd.present_alpha_tuples(g, k, budget=heads))
+        monkeypatch.setattr(fwd, "ALPHA_BUDGET", max(heads, comb(k, 2)))
+        present = list(fwd.present_alpha_tuples(g, k))
         counter = [0]
-        kept = list(fwd.consistent_alpha_tuples(g, k, budget=heads, counter=counter))
+        kept = list(fwd.consistent_alpha_tuples(g, k, counter=counter))
         assert counter[0] <= heads
         pos = 0
         for alpha in present:
@@ -754,18 +761,23 @@ def _slot_consistent_reference(g, k):
 def _check_against_slot_consistent_reference(g, k):
     """The search yields the reference alphas in order and counts exactly the
     reference heads; a budget of one head fewer raises only after yielding
-    every alpha of the prefixes before the last counted window."""
+    every alpha of the prefixes before the last counted window. The budget
+    also bounds the C(k,2) coordinates: below them it raises before any head."""
     expected, heads, last_prefix = _slot_consistent_reference(g, k)
     counter = [3]
-    assert list(fwd.consistent_alpha_tuples(g, k, budget=heads, counter=counter)) == expected
+    with patch.object(fwd, "ALPHA_BUDGET", max(heads, comb(k, 2))):
+        assert list(fwd.consistent_alpha_tuples(g, k, counter=counter)) == expected
     assert counter == [3 + heads]
     got: list[tuple[int, ...]] = []
-    if heads:
-        with pytest.raises(ResourceBudgetError):
-            for alpha in fwd.consistent_alpha_tuples(g, k, budget=heads - 1):
+    if heads > comb(k, 2):
+        with patch.object(fwd, "ALPHA_BUDGET", heads - 1), pytest.raises(ResourceBudgetError, match="heads$"):
+            for alpha in fwd.consistent_alpha_tuples(g, k):
                 got.append(alpha)
         width = len(last_prefix)
         assert got == [alpha for alpha in expected if alpha[:width] < last_prefix]
+    elif heads:
+        with patch.object(fwd, "ALPHA_BUDGET", heads - 1), pytest.raises(ResourceBudgetError, match="coordinates"):
+            next(fwd.consistent_alpha_tuples(g, k))
     return expected, got
 
 
@@ -807,14 +819,18 @@ def test_consistent_alpha_tuples_matches_the_reference_property(case):
     _check_against_slot_consistent_reference(*case)
 
 
-def test_consistent_alpha_tuples_budget_counts_heads():
-    # a path 0-1-2 with two weights: 2 heads at the last free coordinate for k = 3
+def test_consistent_alpha_tuples_budget_counts_heads(monkeypatch):
+    # a path 0-1-2 with two weights: 2 heads at the last free coordinate for
+    # k = 3; the budget also bounds the 3 coordinates, so 3 is the least it runs at
     g = make_ew_graph(3, [(0, 1), (1, 2)], 3, [1, -1])
     counter = [5]
-    assert list(fwd.consistent_alpha_tuples(g, 3, budget=2, counter=counter)) == []
+    monkeypatch.setattr(fwd, "ALPHA_BUDGET", 3)
+    assert list(fwd.consistent_alpha_tuples(g, 3, counter=counter)) == []
     assert counter == [7]
+    monkeypatch.setattr(fwd, "ALPHA_BUDGET", 1)
     with pytest.raises(ResourceBudgetError):
-        list(fwd.consistent_alpha_tuples(g, 3, budget=1))
+        list(fwd.consistent_alpha_tuples(g, 3))
+    monkeypatch.undo()
     tri = make_ew_graph(3, complete_edges(3), 3, [1, -1, 0])
     assert list(fwd.consistent_alpha_tuples(tri, 3)) == [(1, -1, 0)]
 

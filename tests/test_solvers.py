@@ -3,8 +3,10 @@ node-weight clique pipeline."""
 
 import random
 from collections import Counter
+from contextlib import contextmanager
 from itertools import chain, combinations
 from math import comb, isqrt
+from unittest.mock import patch
 
 import pytest
 
@@ -28,6 +30,7 @@ from ksumclique import (
     solve_vectorsum_bruteforce,
     verify_witness,
 )
+from ksumclique import fieldapps
 from ksumclique import reduce_clique_to_sum as bwd
 from ksumclique import reduce_sum_to_clique as fwd
 from ksumclique import solvers
@@ -281,6 +284,13 @@ def _random_subset_instances(rng):
     yield solve_lindep_bruteforce, LinDepInstance(q=q, n=dim, vectors=vectors, k=k, target=target), n
 
 
+@contextmanager
+def _oracle_bounds(bound):
+    """The brute-force oracles' work bounds, subset-sum and span, set to bound."""
+    with patch.object(solvers, "DEFAULT_BUDGET", bound), patch.object(fieldapps, "LINDEP_BUDGET", bound):
+        yield
+
+
 def test_brute_oracles_match_a_plain_reference_scan():
     rng = random.Random(1313)
     seen = set()
@@ -292,9 +302,10 @@ def test_brute_oracles_match_a_plain_reference_scan():
             assert (rep.witness, rep.stats["candidates"]) == (witness, examined)
             seen.add("pruned" if pruned else "empty" if n == 0 else "k>n" if inst.k > n else witness is not None)
             if inst.k <= n and not pruned:
-                with pytest.raises(ResourceBudgetError):
-                    solve(inst, budget=comb(n, inst.k) - 1)
-                assert solve(inst, budget=comb(n, inst.k)).to_json_dict() == rep.to_json_dict()
+                with _oracle_bounds(comb(n, inst.k) - 1), pytest.raises(ResourceBudgetError):
+                    solve(inst)
+                with _oracle_bounds(comb(n, inst.k)):
+                    assert solve(inst).to_json_dict() == rep.to_json_dict()
         n, k = rng.randint(0, 8), rng.randint(1, 4)
         edges = tuple(e for e in complete_edges(n) if rng.random() < rng.random())
         for g in (make_nw_graph(n, edges, k, [rng.randint(-3, 3) for _ in range(n)], target=rng.randint(-4, 4)),
@@ -366,7 +377,7 @@ def _random_sum_cases(rng):
         TargetSumInstance(q=q, elements=tuple(elements), k=k, target=rng.randrange(q)), n
     q = rng.choice((1, 2))
     goal = rng.randrange(q)
-    yield lambda args, b: solvers._first_sum_subset(*args, b, q=q), \
+    yield lambda args: solvers._first_sum_subset(*args, solvers.DEFAULT_BUDGET, q=q), \
         lambda args, b: solvers._first_subset(args[0], args[1], lambda xs: sum(xs) % q, args[2], b), \
         (numbers, k, goal), n
 
@@ -381,7 +392,9 @@ def test_subset_sum_oracles_match_the_plain_scan_on_both_paths(sum_path):
             k = inst[1] if isinstance(inst, tuple) else inst.k
             budgets = [solvers.DEFAULT_BUDGET] + ([comb(n, k) - 1] if 0 < k <= n else [])
             for budget in budgets:
-                assert _outcome(solve, inst, budget) == _outcome(reference, inst, budget), (path, inst, budget)
+                with patch.object(solvers, "DEFAULT_BUDGET", budget):
+                    got = _outcome(solve, inst)
+                assert got == _outcome(reference, inst, budget), (path, inst, budget)
     if path == "cost rule":
         assert counts["scan"] > 0 and counts["meet"] > 0
     else:
@@ -504,10 +517,11 @@ def test_kcliques_enumerates_all():
     assert list(_kcliques(2, ((0, 1),), 3, [0])) == []
 
 
-def test_clique_budget_guard():
+def test_clique_budget_guard(monkeypatch):
     big = CliqueInstance(n=600, edges=complete_edges(120), k=5)
+    monkeypatch.setattr(solvers, "DEFAULT_BUDGET", 1000)
     with pytest.raises(ResourceBudgetError):
-        solve_kclique_bruteforce(big, budget=1000)
+        solve_kclique_bruteforce(big)
 
 
 def test_clique_guard_counts_only_vertices_with_an_edge():
@@ -563,18 +577,19 @@ def test_work_guards_refuse_without_building_the_binomial(solve):
     assert peak_traced_bytes(refused) < 32 * 1024
 
 
-def test_sparse_graph_beats_naive_combination_count():
+def test_sparse_graph_beats_naive_combination_count(monkeypatch):
     # budget below C(n,k) but the degree-aware guard admits the sparse graph
+    monkeypatch.setattr(solvers, "DEFAULT_BUDGET", 200_000)
     n = 400
     edges = [(i, i + 1) for i in range(n - 1)]
     g = CliqueInstance(n=n, edges=tuple(edges), k=3)
-    rep = solve_kclique_bruteforce(g, budget=200_000)
+    rep = solve_kclique_bruteforce(g)
     assert not rep.solvable
     # a long sparse graph whose only triangle sits at the end
     n = 6000
     edges = tuple((i, i + 1) for i in range(n - 1)) + ((n - 3, n - 1),)
     g = CliqueInstance(n=n, edges=edges, k=3)
-    rep = solve_kclique_bruteforce(g, budget=200_000)
+    rep = solve_kclique_bruteforce(g)
     assert rep.witness == (n - 3, n - 2, n - 1)
     assert rep.stats["nodes_expanded"] == (n - 2) + 1 + 2  # top level, vertex n - 2, vertex n - 1 and the clique
     assert list(_kcliques(g.n, g.edges, g.k, [0])) == [(n - 3, n - 2, n - 1)]
