@@ -45,7 +45,6 @@ from .reduce_sum_to_clique import (
     smallksum_to_kclique,
 )
 from .reduce_clique_to_sum import (
-    CliqueEncoding,
     clique_to_vectorsum,
     kclique_to_ksum,
     lift_ksum_witness_to_clique,

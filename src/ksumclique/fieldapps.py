@@ -46,6 +46,7 @@ class TargetSumInstance(Instance):
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", int(self.q))
         object.__setattr__(self, "elements", tuple(int(x) for x in self.elements))
+        object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "target", int(self.target))
         if self.q < 2:
             raise ValidationError(f"modulus must be >= 2, got {self.q}")
@@ -99,6 +100,7 @@ class LinDepInstance(Instance):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", int(self.q))
+        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "vectors", tuple(tuple(int(c) for c in v) for v in self.vectors))
         object.__setattr__(self, "target", tuple(int(c) for c in self.target))
         if not is_prime(self.q):

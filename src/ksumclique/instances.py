@@ -187,6 +187,7 @@ class KSumInstance(Instance):
     bounds: tuple[int, int]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "numbers", tuple(int(x) for x in self.numbers))
         object.__setattr__(self, "target", int(self.target))
         object.__setattr__(self, "bounds", (int(self.bounds[0]), int(self.bounds[1])))
@@ -239,6 +240,8 @@ class VectorSumInstance(Instance):
         if not exact:
             vectors = tuple(tuple(int(c) for c in v) for v in vectors)
             target = tuple(int(c) for c in target)
+        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "entry_bounds", (int(self.entry_bounds[0]), int(self.entry_bounds[1])))
@@ -300,6 +303,8 @@ class CliqueInstance(Instance):
     partition: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "k", int(self.k))
         if self.n < 0:
             raise ValidationError(f"vertex count must be >= 0, got {self.n}")
         if self.k < 1:
@@ -389,6 +394,8 @@ class WeightedGraph(Instance):
     target: int
 
     def __post_init__(self) -> None:
+        for name in ("n", "k", "weight_bound", "target"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.n < 0:
             raise ValidationError(f"vertex count must be >= 0, got {self.n}")
         if self.k < 1:

@@ -12,7 +12,6 @@ turns the vector instance into an ordinary k'-SUM instance carry-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import lt, mul
 from typing import Iterable, Sequence
@@ -33,54 +32,14 @@ from .sumfree import behrend_sumfree, greedy_sumfree_elements
 GREEDY_CODE_LIMIT = 64
 
 
-@dataclass(frozen=True)
-class CliqueEncoding:
-    """Per-vertex sum-free codes plus the derived slot threshold and dimension.
-
-    threshold = Q*(k-1)+1 with Q the largest code, one more than k-1 codes can
-    ever sum to, so a slot coordinate hitting it pins down the slot's vertex.
-    """
-
-    k: int
-    codes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "codes", tuple(int(c) for c in self.codes))
-        if self.k < 2:
-            raise ParameterError(f"arity must be >= 2, got {self.k}")
-        if len(set(self.codes)) != len(self.codes):
-            raise ValidationError("vertex codes must be injective")
-        if any(c < 0 for c in self.codes):
-            raise ValidationError("vertex codes must be nonnegative")
-
-    @property
-    def n(self) -> int:
-        return len(self.codes)
-
-    @property
-    def q_max(self) -> int:
-        return max(self.codes, default=0)
-
-    @property
-    def threshold(self) -> int:
-        return self.q_max * (self.k - 1) + 1
-
-    @property
-    def dim(self) -> int:
-        return self.k * self.k + self.k + 1
-
-
-def encode_vertices(n: int, k: int) -> CliqueEncoding:
-    """Deterministic code source: brute-verified greedy set at desk scale
-    (smaller max element), digit-norm construction beyond; no codes for
-    no vertices."""
+def encode_vertices(n: int, k: int) -> tuple[int, ...]:
+    """n distinct nonnegative k-sum-free vertex codes: the brute-verified
+    greedy set at desk scale (smaller max element), digit-norm beyond."""
     if n == 0:
-        return CliqueEncoding(k=k, codes=())
+        return ()
     if n <= GREEDY_CODE_LIMIT and k <= 4:
-        codes = greedy_sumfree_elements(n, k)
-    else:
-        codes = behrend_sumfree(n, k).elements
-    return CliqueEncoding(k=k, codes=tuple(codes[:n]))
+        return greedy_sumfree_elements(n, k)
+    return behrend_sumfree(n, k).elements
 
 
 def _pair_coord(i: int, j: int, k: int) -> int:
@@ -102,8 +61,12 @@ def _check_vector_budget(g: CliqueInstance) -> None:
         raise ResourceBudgetError(f"{count} vectors of {dim} coordinates exceed the work budget {fwd.VECTOR_BUDGET}")
 
 
-def clique_to_vectorsum(g: CliqueInstance, encoding: CliqueEncoding | None = None) -> VectorSumInstance:
+def clique_to_vectorsum(g: CliqueInstance) -> VectorSumInstance:
     """Arity k+C(k,2) vector instance solvable iff g has a k-clique.
+
+    The slot threshold T = (k-1)*Q + 1, Q the largest vertex code, is one
+    more than k-1 codes can ever sum to, so a slot coordinate hitting it
+    pins down the slot's vertex.
 
     Emission order: vertex vectors grouped by vertex with slots inner, then
     per edge, per slot pair, both orientations. Both orientations are needed:
@@ -114,25 +77,23 @@ def clique_to_vectorsum(g: CliqueInstance, encoding: CliqueEncoding | None = Non
     if k < 2:
         raise ParameterError(f"arity must be >= 2, got {k}")
     _check_vector_budget(g)
-    enc = encoding if encoding is not None else encode_vertices(n, k)
-    if enc.k != k or enc.n < n:
-        raise ParameterError("encoding does not cover the graph")
-    dim = enc.dim
-    t_thresh = enc.threshold
+    codes = encode_vertices(n, k)
+    dim = k * k + k + 1
+    t_thresh = (k - 1) * max(codes, default=0) + 1
     pairs = fwd.slot_pairs(k)
     vectors: list[tuple[int, ...]] = []
     for v in range(n):
         for slot in range(1, k + 1):
             vec = [0] * dim
-            vec[slot - 1] = t_thresh - (k - 1) * enc.codes[v]
+            vec[slot - 1] = t_thresh - (k - 1) * codes[v]
             vec[dim - 1] = 1
             vectors.append(tuple(vec))
     for u, v in g.edges:
         for i, j in pairs:
             for first, second in ((u, v), (v, u)):
                 vec = [0] * dim
-                vec[i - 1] += enc.codes[first]
-                vec[j - 1] += enc.codes[second]
+                vec[i - 1] += codes[first]
+                vec[j - 1] += codes[second]
                 vec[_pair_coord(i, j, k)] += 1
                 vectors.append(tuple(vec))
     target = [0] * dim
@@ -220,11 +181,11 @@ def kclique_to_ksum(g: CliqueInstance, radix_mode: str = "uniform") -> KSumInsta
     uniform packs every coordinate in radix k'T+1; mixed packs the small-entry
     coordinates in the tighter radix k'k+1, shrinking the numbers.
     """
+    if radix_mode not in ("uniform", "mixed"):
+        raise ParameterError(f"unknown radix mode {radix_mode!r}")
     vs = clique_to_vectorsum(g)
     if radix_mode == "uniform":
         return vectorsum_to_ksum(vs)
-    if radix_mode != "mixed":
-        raise ParameterError(f"unknown radix mode {radix_mode!r}")
     k, t_thresh = g.k, vs.target[0]  # slot 1's target is the threshold T
     radices = mixed_radices(k, t_thresh)
     numbers = _pack_vectors(vs.vectors, radices)
@@ -264,13 +225,9 @@ def _lift_to_clique(g: CliqueInstance, inst: VectorSumInstance | KSumInstance, k
     return verts
 
 
-def lift_vectorsum_witness_to_clique(
-    g: CliqueInstance,
-    witness: Iterable[int],
-    encoding: CliqueEncoding | None = None,
-) -> tuple[int, ...]:
+def lift_vectorsum_witness_to_clique(g: CliqueInstance, witness: Iterable[int]) -> tuple[int, ...]:
     """The k-clique of g that a witness of its vector instance encodes."""
-    return _lift_to_clique(g, clique_to_vectorsum(g, encoding=encoding), "vector", witness)
+    return _lift_to_clique(g, clique_to_vectorsum(g), "vector", witness)
 
 
 def lift_ksum_witness_to_clique(g: CliqueInstance, witness: Iterable[int], radix_mode: str = "uniform") -> tuple[int, ...]:

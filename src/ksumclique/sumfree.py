@@ -9,7 +9,6 @@ norms plus the Cauchy-Schwarz equality case force all summands equal.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterable
@@ -127,23 +126,24 @@ def s_r_elements(m: int, b: int, base: int, r: int, limit: int | None = None) ->
     return out
 
 
-def behrend_sumfree(n: int, k: int, eps: float = 0.5) -> SumFreeSet:
+def behrend_sumfree(n: int, k: int) -> SumFreeSet:
     """Build a k-sum-free set of exactly n elements.
 
-    Digit count m = ceil(2/eps) + 2; the digit bound b is the smallest whose
-    pigeonhole floor b^m / (m*(b-1)^2 + 1) reaches n, which guarantees the
-    densest norm class is large enough. r maximizes the exact norm count with
-    ties broken toward smaller r, and the n smallest members of S_r are kept.
+    The digit bound b is the smallest whose pigeonhole floor
+    b^m / (m*(b-1)^2 + 1) reaches n, which guarantees the densest norm
+    class is large enough. The digit count is m = 6, the paper's
+    ceil(2/eps) + 2 at eps = 1/2: b then grows like n^(1/4), so the
+    elements stay below base^6, about (k-1)^6 * n^(1+eps). r maximizes the
+    exact norm count with ties broken toward smaller r, and the n smallest
+    members of S_r are kept.
     For k = 2 the arity-3 construction is reused (every set is 2-sum-free).
     """
     if n < 1:
         raise ValidationError(f"need n >= 1 elements, got {n}")
     if k < 2:
         raise ValidationError(f"arity must be >= 2, got {k}")
-    if eps <= 0:
-        raise ValidationError(f"eps must be positive, got {eps}")
     build_k = max(k, 3)
-    m = math.ceil(2 / eps) + 2
+    m = 6
     b = 1
     while b ** m // (m * (b - 1) ** 2 + 1) < n:
         b += 1

@@ -145,6 +145,13 @@ def _steps_for_seed(seed: int) -> list[list[str]]:
         ["solve", "--in", "g2.ksm.jsonl"],
         ["solve", "--in", "g2.vs.jsonl"],
         ["solve", "--in", "g2.ksm.jsonl", "--solver", "ksum-mim"],
+        # the digit-norm vertex codes, taken at k >= 5 or past 64 vertices
+        ["gen", "graph", "--n", "6", "--k", "5", "--edge-prob", "0.6", "--seed", s, "--out", "g5.json"],
+        ["gen", "graph", "--n", "70", "--k", "3", "--edge-prob", "0.05", "--seed", s, "--out", "g70.json"],
+        ["reduce", "--in", "g5.json", "--via", "clique_to_vectorsum", "--out", "g5.vs.jsonl"],
+        ["reduce", "--in", "g5.json", "--via", "kclique_to_ksum", "--radix-mode", "mixed", "--out", "g5.ksm.jsonl"],
+        ["reduce", "--in", "g70.json", "--via", "clique_to_vectorsum", "--out", "g70.vs.jsonl"],
+        ["reduce", "--in", "g70.json", "--via", "kclique_to_ksum", "--radix-mode", "mixed", "--out", "g70.ksm.jsonl"],
     ]
 
 

@@ -472,7 +472,7 @@ def test_05_weight_and_count_accounting():
 def test_06_progression_free_suite():
     failures = []
     for n in range(1, 201):
-        s = behrend_sumfree(n, 3, 0.5)
+        s = behrend_sumfree(n, 3)
         p = s.params
         if len(s.elements) != n:
             failures.append(f"n={n}: size {len(s.elements)}")

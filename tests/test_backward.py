@@ -2,6 +2,7 @@
 radix packing, and witness decoding."""
 
 import random
+from dataclasses import replace
 from itertools import combinations
 from math import comb
 
@@ -13,6 +14,8 @@ from ksumclique import (
     ParameterError,
     ResourceBudgetError,
     ValidationError,
+    behrend_sumfree,
+    greedy_sumfree_elements,
     solve_ksum_mim,
     solve_vectorsum_bruteforce,
     verify_sumfree,
@@ -35,54 +38,75 @@ from util import (
 
 
 def test_encoding_properties():
-    enc = bwd.CliqueEncoding(k=2, codes=(1, 2))
-    assert enc.n == 2
-    assert enc.q_max == 2
-    assert enc.threshold == 3  # (k-1)*Q + 1
-    assert enc.dim == 7  # k^2 + k + 1
+    """On both code sources, greedy at n <= 64 and k <= 4 and digit-norm
+    beyond, the codes are n distinct nonnegative k-sum-free ints, and the
+    vector instance has k^2+k+1 coordinates and slot targets (k-1)*max + 1,
+    one more than k-1 codes can sum to."""
+    for n, k in [(1, 2), (9, 2), (12, 3), (64, 3), (30, 4), (64, 4),  # greedy
+                 (7, 5), (6, 6), (65, 2), (65, 3), (100, 3), (70, 4)]:  # digit-norm
+        codes = bwd.encode_vertices(n, k)
+        assert type(codes) is tuple and len(set(codes)) == len(codes) == n and min(codes) >= 0
+        assert verify_sumfree(codes, k)
+        greedy = n <= bwd.GREEDY_CODE_LIMIT and k <= 4
+        assert codes == (greedy_sumfree_elements(n, k) if greedy else behrend_sumfree(n, k).elements)
+        vs = bwd.clique_to_vectorsum(CliqueInstance(n=n, edges=((0, n - 1),) if n > 1 else (), k=k))
+        assert vs.dim == k * k + k + 1
+        assert vs.target[:k] == ((k - 1) * max(codes) + 1,) * k
 
 
 def test_encoding_rejects_duplicate_or_negative_codes():
-    with pytest.raises(ValidationError):
-        bwd.CliqueEncoding(k=2, codes=(1, 1))
-    with pytest.raises(ValidationError):
-        bwd.CliqueEncoding(k=2, codes=(-1, 0))
+    """The certifiers behind both code sources refuse duplicate codes, and
+    the digit-norm set refuses a negative one."""
+    with pytest.raises(ValidationError, match="distinct"):
+        verify_sumfree((1, 1), 2)  # greedy_sumfree_elements certifies with it
+    built = behrend_sumfree(5, 3)
+    x = built.elements[0]
+    with pytest.raises(ValidationError, match="distinct"):
+        replace(built, elements=(x, x) + built.elements[1:])
+    with pytest.raises(ValidationError, match="outside"):
+        replace(built, elements=(-1,) + built.elements[1:])
 
 
 def test_encode_vertices_small_uses_greedy():
-    enc = bwd.encode_vertices(5, 3)
-    assert enc.codes == (0, 1, 3, 4, 9)
-    assert verify_sumfree(enc.codes, 3)
+    codes = bwd.encode_vertices(5, 3)
+    assert codes == (0, 1, 3, 4, 9)
+    assert verify_sumfree(codes, 3)
 
 
 def test_encode_vertices_large_certifies():
-    enc = bwd.encode_vertices(80, 3)
-    assert len(enc.codes) == 80
-    assert verify_sumfree(enc.codes, 3)
+    codes = bwd.encode_vertices(80, 3)
+    assert len(codes) == 80
+    assert verify_sumfree(codes, 3)
 
 
 def test_single_edge_worked_example():
-    enc = bwd.CliqueEncoding(k=2, codes=(1, 2))
+    assert bwd.encode_vertices(2, 2) == (0, 1)
     g = CliqueInstance(n=2, edges=((0, 1),), k=2)
-    vs = bwd.clique_to_vectorsum(g, encoding=enc)
+    vs = bwd.clique_to_vectorsum(g)
     assert vs.dim == 7
     assert vs.k == 3  # k + C(k,2) selections
-    assert vs.vectors[0] == (2, 0, 0, 0, 0, 0, 1)  # vertex v1 in slot 1
-    assert vs.vectors[3] == (0, 1, 0, 0, 0, 0, 1)  # vertex v2 in slot 2
-    assert vs.vectors[4] == (1, 2, 0, 1, 0, 0, 0)  # edge (v1,v2) in pair (1,2)
-    assert vs.target == (3, 3, 0, 1, 0, 0, 2)
+    # T = (k-1)*1 + 1 = 2; vertex vectors by vertex, slots inner, then the
+    # edge in pair (1,2), both orientations
+    assert vs.vectors == (
+        (2, 0, 0, 0, 0, 0, 1),  # v1 in slot 1
+        (0, 2, 0, 0, 0, 0, 1),  # v1 in slot 2
+        (1, 0, 0, 0, 0, 0, 1),  # v2 in slot 1
+        (0, 1, 0, 0, 0, 0, 1),  # v2 in slot 2
+        (0, 1, 0, 1, 0, 0, 0),  # edge (v1,v2)
+        (1, 0, 0, 1, 0, 0, 0),  # edge (v2,v1)
+    )
+    assert vs.target == (2, 2, 0, 1, 0, 0, 2)
     assert tuple(
         sum(col) for col in zip(vs.vectors[0], vs.vectors[3], vs.vectors[4])
     ) == vs.target
 
 
 def test_single_edge_witness_lifts():
-    enc = bwd.CliqueEncoding(k=2, codes=(1, 2))
     g = CliqueInstance(n=2, edges=((0, 1),), k=2)
-    vs = bwd.clique_to_vectorsum(g, encoding=enc)
+    vs = bwd.clique_to_vectorsum(g)
     w = oracle_vectorsum(vs.vectors, vs.k, vs.target)
     assert w == (0, 3, 4)
-    assert bwd.lift_vectorsum_witness_to_clique(g, w, encoding=enc) == (0, 1)
+    assert bwd.lift_vectorsum_witness_to_clique(g, w) == (0, 1)
 
 
 def test_edgeless_graph_is_unsolvable():
@@ -106,13 +130,14 @@ def test_vector_count_formula():
 def test_vectors_are_emitted_vertex_major_then_edge_blocks():
     # _clique_vertices reads vertex i // k off index i < k*n
     g = CliqueInstance(n=3, edges=((0, 1), (1, 2)), k=3)
-    enc = bwd.encode_vertices(3, 3)
-    vs = bwd.clique_to_vectorsum(g, encoding=enc)
-    k, dim, t = 3, enc.dim, enc.threshold
+    codes = bwd.encode_vertices(3, 3)
+    vs = bwd.clique_to_vectorsum(g)
+    k = 3
+    dim, t = k * k + k + 1, (k - 1) * max(codes) + 1
     for v in range(g.n):
         for slot in range(k):
             want = [0] * dim
-            want[slot], want[-1] = t - (k - 1) * enc.codes[v], 1
+            want[slot], want[-1] = t - (k - 1) * codes[v], 1
             assert vs.vectors[k * v + slot] == tuple(want)
     pairs = list(combinations(range(1, k + 1), 2))
     edge_vectors = iter(vs.vectors[k * g.n:])
@@ -120,7 +145,7 @@ def test_vectors_are_emitted_vertex_major_then_edge_blocks():
         for i, j in pairs:
             for first, second in ((u, v), (v, u)):
                 want = [0] * dim
-                want[i - 1], want[j - 1], want[k * i + j - 1] = enc.codes[first], enc.codes[second], 1
+                want[i - 1], want[j - 1], want[k * i + j - 1] = codes[first], codes[second], 1
                 assert next(edge_vectors) == tuple(want)
     assert next(edge_vectors, None) is None
     assert bwd._clique_vertices(g, range(len(vs.vectors))) == (0, 0, 0, 1, 1, 1, 2, 2, 2)
@@ -314,7 +339,7 @@ def test_backward_reductions_refuse_arity_one_alike(reduce):
 def test_no_vertices_encode_to_no_codes():
     # k >= 5 would take the digit-norm construction, which needs n >= 1
     for k in range(2, 7):
-        assert bwd.encode_vertices(0, k) == bwd.CliqueEncoding(k=k, codes=())
+        assert bwd.encode_vertices(0, k) == ()
 
 
 def test_packed_mim_budget_guard(monkeypatch):
@@ -393,7 +418,7 @@ def test_projection_matches_the_structural_decoder():
         for _ in range(count):
             n = rng.randint(k, n_hi)
             g = CliqueInstance(n=n, edges=tuple(e for e in complete_edges(n) if rng.random() < 0.6), k=k)
-            codes = bwd.encode_vertices(n, k).codes
+            codes = bwd.encode_vertices(n, k)
             vs = bwd.clique_to_vectorsum(g)
             witnesses = all_sum_witnesses(vs.vectors, vs.k, vs.target)
             wants = [decode_vector_witness_reference(g, codes, w) for w in witnesses]
@@ -471,3 +496,16 @@ def test_vector_budget_refuses_before_encoding(monkeypatch):
             reduce(g)
     monkeypatch.undo()
     assert (bwd.clique_to_vectorsum(g), bwd.kclique_to_ksum(g)) == (want_vs, want_ks)
+
+
+def test_unknown_radix_mode_is_refused_before_anything_is_built(monkeypatch):
+    def no_encoding(n, k):
+        raise AssertionError("vertices encoded before the radix mode check")
+
+    monkeypatch.setattr(bwd, "encode_vertices", no_encoding)
+    huge = CliqueInstance(n=10**6, edges=((0, 1),), k=3)  # past VECTOR_BUDGET
+    k3 = CliqueInstance(n=3, edges=complete_edges(3), k=3)
+    for call in (lambda: bwd.kclique_to_ksum(huge, "bogus"),
+                 lambda: bwd.lift_ksum_witness_to_clique(k3, (0, 4, 8, 9, 11, 13), "bogus")):
+        with pytest.raises(ParameterError, match=r"^unknown radix mode 'bogus'$"):
+            call()

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from ksumclique import (
     CliqueInstance,
     KSumInstance,
+    LinDepInstance,
     MalformedWitnessError,
     ParseError,
     ReducedCollection,
     ReducedItem,
+    TargetSumInstance,
     ValidationError,
     VectorSumInstance,
     WeightedGraph,
@@ -453,6 +455,29 @@ ROUND_TRIP_FIXTURES = [
 @pytest.mark.parametrize("inst", ROUND_TRIP_FIXTURES, ids=lambda i: type(i).__name__)
 def test_serialize_parse_round_trip(inst):
     assert parse_instance(serialize_instance(inst)) == inst
+
+
+SCALAR_TWINS = [
+    (KSumInstance, dict(k=3, numbers=(1, 2, 3), target=6, bounds=(0, 5)), ("k",)),
+    (VectorSumInstance, dict(k=2, dim=2, vectors=((1, 2), (3, 4)), target=(4, 6), entry_bounds=(0, 5)), ("k", "dim")),
+    (CliqueInstance, dict(n=3, edges=((0, 1),), k=2), ("n", "k")),
+    (WeightedGraph, dict(n=3, edges=((0, 1),), k=2, node_weights=(1, 2, 3), edge_weights=None, weight_bound=3, target=3),
+     ("n", "k", "weight_bound", "target")),
+    (TargetSumInstance, dict(q=7, elements=(1, 2), k=2, target=3), ("k",)),
+    (LinDepInstance, dict(q=5, n=2, vectors=((1, 0), (0, 1)), k=2, target=(1, 1)), ("n",)),
+]
+
+
+@pytest.mark.parametrize("cls, fields, scalars", SCALAR_TWINS, ids=[cls.__name__ for cls, _, _ in SCALAR_TWINS])
+def test_float_or_str_scalars_serialize_like_ints(cls, fields, scalars):
+    """Sizes, arities, bounds and targets given as floats or decimal strings
+    are stored as ints, so the instance serializes to its int-built twin's
+    bytes and parses back equal to it."""
+    twin = cls(**fields)
+    for convert in (float, str):
+        inst = cls(**{**fields, **{name: convert(fields[name]) for name in scalars}})
+        assert serialize_instance(inst) == serialize_instance(twin)
+        assert parse_instance(serialize_instance(inst)) == inst == twin
 
 
 def test_serialize_is_canonical_and_parse_order_insensitive():

@@ -91,7 +91,7 @@ def test_behrend_single_norm_and_range():
 
 def test_behrend_pigeonhole_floor():
     for n in [5, 30, 120]:
-        s = behrend_sumfree(n, 3, 0.5)
+        s = behrend_sumfree(n, 3)
         p = s.params
         full_class = norm_counts(p.m, p.b)[p.r]
         assert full_class >= p.b**p.m // (p.m * (p.b - 1) ** 2 + 1)
@@ -103,8 +103,6 @@ def test_behrend_rejects_bad_inputs():
         behrend_sumfree(0, 3)
     with pytest.raises(ValidationError):
         behrend_sumfree(4, 1)
-    with pytest.raises(ValidationError):
-        behrend_sumfree(4, 3, eps=0)
 
 
 def test_greedy_matches_no_two_in_ternary():
