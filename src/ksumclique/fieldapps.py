@@ -27,6 +27,8 @@ from .instances import (
     _as_int,
     _as_int_list,
     _as_list,
+    _integral,
+    _integrals,
     verify_witness,
 )
 from .modprime import _offset_items, is_prime
@@ -44,10 +46,10 @@ class TargetSumInstance(Instance):
     target: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q", int(self.q))
-        object.__setattr__(self, "elements", tuple(int(x) for x in self.elements))
-        object.__setattr__(self, "k", int(self.k))
-        object.__setattr__(self, "target", int(self.target))
+        object.__setattr__(self, "q", _integral(self.q, "q"))
+        object.__setattr__(self, "elements", _integrals(self.elements, "element"))
+        object.__setattr__(self, "k", _integral(self.k, "k"))
+        object.__setattr__(self, "target", _integral(self.target, "target"))
         if self.q < 2:
             raise ValidationError(f"modulus must be >= 2, got {self.q}")
         if self.k < 1:
@@ -99,10 +101,10 @@ class LinDepInstance(Instance):
     target: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q", int(self.q))
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "vectors", tuple(tuple(int(c) for c in v) for v in self.vectors))
-        object.__setattr__(self, "target", tuple(int(c) for c in self.target))
+        object.__setattr__(self, "q", _integral(self.q, "q"))
+        object.__setattr__(self, "n", _integral(self.n, "n"))
+        object.__setattr__(self, "vectors", tuple(_integrals(v, "vector entry") for v in self.vectors))
+        object.__setattr__(self, "target", _integrals(self.target, "target entry"))
         if not is_prime(self.q):
             raise ValidationError(f"modulus {self.q} must be prime")
         if self.n < 1:

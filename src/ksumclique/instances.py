@@ -57,6 +57,27 @@ def _as_int(value: Any, what: str) -> int:
     raise ValidationError(f"{what} must be an integer or decimal string, got {type(value).__name__}")
 
 
+def _integral(x: Any, what: str) -> int:
+    """int(x), refusing a non-string x that int() would change (1.5, not 2.0):
+    decimal strings and integral numbers pass, fractional ones are not truncated."""
+    if type(x) is int:  # the common case, as cheap as int() itself
+        return x
+    out = int(x)
+    if out != x and not isinstance(x, str):
+        raise ValidationError(f"{what} must be an integer, got {x!r}")
+    return out
+
+
+def _integrals(values: Iterable[Any], what: str) -> tuple[int, ...]:
+    """_integral over values, with one C-level pass when nothing changes."""
+    raw = tuple(values)
+    out = tuple(map(int, raw))
+    if out != raw:
+        for x in raw:
+            _integral(x, what)
+    return out
+
+
 def _as_list(value: Any, what: str) -> list[Any]:
     if not isinstance(value, list):
         raise ValidationError(f"{what} must be a JSON list, got {type(value).__name__}")
@@ -127,6 +148,8 @@ def normalize_edges(n: int, edges: Iterable[Sequence[int]]) -> tuple[tuple[int, 
     seen: set[tuple[int, int]] | None = None
     for raw in edges:
         u, v = int(raw[0]), int(raw[1])
+        if u != raw[0] or v != raw[1]:
+            u, v = _integral(raw[0], "vertex id"), _integral(raw[1], "vertex id")
         if not (0 <= u < n and 0 <= v < n):
             raise ValidationError(f"edge ({u},{v}) out of range for n={n}")
         if u == v:
@@ -187,13 +210,13 @@ class KSumInstance(Instance):
     bounds: tuple[int, int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k", int(self.k))
-        object.__setattr__(self, "numbers", tuple(int(x) for x in self.numbers))
-        object.__setattr__(self, "target", int(self.target))
-        object.__setattr__(self, "bounds", (int(self.bounds[0]), int(self.bounds[1])))
+        object.__setattr__(self, "k", _integral(self.k, "k"))
+        object.__setattr__(self, "numbers", _integrals(self.numbers, "number"))
+        object.__setattr__(self, "target", _integral(self.target, "target"))
+        lo, hi = _integral(self.bounds[0], "range low"), _integral(self.bounds[1], "range high")
+        object.__setattr__(self, "bounds", (lo, hi))
         if self.k < 1:
             raise ValidationError(f"arity k must be >= 1, got {self.k}")
-        lo, hi = self.bounds
         if lo > hi:
             raise ValidationError(f"empty declared range [{lo},{hi}]")
         for x in self.numbers:
@@ -238,13 +261,14 @@ class VectorSumInstance(Instance):
         entries = [*chain.from_iterable(vectors)]
         exact = set(map(type, chain(entries, target))) <= {int}  # the common case, checked at C level
         if not exact:
-            vectors = tuple(tuple(int(c) for c in v) for v in vectors)
-            target = tuple(int(c) for c in target)
-        object.__setattr__(self, "k", int(self.k))
-        object.__setattr__(self, "dim", int(self.dim))
+            vectors = tuple(_integrals(v, "vector entry") for v in vectors)
+            target = _integrals(target, "target entry")
+        object.__setattr__(self, "k", _integral(self.k, "k"))
+        object.__setattr__(self, "dim", _integral(self.dim, "dim"))
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "entry_bounds", (int(self.entry_bounds[0]), int(self.entry_bounds[1])))
+        object.__setattr__(self, "entry_bounds", (_integral(self.entry_bounds[0], "entry low"),
+                                                  _integral(self.entry_bounds[1], "entry high")))
         if self.k < 1:
             raise ValidationError(f"arity k must be >= 1, got {self.k}")
         if self.dim < 1:
@@ -303,8 +327,8 @@ class CliqueInstance(Instance):
     partition: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "n", _integral(self.n, "n"))
+        object.__setattr__(self, "k", _integral(self.k, "k"))
         if self.n < 0:
             raise ValidationError(f"vertex count must be >= 0, got {self.n}")
         if self.k < 1:
@@ -313,7 +337,7 @@ class CliqueInstance(Instance):
         part = self.partition
         if part is not None:
             if type(part) is not tuple or not set(map(type, part)) <= {int}:
-                object.__setattr__(self, "partition", tuple(map(int, part)))
+                object.__setattr__(self, "partition", _integrals(part, "partition label"))
             self._check_partition()
 
     @classmethod
@@ -395,7 +419,7 @@ class WeightedGraph(Instance):
 
     def __post_init__(self) -> None:
         for name in ("n", "k", "weight_bound", "target"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+            object.__setattr__(self, name, _integral(getattr(self, name), name))
         if self.n < 0:
             raise ValidationError(f"vertex count must be >= 0, got {self.n}")
         if self.k < 1:
@@ -404,13 +428,14 @@ class WeightedGraph(Instance):
         node_w, edge_w = self.node_weights, self.edge_weights
         _check_weight_kinds(node_w, edge_w, self.weight_bound)
         if node_w is not None:
-            w = tuple(int(x) for x in node_w)
+            w = _integrals(node_w, "node weight")
             object.__setattr__(self, "node_weights", w)
             if len(w) != self.n:
                 raise ValidationError("node weight list length differs from n")
             _check_bound("node", w, self.weight_bound)
         elif edge_w is not None:
-            ew = tuple(sorted(((u, v, int(w)) if u < v else (v, u, int(w))) for u, v, w in edge_w))
+            ew = tuple(sorted(((u, v, _integral(w, "edge weight")) if u < v else (v, u, _integral(w, "edge weight")))
+                              for u, v, w in edge_w))
             object.__setattr__(self, "edge_weights", ew)
             if [(u, v) for u, v, _ in ew] != list(self.edges):
                 raise ValidationError("edge weights must cover exactly the edge set")
@@ -560,7 +585,10 @@ class ReducedCollection:
 
 def witness_tuple(inst: Instance, witness: Iterable[int]) -> tuple[int, ...]:
     """Validate witness shape (cardinality k, distinct, in range) and sort it."""
-    ws = [int(x) for x in witness]
+    try:
+        ws = _integrals(witness, "witness id")
+    except ValidationError as e:
+        raise MalformedWitnessError(str(e)) from None
     if len(set(ws)) != len(ws):
         raise MalformedWitnessError(f"witness has repeated elements: {sorted(ws)}")
     k = inst.k

@@ -33,8 +33,9 @@ GREEDY_CODE_LIMIT = 64
 
 
 def encode_vertices(n: int, k: int) -> tuple[int, ...]:
-    """n distinct nonnegative k-sum-free vertex codes: the brute-verified
-    greedy set at desk scale (smaller max element), digit-norm beyond."""
+    """n distinct nonnegative k-sum-free vertex codes: at desk scale the
+    integers whose base-k digits are 0 or 1 (`greedy_sumfree_elements`, the
+    smaller max element), beyond it the digit-norm `behrend_sumfree` set."""
     if n == 0:
         return ()
     if n <= GREEDY_CODE_LIMIT and k <= 4:

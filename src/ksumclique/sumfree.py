@@ -1,10 +1,11 @@
 """Construction and verification of k-sum-free sets.
 
 A set D is k-sum-free when x_1 + ... + x_{k-1} = (k-1) * x_k with all x_i in D
-forces x_1 = ... = x_k. The constructive route fixes m digits over a digit
-bound b, embeds them in radix base = (k-1)*b - 1 so digitwise sums of k-1
-digits never carry, and keeps only digit vectors of one squared norm r: equal
-norms plus the Cauchy-Schwarz equality case force all summands equal.
+forces x_1 = ... = x_k. Two constructions give vertex codes: for k <= 4 and
+small n, the integers whose base-k digits are 0 or 1; for any k, the digit-norm
+set, which embeds m digits below b in radix (k-1)*b - 1 so digitwise sums of
+k-1 digits never carry, and keeps only digit vectors of one squared norm r:
+equal norms plus the Cauchy-Schwarz equality case force all summands equal.
 """
 
 from __future__ import annotations
@@ -160,11 +161,9 @@ def behrend_sumfree(n: int, k: int) -> SumFreeSet:
 
 
 def verify_sumfree(elements: Iterable[int], k: int) -> bool:
-    """Exhaustively check the defining property over all (k-1)-multisets.
-
-    The x_k side is solved by lookup, so the cost is O(|elements|^{k-1}).
-    Duplicate elements are a validation error, not a False.
-    """
+    """Exhaustively check the defining property over all (k-1)-multisets; the
+    x_k side is solved by lookup, so the cost is O(|elements|^{k-1}).
+    Duplicate elements are a validation error, not a False."""
     elems = [int(x) for x in elements]
     if len(set(elems)) != len(elems):
         raise ValidationError("elements must be distinct")
@@ -172,52 +171,20 @@ def verify_sumfree(elements: Iterable[int], k: int) -> bool:
         raise ValidationError(f"arity must be >= 2, got {k}")
     elem_set = set(elems)
     for combo in combinations_with_replacement(elems, k - 1):
-        s = sum(combo)
-        q, rem = divmod(s, k - 1)
-        if rem != 0 or q not in elem_set:
-            continue
-        if any(x != q for x in combo):
+        q, rem = divmod(sum(combo), k - 1)
+        if rem == 0 and q in elem_set and any(x != q for x in combo):
             return False
     return True
 
 
 def greedy_sumfree_elements(n: int, k: int) -> tuple[int, ...]:
-    """Smallest-first greedy k-sum-free elements for k <= 4, brute certified.
-
-    At small n this gives a far smaller maximum element than the norm
-    construction, which keeps downstream vertex codes compact.
-    """
+    """The n smallest integers whose base-k digits are 0 or 1, for k <= 4: what
+    smallest-first greedy search finds, with a far smaller maximum at small n
+    than the digit-norm set. They are k-sum-free: k-1 of them add digitwise to
+    at most k-1 < k with no carry, and (k-1) * x_k has digits 0 or k-1, also
+    with no carry, so digitwise equality forces every x_i to equal x_k."""
     if n < 1:
         raise ValidationError(f"need n >= 1 elements, got {n}")
     if not 2 <= k <= 4:
         raise ValidationError("greedy construction supports 2 <= k <= 4")
-    if k == 2:
-        return tuple(range(n))
-    chosen: list[int] = []
-    chosen_set: set[int] = set()
-    x = 0
-    while len(chosen) < n:
-        if _greedy_admissible(chosen, chosen_set, x, k):
-            chosen.append(x)
-            chosen_set.add(x)
-        x += 1
-    if not verify_sumfree(chosen, k):  # pragma: no cover - certification guard
-        raise ValidationError("greedy construction failed certification")
-    return tuple(chosen)
-
-
-def _greedy_admissible(chosen: list[int], chosen_set: set[int], x: int, k: int) -> bool:
-    """Would chosen + {x} stay k-sum-free? Only equations x_1 + ... + x_{k-1} =
-    (k-1) * x_k that involve x need checking, as multisets: x on the left with
-    the other k-2 left terms from chosen + {x} and x_k looked up, or x as x_k
-    with the whole left side from chosen and its last term looked up. x is not
-    in chosen, so an equation of the second kind is never trivial."""
-    pool_set = chosen_set | {x}
-    for rest in combinations_with_replacement(chosen + [x], k - 2):
-        q, rem = divmod(x + sum(rest), k - 1)
-        if rem == 0 and q in pool_set and any(y != q for y in rest):  # all equal to q forces x = q
-            return False
-    for rest in combinations_with_replacement(chosen, k - 2):
-        if (k - 1) * x - sum(rest) in chosen_set:
-            return False
-    return True
+    return tuple(int(format(i, "b"), k) for i in range(n))

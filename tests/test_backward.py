@@ -42,7 +42,7 @@ def test_encoding_properties():
     beyond, the codes are n distinct nonnegative k-sum-free ints, and the
     vector instance has k^2+k+1 coordinates and slot targets (k-1)*max + 1,
     one more than k-1 codes can sum to."""
-    for n, k in [(1, 2), (9, 2), (12, 3), (64, 3), (30, 4), (64, 4),  # greedy
+    for n, k in [(1, 2), (9, 2), (64, 2), (12, 3), (64, 3), (30, 4), (64, 4),  # greedy
                  (7, 5), (6, 6), (65, 2), (65, 3), (100, 3), (70, 4)]:  # digit-norm
         codes = bwd.encode_vertices(n, k)
         assert type(codes) is tuple and len(set(codes)) == len(codes) == n and min(codes) >= 0
@@ -55,10 +55,11 @@ def test_encoding_properties():
 
 
 def test_encoding_rejects_duplicate_or_negative_codes():
-    """The certifiers behind both code sources refuse duplicate codes, and
-    the digit-norm set refuses a negative one."""
+    """`verify_sumfree`, with which the tests certify the base-k 0/1 codes,
+    refuses duplicate codes, and the digit-norm `SumFreeSet` refuses a
+    duplicate and a negative one."""
     with pytest.raises(ValidationError, match="distinct"):
-        verify_sumfree((1, 1), 2)  # greedy_sumfree_elements certifies with it
+        verify_sumfree((1, 1), 2)
     built = behrend_sumfree(5, 3)
     x = built.elements[0]
     with pytest.raises(ValidationError, match="distinct"):

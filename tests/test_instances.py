@@ -480,6 +480,32 @@ def test_float_or_str_scalars_serialize_like_ints(cls, fields, scalars):
         assert parse_instance(serialize_instance(inst)) == inst == twin
 
 
+def test_fractional_values_are_refused_not_truncated():
+    """A value that int() would change is refused, in every constructor and
+    in a witness, where it was truncated (k = 3.7 built k = 3, and the
+    witness (0.9, 1.5) verified as (0, 1))."""
+    for build in [
+        lambda: KSumInstance(k=3.7, numbers=(1, 2, 3), target=6, bounds=(0, 5)),
+        lambda: KSumInstance(k=3, numbers=(1.9, 2, 3), target=6, bounds=(0, 5)),
+        lambda: KSumInstance(k=3, numbers=(1, 2, 3), target=6.5, bounds=(0, 5)),
+        lambda: KSumInstance(k=3, numbers=(1, 2, 3), target=6, bounds=(0, 5.5)),
+        lambda: VectorSumInstance(k=2, dim=2, vectors=((1, 2.5), (3, 4)), target=(4, 6), entry_bounds=(0, 5)),
+        lambda: CliqueInstance(n=3, edges=((0, 1.7),), k=2),
+        lambda: WeightedGraph(n=3, edges=((0, 1),), k=2, node_weights=(1, 2.5, 3), edge_weights=None,
+                              weight_bound=3, target=3),
+        lambda: WeightedGraph(n=3, edges=((0, 1),), k=2, node_weights=None, edge_weights=((0, 1, 0.5),),
+                              weight_bound=3, target=0),
+        lambda: TargetSumInstance(q=7, elements=(1, 2.5), k=2, target=3),
+        lambda: LinDepInstance(q=5, n=2, vectors=((1, 0), (0, 1.5)), k=2, target=(1, 1)),
+    ]:
+        with pytest.raises(ValidationError, match="must be an integer"):
+            build()
+    inst = KSumInstance(k=2, numbers=(1, 2, 3), target=3, bounds=(0, 5))
+    with pytest.raises(MalformedWitnessError, match="must be an integer"):
+        verify_witness(inst, (0.9, 1.5))
+    assert verify_witness(inst, (0.0, "1"))  # integral floats and decimal strings still pass
+
+
 def test_serialize_is_canonical_and_parse_order_insensitive():
     inst = make_ksum([1, 3], 2, 4)
     blob = serialize_instance(inst)

@@ -15,7 +15,6 @@ from ksumclique import (
     s_r_elements,
     verify_sumfree,
 )
-from ksumclique.sumfree import _greedy_admissible
 
 
 def brute_norm_class(m, b, base, r):
@@ -139,16 +138,15 @@ def _greedy_reference(n, k):
     return tuple(chosen)
 
 
-@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4])
 def test_greedy_matches_the_full_certification_reference(k):
-    want = _greedy_reference(24, k)
-    assert [greedy_sumfree_elements(n, k) for n in range(1, 25)] == [want[:n] for n in range(1, 25)]
-    # the admissibility test alone, on sum-free subsets and candidates below their maximum too
-    rng = random.Random(k)
-    for _ in range(300):
-        chosen = sorted(rng.sample(want[:12], rng.randint(0, 12)))
-        x = rng.choice([y for y in range(want[11] + 10) if y not in chosen])
-        assert _greedy_admissible(chosen, set(chosen), x, k) == verify_sumfree(chosen + [x], k)
+    """Every output is a prefix of the n = 64 codes, whose first 24 the
+    reference finds. test_backward.test_encoding_properties certifies the
+    n = 64 codes, and subsets of a k-sum-free set stay k-sum-free, so the
+    whole domain is certified."""
+    full = greedy_sumfree_elements(64, k)
+    assert full[:24] == _greedy_reference(24, k)
+    assert [greedy_sumfree_elements(n, k) for n in range(1, 65)] == [full[:n] for n in range(1, 65)]
 
 
 def test_greedy_rejects_unsupported_arity():
