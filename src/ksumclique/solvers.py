@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, combinations, compress, count, islice, repeat
+from itertools import accumulate, chain, combinations, compress, count, islice, repeat
 from operator import add, contains, eq, itemgetter, lt, mod, mul, sub
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -230,12 +230,22 @@ def solve_ksum_mim(inst: KSumInstance) -> SolverReport:
     blocks are slices of subset sums computed once: the (ceil(k/2)-1)-subsets
     in colex order and the tails in lexicographic order.
 
-    Each group is tested from its smaller side. From the group side, the set
-    is tested for disjointness with numbers[c0] + each tail sum. From the
-    table side, each t - L - numbers[c0] is looked up in `reach`, which maps
-    a tail sum to the largest smallest index of a tail with that sum; a value
-    above c0 means some tail of the group fits. Only the first group that
-    hits is scanned in order for the first right half that hits. The witness
+    A group whose sums cannot reach the set's range is skipped with neither
+    test: its sums lie between numbers[c0] plus floor(k/2)-1 times the least
+    and the greatest number above c0, and the set's extremes come from running
+    extremes of the left sums. The set still grows at every c0, and a skipped
+    group holds no hit, so the witness, `probes` and `table_size` are those
+    without the skip. On packed k-Clique instances every group that starts at
+    a vertex number overshoots the set and is skipped.
+
+    Every other group is tested from its smaller side. From the group side,
+    the set is tested for disjointness with numbers[c0] + each tail sum. From
+    the table side, each t - L - numbers[c0] is looked up in `reach`, which
+    maps a tail sum to the largest smallest index of a tail with that sum; a
+    value above c0 means some tail of the group fits. `reach` is built at the
+    first table-side test and dropped at the first group-side one, after
+    which the set only grows and the groups only shrink. Only the first group
+    that hits is scanned in order for the first right half that hits. The witness
     is that right half joined to the first left half in (max index, lex)
     order with the missing sum. Exact, deterministic, same answers as brute
     force.
@@ -264,24 +274,37 @@ def solve_ksum_mim(inst: KSumInstance) -> SolverReport:
         # lexicographic order is colex order of the reversed indices, reversed:
         # the subsets of numbers[s:] are the last C(n - s, b - 1)
         tails = _colex_sums(numbers[::-1], b - 1)[::-1]
-        if b == 1:
-            reach = {0: n}  # the empty tail fits every group
-        else:
-            # C(n - s - 1, b - 2) tails start at s; in lexicographic order the
-            # last write of a sum is the one with the largest start
-            starts = chain.from_iterable(map(repeat, range(n), (math.comb(n - s - 1, b - 2) for s in range(n))))
-            reach = dict(zip(tails, starts))
+        # the least and the greatest of numbers[s:], 0 past the end
+        lows = [*accumulate(reversed(numbers), min)][::-1] + [0]
+        highs = [*accumulate(reversed(numbers), max)][::-1] + [0]
         table = set()
-        probes = 0
+        low_table, high_table = math.inf, -math.inf  # the table's extremes
+        low_head = high_head = heads[0]  # the extremes of heads[:done]
+        reach = None
+        probes, done = 0, 1
         for c0 in range(n - b + 1):
             if c0 >= a:
-                table.update(map(sub, repeat(t - numbers[c0 - 1]), heads[:math.comb(c0 - 1, a - 1)]))
+                size = math.comb(c0 - 1, a - 1)
+                if size > done:
+                    fresh = heads[done:size]
+                    low_head, high_head, done = min(low_head, min(fresh)), max(high_head, max(fresh)), size
+                rest = t - numbers[c0 - 1]
+                table.update(map(sub, repeat(rest), heads[:size]))
+                low_table, high_table = min(low_table, rest - high_head), max(high_table, rest - low_head)
             group = math.comb(n - c0 - 1, b - 1)
             x = numbers[c0]
+            if x + (b - 1) * lows[c0 + 1] > high_table or x + (b - 1) * highs[c0 + 1] < low_table:
+                probes += group  # no sum of the group reaches the table, empty or not
+                continue
             if 2 * len(table) < group:  # a table-side step costs about two group-side ones
+                if reach is None:  # b >= 2 here, as the table is not empty and group > 2
+                    # C(n - s - 1, b - 2) tails start at s; in lexicographic order the
+                    # last write of a sum is the one with the largest start
+                    starts = map(repeat, range(n), (math.comb(n - s - 1, b - 2) for s in range(n)))
+                    reach = dict(zip(tails, chain.from_iterable(starts)))
                 hit = _table_meets_group(table, reach, x, c0)
             else:
-                reach.clear()  # the table only grows and the groups only shrink, so reach is done
+                reach = None  # the table only grows and the groups only shrink, so reach is done
                 hit = _group_meets_table(table, map(add, repeat(x), tails[len(tails) - group:]))
             if not hit:
                 probes += group

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterable
 
-from .instances import ValidationError
+from .instances import ValidationError, _integrals
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class SumFreeSet:
     params: SumFreeParams
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "elements", tuple(int(x) for x in self.elements))
+        object.__setattr__(self, "elements", _integrals(self.elements, "element"))
         if self.k < 2:
             raise ValidationError(f"certified arity must be >= 2, got {self.k}")
         if list(self.elements) != sorted(set(self.elements)):
@@ -164,7 +164,7 @@ def verify_sumfree(elements: Iterable[int], k: int) -> bool:
     """Exhaustively check the defining property over all (k-1)-multisets; the
     x_k side is solved by lookup, so the cost is O(|elements|^{k-1}).
     Duplicate elements are a validation error, not a False."""
-    elems = [int(x) for x in elements]
+    elems = _integrals(elements, "element")
     if len(set(elems)) != len(elems):
         raise ValidationError("elements must be distinct")
     if k < 2:

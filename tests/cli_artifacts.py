@@ -2,6 +2,13 @@
 the CLI of two source trees can be compared byte for byte with `diff -r`.
 
     PYTHONPATH=src python tests/cli_artifacts.py OUTDIR
+    PYTHONPATH=src python tests/cli_artifacts.py --manifest
+
+The committed manifest cli_artifacts.sha256 holds the SHA-256 of every output
+file, one `<digest>  <relative path>` line per file in path order (the format
+of `sha256sum`), and test_cli_artifacts.py checks the outputs against it.
+`--manifest` writes the outputs to a temporary directory and rewrites the
+manifest from them, for a change that alters the outputs on purpose.
 
 Each case runs its steps in OUTDIR/<case>/ with relative paths, after
 writing its fixture files there. Step i leaves i.stdout, i.stderr and i.exit
@@ -13,15 +20,18 @@ The script is not named test_*, so pytest does not collect it.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
 import sys
+import tempfile
 import traceback
 from pathlib import Path
 
 from ksumclique.cli import main
 
+MANIFEST = Path(__file__).with_name("cli_artifacts.sha256")
 SEEDS = (1, 2, 501)
 
 # chain, source kind, n_range, k_range, m_range, params, trials
@@ -210,7 +220,31 @@ def write_artifacts(outdir: Path) -> None:
             os.chdir(home)
 
 
+def digests(outdir: Path) -> dict[str, str]:
+    """The SHA-256 of every file under outdir, by its path relative to outdir."""
+    return {path.relative_to(outdir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in outdir.rglob("*") if path.is_file()}
+
+
+def read_manifest() -> dict[str, str]:
+    lines = MANIFEST.read_text(encoding="utf-8").splitlines()
+    return {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
+
+
+def mismatches(want: dict[str, str], got: dict[str, str]) -> list[str]:
+    """The files whose digests differ, that are missing or that are extra."""
+    return ([f"changed: {name}" for name in sorted(want.keys() & got.keys()) if want[name] != got[name]]
+            + [f"missing: {name}" for name in sorted(want.keys() - got.keys())]
+            + [f"extra: {name}" for name in sorted(got.keys() - want.keys())])
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: cli_artifacts.py OUTDIR")
-    write_artifacts(Path(sys.argv[1]).resolve())
+    if sys.argv[1:] == ["--manifest"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            write_artifacts(Path(tmp).resolve())
+            written = digests(Path(tmp).resolve())
+        MANIFEST.write_text("".join(f"{written[name]}  {name}\n" for name in sorted(written)), encoding="utf-8")
+    elif len(sys.argv) == 2:
+        write_artifacts(Path(sys.argv[1]).resolve())
+    else:
+        sys.exit("usage: cli_artifacts.py OUTDIR | --manifest")

@@ -175,6 +175,7 @@ def _assert_mim_matches_reference(nums, k, t):
     witness, probes, _ = _mim_full_table_reference(nums, k, t)
     assert (rep.witness, rep.stats["probes"]) == (witness, probes), (nums, k, t)
     assert rep.stats["table_size"] == (_mim_stop_table_size(nums, k, witness) if k <= len(nums) else 0)
+    return rep
 
 
 def test_mim_small_arities_and_repeated_numbers(group_tests):
@@ -197,9 +198,12 @@ def test_mim_small_arities_and_repeated_numbers(group_tests):
 
 def test_mim_group_tests_match_the_reference_on_packed_instances(group_tests):
     """Packed 3-clique instances (6-SUM over 50 to 90 numbers) in both radix
-    modes: the early groups are tested from the table's side and the late ones
-    from the group's, and together they give the reference's witness, probes
-    and table size."""
+    modes. Every vertex number is at least the count coordinate's place value
+    and every edge number below it, so a right half whose smallest index is a
+    vertex number (c0 < k*n) overshoots every t - L in the table: those groups
+    are range-pruned and call neither side test. Each later group up to the
+    stop is tested from the group's side, and together they give the
+    reference's witness, probes and table size."""
     rng = random.Random(47)
     solvable = set()
     for _ in range(6):
@@ -209,9 +213,62 @@ def test_mim_group_tests_match_the_reference_on_packed_instances(group_tests):
         for mode in ("uniform", "mixed"):
             packed = bwd.kclique_to_ksum(g, radix_mode=mode)
             assert packed.n >= 50
-            _assert_mim_matches_reference(packed.numbers, packed.k, packed.target)
-            solvable.add(solve_ksum_mim(packed).solvable)
+            before = dict(group_tests)
+            rep = _assert_mim_matches_reference(packed.numbers, packed.k, packed.target)
+            solvable.add(rep.solvable)
+            stop = rep.witness[3] if rep.solvable else packed.n - 3
+            assert group_tests["table"] == before["table"]
+            assert group_tests["group"] - before["group"] == stop + 1 - 3 * n
     assert solvable == {False, True}
+    assert group_tests["group"] > 0
+
+
+def _hit_group_bounds(numbers, k, t):
+    """The bounds numbers[c0] + (floor(k/2) - 1) * (least, greatest number
+    above c0) of the group that holds the hit, c0 being the smallest index of
+    the reference witness's right half, and the least and the greatest t - L
+    of the left halves below c0."""
+    a, b = (k + 1) // 2, k // 2
+    c0 = _mim_full_table_reference(numbers, k, t)[0][a]
+    table = {t - sum(numbers[i] for i in combo) for combo in combinations(range(c0), a)}
+    above = numbers[c0 + 1:] or (0,)
+    return numbers[c0] + (b - 1) * min(above), numbers[c0] + (b - 1) * max(above), min(table), max(table)
+
+
+def test_mim_range_prune_matches_the_reference(group_tests):
+    """Groups whose sums cannot reach the table's range are skipped with
+    neither side test, and the witness, probes and table size stay the
+    reference's: k 1-7, negative numbers, and magnitudes from 1 to 10^9 mixed
+    in one instance, so that the prune fires and both side tests still run.
+    The frozen cases (k 2, 3, 5 and 6) put the hit in a group whose lower
+    bound equals the table's maximum, or whose upper bound equals its
+    minimum."""
+    at_max = [((2, 5, 6, 4), 2, 8), ((-5, 1, -6, 0), 3, -11), ((2, -2, 2, 1, 2, 1), 5, 4),
+              ((4, -6, 3, 0, 4, 2, 2), 6, 5)]
+    at_min = [((1, 2, -3, -1, -3), 2, 1), ((0, -5, -5, -4, -3, -4, -3), 5, -15),
+              ((-4, -5, -6, -6, -5, -5, -6), 6, -31)]
+    for nums, k, t in at_max:
+        low, _, _, high_table = _hit_group_bounds(nums, k, t)
+        assert low == high_table, (nums, k, t)
+        _assert_mim_matches_reference(nums, k, t)
+    for nums, k, t in at_min:
+        _, high, low_table, _ = _hit_group_bounds(nums, k, t)
+        assert high == low_table, (nums, k, t)
+        _assert_mim_matches_reference(nums, k, t)
+    rng = random.Random(48)
+    groups = tests = 0
+    for _ in range(1500):
+        k = rng.randint(1, 7)
+        n = rng.randint(0, 14)
+        scales = rng.sample((1, 10**3, 10**6, 10**9), rng.randint(1, 3))
+        nums = tuple(rng.choice(scales) * rng.randint(-3, 9) + rng.randint(-5, 5) for _ in range(n))
+        t = sum(rng.sample(nums, min(k, n))) + rng.choice((0, 0, 1, -10**6))
+        before = sum(group_tests.values())
+        witness = _assert_mim_matches_reference(nums, k, t).witness
+        if 2 <= k <= n:
+            groups += (witness[(k + 1) // 2] if witness else n - k // 2) + 1
+            tests += sum(group_tests.values()) - before
+    assert 0 < tests < groups
     assert group_tests["table"] > 0 and group_tests["group"] > 0
 
 

@@ -1,6 +1,7 @@
 """k-sum-free sets: norm-class construction, greedy variant, verification."""
 
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -63,6 +64,19 @@ def test_verify_sumfree_frozen_cases():
 def test_verify_sumfree_rejects_duplicates():
     with pytest.raises(ValidationError):
         verify_sumfree([1, 1, 2], 3)
+
+
+def test_fractional_elements_are_refused_not_truncated():
+    """A fractional element is refused, where int() would certify (0, 1, 3)
+    for (0.5, 1, 3) and build (13, 31, 37) from (13.5, 31, 37); integral
+    floats and decimal strings still convert."""
+    with pytest.raises(ValidationError, match="element must be an integer"):
+        verify_sumfree((0.5, 1, 3), 3)
+    s = behrend_sumfree(3, 3)
+    with pytest.raises(ValidationError, match="element must be an integer"):
+        replace(s, elements=(s.elements[0] + 0.5,) + s.elements[1:])
+    assert replace(s, elements=tuple(map(float, s.elements))).elements == s.elements
+    assert verify_sumfree(("1", 2.0, 4), 3)
 
 
 def test_params_reject_wrong_radix():
