@@ -253,7 +253,7 @@ def span_contains(q: int, vectors: Sequence[Sequence[int]], target: Sequence[int
 def solve_targetsum_bruteforce(inst: TargetSumInstance) -> solvers.SolverReport:
     """Exact mod-q oracle: lexicographically first k distinct indices whose
     sum hits the target."""
-    return solvers._first_sum_subset(inst.elements, inst.k, inst.target, solvers.DEFAULT_BUDGET, q=inst.q)
+    return solvers._first_sum_subset(inst.elements, inst.k, inst.target, q=inst.q)
 
 
 def solve_lindep_bruteforce(inst: LinDepInstance) -> solvers.SolverReport:

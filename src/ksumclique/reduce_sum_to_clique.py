@@ -307,12 +307,12 @@ def _check_alpha_coordinates(k: int) -> None:
         raise ResourceBudgetError(f"{math.comb(k, 2)} alpha coordinates exceed the work budget {ALPHA_BUDGET}")
 
 
-def _check_alpha_budget(base: int, free: int, budget: int) -> None:
-    """Refuse an enumeration of base^free heads above the budget. The count
+def _check_alpha_budget(base: int, free: int) -> None:
+    """Refuse an enumeration of base^free heads above ALPHA_BUDGET. The count
     is written out up to 1024 bits and as base^free, never built, above."""
-    if _pow_exceeds(base, free, budget):
+    if _pow_exceeds(base, free, ALPHA_BUDGET):
         count = base**free if free * base.bit_length() <= 1024 else f"{base}^{free}"
-        raise ResourceBudgetError(f"alpha enumeration would need {count} tuples (budget {budget})")
+        raise ResourceBudgetError(f"alpha enumeration would need {count} tuples (budget {ALPHA_BUDGET})")
 
 
 def alpha_tuples_full(bound: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -321,7 +321,7 @@ def alpha_tuples_full(bound: int, k: int) -> Iterator[tuple[int, ...]]:
     and emitted only when in range."""
     _check_alpha_args(k)
     free = math.comb(k, 2) - 1
-    _check_alpha_budget(2 * bound + 1, free, ALPHA_BUDGET)
+    _check_alpha_budget(2 * bound + 1, free)
     _check_alpha_coordinates(k)
     for head in product(range(-bound, bound + 1), repeat=free):
         last = -sum(head)
@@ -481,7 +481,7 @@ def present_alpha_tuples(g: WeightedGraph, k: int) -> Iterator[tuple[int, ...]]:
     _check_alpha_args(k, g)
     buckets = g.edges_by_weight
     if buckets:
-        _check_alpha_budget(len(buckets), math.comb(k, 2) - 1, ALPHA_BUDGET)
+        _check_alpha_budget(len(buckets), math.comb(k, 2) - 1)
     _check_alpha_coordinates(k)
     yield from _zero_sum_alphas(k, dict.fromkeys(buckets, (-1, -1)))
 

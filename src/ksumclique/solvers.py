@@ -157,18 +157,18 @@ def _meet_sums(values: Sequence[int], k: int, goal: int, q: int | None) -> tuple
     return rank, witness
 
 
-def _first_sum_subset(values: Sequence[int], k: int, goal: int, budget: int, q: int | None = None) -> SolverReport:
+def _first_sum_subset(values: Sequence[int], k: int, goal: int, q: int | None = None) -> SolverReport:
     """The lexicographically first k-subset of values whose sum, taken mod q
     when q is given (then 0 <= goal < q), equals goal, as an index tuple;
     witness, stats and refusals are those of _first_subset with key sum
-    (mod q). The C(n, k)
-    guard runs first; then the cost rule picks a C-level scan or the meet in
-    the middle, and `candidates` is the witness's lex position + 1 either
-    way, C(n, k) when none hits."""
+    (mod q) and bound DEFAULT_BUDGET. The C(n, k) guard runs first; then
+    the cost rule picks a C-level scan or the meet in the middle, and
+    `candidates` is the witness's lex position + 1 either way, C(n, k) when
+    none hits."""
     n = len(values)
     if k > n:
         return SolverReport(False, None, {"candidates": 0})
-    _guard_combinations(n, k, budget)
+    _guard_combinations(n, k, DEFAULT_BUDGET)
     if _scan_is_cheaper(n, k):
         found = _scan_sums(values, k, goal, q)
     else:
@@ -180,7 +180,7 @@ def _first_sum_subset(values: Sequence[int], k: int, goal: int, budget: int, q: 
 
 def solve_ksum_bruteforce(inst: KSumInstance) -> SolverReport:
     """The lexicographically first index k-subset that sums to the target."""
-    return _first_sum_subset(inst.numbers, inst.k, inst.target, DEFAULT_BUDGET)
+    return _first_sum_subset(inst.numbers, inst.k, inst.target)
 
 
 def _colex_sums(numbers: tuple[int, ...], m: int) -> list[int]:
@@ -205,11 +205,6 @@ def _first_left(numbers: tuple[int, ...], heads: list[int], a: int, need: int, s
             pos = _first_match(map(eq, repeat(rest), map(sum, combinations(numbers[:c], a - 1))))
             return next(islice(combinations(range(c), a - 1), pos, None)) + (c,)
     raise ValidationError(f"no left half below index {stop} sums to {need}")
-
-
-def _table_meets_group(table: set[int], reach: dict[int, int], x: int, c0: int) -> bool:
-    """Some t - L in table equals x plus the sum of a tail that starts above c0."""
-    return any(map(lt, repeat(c0), map(reach.get, map(sub, table, repeat(x)), repeat(-1))))
 
 
 def _group_meets_table(table: set[int], sums: Iterable[int]) -> bool:
@@ -238,17 +233,11 @@ def solve_ksum_mim(inst: KSumInstance) -> SolverReport:
     without the skip. On packed k-Clique instances every group that starts at
     a vertex number overshoots the set and is skipped.
 
-    Every other group is tested from its smaller side. From the group side,
-    the set is tested for disjointness with numbers[c0] + each tail sum. From
-    the table side, each t - L - numbers[c0] is looked up in `reach`, which
-    maps a tail sum to the largest smallest index of a tail with that sum; a
-    value above c0 means some tail of the group fits. `reach` is built at the
-    first table-side test and dropped at the first group-side one, after
-    which the set only grows and the groups only shrink. Only the first group
-    that hits is scanned in order for the first right half that hits. The witness
-    is that right half joined to the first left half in (max index, lex)
-    order with the missing sum. Exact, deterministic, same answers as brute
-    force.
+    Every other group is tested once, for disjointness of the set with
+    numbers[c0] + each tail sum. Only the first group that hits is scanned
+    in order for the first right half that hits. The witness is that right
+    half joined to the first left half in (max index, lex) order with the
+    missing sum. Exact, deterministic, same answers as brute force.
 
     Stats: `probes` counts the right halves in lexicographic order up to and
     including the hit (all C(n, floor(k/2)) when unsolvable), although only
@@ -280,7 +269,6 @@ def solve_ksum_mim(inst: KSumInstance) -> SolverReport:
         table = set()
         low_table, high_table = math.inf, -math.inf  # the table's extremes
         low_head = high_head = heads[0]  # the extremes of heads[:done]
-        reach = None
         probes, done = 0, 1
         for c0 in range(n - b + 1):
             if c0 >= a:
@@ -296,17 +284,7 @@ def solve_ksum_mim(inst: KSumInstance) -> SolverReport:
             if x + (b - 1) * lows[c0 + 1] > high_table or x + (b - 1) * highs[c0 + 1] < low_table:
                 probes += group  # no sum of the group reaches the table, empty or not
                 continue
-            if 2 * len(table) < group:  # a table-side step costs about two group-side ones
-                if reach is None:  # b >= 2 here, as the table is not empty and group > 2
-                    # C(n - s - 1, b - 2) tails start at s; in lexicographic order the
-                    # last write of a sum is the one with the largest start
-                    starts = map(repeat, range(n), (math.comb(n - s - 1, b - 2) for s in range(n)))
-                    reach = dict(zip(tails, chain.from_iterable(starts)))
-                hit = _table_meets_group(table, reach, x, c0)
-            else:
-                reach = None  # the table only grows and the groups only shrink, so reach is done
-                hit = _group_meets_table(table, map(add, repeat(x), tails[len(tails) - group:]))
-            if not hit:
+            if not _group_meets_table(table, map(add, repeat(x), tails[len(tails) - group:])):
                 probes += group
                 continue
             pos = _first_match(map(contains, repeat(table), map(add, repeat(x), tails[len(tails) - group:])))
@@ -339,7 +317,7 @@ def solve_vectorsum_bruteforce(inst: VectorSumInstance) -> SolverReport:
         radix = k * (hi - lo) + 1
         weights = [radix ** i for i in range(inst.dim)]
         packed = [sum(map(mul, v, weights)) for v in vectors]
-        report = _first_sum_subset(packed, k, sum(map(mul, inst.target, weights)), DEFAULT_BUDGET)
+        report = _first_sum_subset(packed, k, sum(map(mul, inst.target, weights)))
     report.stats["range_pruned"] = inst.trivially_unsolvable
     return report
 

@@ -162,6 +162,10 @@ def _steps_for_seed(seed: int) -> list[list[str]]:
         ["reduce", "--in", "g5.json", "--via", "kclique_to_ksum", "--radix-mode", "mixed", "--out", "g5.ksm.jsonl"],
         ["reduce", "--in", "g70.json", "--via", "clique_to_vectorsum", "--out", "g70.vs.jsonl"],
         ["reduce", "--in", "g70.json", "--via", "kclique_to_ksum", "--radix-mode", "mixed", "--out", "g70.ksm.jsonl"],
+        # ksum-mim with a right half of two or three numbers, on unpacked sums
+        ["solve", "--in", "w.json", "--solver", "ksum-mim"],
+        ["gen", "ksum", "--n", "24", "--k", "6", "--M", "1000", "--plant", "--seed", s, "--out", "y.json"],
+        ["solve", "--in", "y.json", "--solver", "ksum-mim"],
     ]
 
 

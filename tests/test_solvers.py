@@ -160,13 +160,15 @@ def _mim_stop_table_size(numbers, k, witness):
 
 @pytest.fixture
 def group_tests(monkeypatch):
-    """Counts of the table-side and the group-side group tests of solve_ksum_mim."""
-    counts = {"table": 0, "group": 0}
-    for side, name in (("table", "_table_meets_group"), ("group", "_group_meets_table")):
-        def counted(*args, side=side, test=getattr(solvers, name)):
-            counts[side] += 1
-            return test(*args)
-        monkeypatch.setattr(solvers, name, counted)
+    """A one-item list that counts the group tests of solve_ksum_mim."""
+    counts = [0]
+    test = solvers._group_meets_table
+
+    def counted(*args):
+        counts[0] += 1
+        return test(*args)
+
+    monkeypatch.setattr(solvers, "_group_meets_table", counted)
     return counts
 
 
@@ -179,9 +181,8 @@ def _assert_mim_matches_reference(nums, k, t):
 
 
 def test_mim_small_arities_and_repeated_numbers(group_tests):
-    """k = 1, 2, 3 have an empty tail that fits every group. Repeated
-    numbers give one tail sum several smallest indices, of which the table
-    side must keep the largest."""
+    """k = 1, 2, 3 have an empty tail that fits every group, and repeated
+    numbers give one tail sum several smallest indices."""
     rng = random.Random(45)
     cases = [((5,) * 6, k, 5 * k) for k in range(1, 7)]
     cases += [((1, 1, 2, 1, 1, 2, 1), 4, 5), ((0, 0, 0, 0, 0, 0, 0, 0), 5, 0), ((3, 3), 1, 3), ((3, 3), 2, 6)]
@@ -193,7 +194,7 @@ def test_mim_small_arities_and_repeated_numbers(group_tests):
         cases.append((nums, k, t))
     for nums, k, t in cases:
         _assert_mim_matches_reference(nums, k, t)
-    assert group_tests["table"] > 0 and group_tests["group"] > 0
+    assert group_tests[0] > 0
 
 
 def test_mim_group_tests_match_the_reference_on_packed_instances(group_tests):
@@ -201,9 +202,9 @@ def test_mim_group_tests_match_the_reference_on_packed_instances(group_tests):
     modes. Every vertex number is at least the count coordinate's place value
     and every edge number below it, so a right half whose smallest index is a
     vertex number (c0 < k*n) overshoots every t - L in the table: those groups
-    are range-pruned and call neither side test. Each later group up to the
-    stop is tested from the group's side, and together they give the
-    reference's witness, probes and table size."""
+    are range-pruned and skip the group test. Each later group up to the
+    stop is tested, and together they give the reference's witness, probes
+    and table size."""
     rng = random.Random(47)
     solvable = set()
     for _ in range(6):
@@ -213,36 +214,40 @@ def test_mim_group_tests_match_the_reference_on_packed_instances(group_tests):
         for mode in ("uniform", "mixed"):
             packed = bwd.kclique_to_ksum(g, radix_mode=mode)
             assert packed.n >= 50
-            before = dict(group_tests)
+            before = group_tests[0]
             rep = _assert_mim_matches_reference(packed.numbers, packed.k, packed.target)
             solvable.add(rep.solvable)
             stop = rep.witness[3] if rep.solvable else packed.n - 3
-            assert group_tests["table"] == before["table"]
-            assert group_tests["group"] - before["group"] == stop + 1 - 3 * n
+            assert group_tests[0] - before == stop + 1 - 3 * n
     assert solvable == {False, True}
-    assert group_tests["group"] > 0
+    assert group_tests[0] > 0
+
+
+def _group_bounds(numbers, k, t, c0):
+    """The bounds numbers[c0] + (floor(k/2) - 1) * (least, greatest number
+    above c0) of group c0, and the least and the greatest t - L of the left
+    halves below c0, None when there are none."""
+    a, b = (k + 1) // 2, k // 2
+    table = {t - sum(numbers[i] for i in combo) for combo in combinations(range(c0), a)}
+    above = numbers[c0 + 1:] or (0,)
+    return (numbers[c0] + (b - 1) * min(above), numbers[c0] + (b - 1) * max(above),
+            min(table, default=None), max(table, default=None))
 
 
 def _hit_group_bounds(numbers, k, t):
-    """The bounds numbers[c0] + (floor(k/2) - 1) * (least, greatest number
-    above c0) of the group that holds the hit, c0 being the smallest index of
-    the reference witness's right half, and the least and the greatest t - L
-    of the left halves below c0."""
-    a, b = (k + 1) // 2, k // 2
-    c0 = _mim_full_table_reference(numbers, k, t)[0][a]
-    table = {t - sum(numbers[i] for i in combo) for combo in combinations(range(c0), a)}
-    above = numbers[c0 + 1:] or (0,)
-    return numbers[c0] + (b - 1) * min(above), numbers[c0] + (b - 1) * max(above), min(table), max(table)
+    """_group_bounds of the group that holds the hit, c0 being the smallest
+    index of the reference witness's right half."""
+    return _group_bounds(numbers, k, t, _mim_full_table_reference(numbers, k, t)[0][(k + 1) // 2])
 
 
 def test_mim_range_prune_matches_the_reference(group_tests):
-    """Groups whose sums cannot reach the table's range are skipped with
-    neither side test, and the witness, probes and table size stay the
-    reference's: k 1-7, negative numbers, and magnitudes from 1 to 10^9 mixed
-    in one instance, so that the prune fires and both side tests still run.
-    The frozen cases (k 2, 3, 5 and 6) put the hit in a group whose lower
-    bound equals the table's maximum, or whose upper bound equals its
-    minimum."""
+    """Groups whose sums cannot reach the table's range skip the group test,
+    and the witness, probes and table size stay the reference's: k 1-7,
+    negative numbers, and magnitudes from 1 to 10^9 mixed in one instance.
+    Exactly the groups up to the stop whose bounds meet a non-empty table's
+    range are tested. The frozen cases (k 2, 3, 5 and 6) put the hit in a
+    group whose lower bound equals the table's maximum, or whose upper bound
+    equals its minimum."""
     at_max = [((2, 5, 6, 4), 2, 8), ((-5, 1, -6, 0), 3, -11), ((2, -2, 2, 1, 2, 1), 5, 4),
               ((4, -6, 3, 0, 4, 2, 2), 6, 5)]
     at_min = [((1, 2, -3, -1, -3), 2, 1), ((0, -5, -5, -4, -3, -4, -3), 5, -15),
@@ -256,20 +261,25 @@ def test_mim_range_prune_matches_the_reference(group_tests):
         assert high == low_table, (nums, k, t)
         _assert_mim_matches_reference(nums, k, t)
     rng = random.Random(48)
-    groups = tests = 0
+    pruned = tested = 0
     for _ in range(1500):
         k = rng.randint(1, 7)
         n = rng.randint(0, 14)
         scales = rng.sample((1, 10**3, 10**6, 10**9), rng.randint(1, 3))
         nums = tuple(rng.choice(scales) * rng.randint(-3, 9) + rng.randint(-5, 5) for _ in range(n))
         t = sum(rng.sample(nums, min(k, n))) + rng.choice((0, 0, 1, -10**6))
-        before = sum(group_tests.values())
+        before = group_tests[0]
         witness = _assert_mim_matches_reference(nums, k, t).witness
         if 2 <= k <= n:
-            groups += (witness[(k + 1) // 2] if witness else n - k // 2) + 1
-            tests += sum(group_tests.values()) - before
-    assert 0 < tests < groups
-    assert group_tests["table"] > 0 and group_tests["group"] > 0
+            stop = witness[(k + 1) // 2] if witness else n - k // 2
+            meets = 0
+            for c0 in range(stop + 1):
+                low, high, low_table, high_table = _group_bounds(nums, k, t, c0)
+                meets += low_table is not None and low <= high_table and high >= low_table
+            assert group_tests[0] - before == meets, (nums, k, t)
+            tested += meets
+            pruned += stop + 1 - meets
+    assert tested > 0 and pruned > 0
 
 
 def test_vectorsum_frozen_cases():
@@ -434,7 +444,7 @@ def _random_sum_cases(rng):
         TargetSumInstance(q=q, elements=tuple(elements), k=k, target=rng.randrange(q)), n
     q = rng.choice((1, 2))
     goal = rng.randrange(q)
-    yield lambda args: solvers._first_sum_subset(*args, solvers.DEFAULT_BUDGET, q=q), \
+    yield lambda args: solvers._first_sum_subset(*args, q=q), \
         lambda args, b: solvers._first_subset(args[0], args[1], lambda xs: sum(xs) % q, args[2], b), \
         (numbers, k, goal), n
 
